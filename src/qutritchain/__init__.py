@@ -3,7 +3,7 @@ for a pair of spin-1 sites with bilinear-biquadratic exchange in a
 site-dependent magnetic field, plus a spin-1/2 XY pair used as a cross-check.
 """
 
-from .numkernel import Spectrum, cmatmul, entropy_bits, singular_values, sym_eig
+from .numkernel import Spectrum, entropy_bits, singular_values, sym_eig
 from .qstate import (
     BipartiteDims,
     DensityMatrix,

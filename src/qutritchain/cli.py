@@ -8,6 +8,8 @@ internal numerical cross-check fails.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from typing import Optional
 
@@ -59,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--measures", default=None, help="comma separated measure names")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--config", default=None, help="key=value file; flags take precedence")
-        sp.add_argument("--threads", type=int, default=None, help="worker processes (default 1)")
+        sp.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     return parser
 
 
@@ -67,7 +69,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, NUL in the path
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     known = set(_FLOAT_KEYS) | set(_RANGE_KEYS) | {"mode", "measures", "out", "threads"}
     out: dict[str, str] = {}
@@ -115,6 +117,10 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
                 floats[key] = float(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        if not math.isfinite(floats[key]):
+            raise ConfigError(f"{key} must be finite, got {raw!r}")
+    if floats["T"] <= 0.0:
+        raise ConfigError(f"temperature must be positive, got T={floats['T']}")
 
     ranges = {}
     for key in _RANGE_KEYS:
@@ -122,6 +128,8 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
         raw = _pick(getattr(args, key.replace("-", "_")), file_map, key)
         if raw is not None:
             ranges[axis] = _parse_range(raw)
+    if "t" in ranges and ranges["t"].start <= 0.0:
+        raise ConfigError(f"temperatures must be positive, got range-t from {ranges['t'].start}")
 
     measures_raw = _pick(args.measures, file_map, "measures")
     measures = ()
@@ -135,8 +143,8 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
         threads = int(threads_raw) if threads_raw is not None else 1
     except ValueError as exc:
         raise ConfigError(f"bad thread count {threads_raw!r}") from exc
-    if threads < 1:
-        raise ConfigError(f"thread count must be positive, got {threads}")
+    if not 1 <= threads <= (os.cpu_count() or 1):
+        raise ConfigError(f"thread count must be between 1 and the CPU count, got {threads}")
 
     return SweepConfig(
         mode=mode,
@@ -159,7 +167,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL in the path
         raise ConfigError(f"cannot write output to {out}: {exc}") from exc
 
 
@@ -184,7 +192,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
+    except (ConsistencyError, ValueError) as exc:
+        # ValueError (LinAlgError too): a check on a matrix or probability vector failed
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -150,12 +150,9 @@ def tau_matrices(rho: DensityMatrix, basis: Optional[AntisymBasis] = None) -> li
     lam = w[keep][order]
     vecs = v[:, keep][:, order]
     scale = np.sqrt(lam)
+    weight = np.outer(scale, scale)
     total = rho.dims.total
-    out = []
-    for row in basis.vectors:
-        c = row.reshape(total, total)
-        out.append((vecs.T @ c @ vecs) * np.outer(scale, scale))
-    return out
+    return [(vecs.T @ c @ vecs) * weight for c in basis.vectors.reshape(-1, total, total)]
 
 
 def alb(rho: DensityMatrix, basis: Optional[AntisymBasis] = None) -> float:

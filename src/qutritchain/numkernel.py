@@ -21,20 +21,23 @@ def maxabs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _as_square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def require_symmetric(a: np.ndarray) -> np.ndarray:
-    """Return `a` as a float array after checking squareness and symmetry."""
-    a = _as_square(a)
-    tol = SYMMETRY_RTOL * max(1.0, maxabs(a))
-    dev = maxabs(a - a.T)
-    if dev > tol:
-        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {dev:.3e} exceeds {tol:.3e}")
+    """Return `a` as a float array after checking shape, finiteness and symmetry.
+
+    A stack (..., n, n) is checked matrix by matrix, each against its own scale."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    scale = np.abs(a).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix has non-finite entries")
+    tol = SYMMETRY_RTOL * np.maximum(1.0, scale)
+    dev = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if not (dev <= tol).all():
+        i = np.argmax(dev - tol)
+        raise ValueError(
+            f"matrix is not symmetric: max |A - A^T| = {dev.flat[i]:.3e} exceeds {tol.flat[i]:.3e}"
+        )
     return a
 
 
@@ -48,17 +51,19 @@ class Spectrum:
         Eigenvalues in ascending order.
     vectors : ndarray
         Orthonormal eigenvectors as columns; vectors[:, i] belongs to values[i].
+
+    A stack of spectra carries the same layout behind leading axes.
     """
 
     values: np.ndarray
     vectors: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.values.shape[-1])
 
 
 def sym_eig(a: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a real symmetric matrix.
+    """Full eigendecomposition of a real symmetric matrix, or of each in a stack.
 
     The input must be symmetric within SYMMETRY_RTOL (relative to its largest
     entry); it is symmetrized before the solve so round-off in the caller's
@@ -66,7 +71,7 @@ def sym_eig(a: np.ndarray) -> Spectrum:
     input bytes.
     """
     a = require_symmetric(a)
-    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+    values, vectors = np.linalg.eigh(0.5 * (a + a.swapaxes(-1, -2)))
     return Spectrum(values=values, vectors=vectors)
 
 
@@ -78,8 +83,19 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy (base 2) of a probability vector.
+def masked_sum(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row sums of the 2-d array `x` over the entries where `mask` holds, each
+    row added up exactly as np.sum(row[row_mask]) would add it."""
+    counts = mask.sum(axis=1)
+    out = np.zeros(len(x))
+    for k in np.unique(counts[counts > 0]):
+        rows = counts == k
+        out[rows] = x[rows][mask[rows]].reshape(-1, k).sum(axis=1)
+    return out
+
+
+def entropy_bits(p: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy (base 2) of a probability vector, or of each row of a 2-d array.
 
     Entries in [-1e-12, 0) are treated as round-off and clamped to 0; anything
     more negative, or a total off 1 by more than 1e-10, is rejected.
@@ -87,20 +103,11 @@ def entropy_bits(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     if p.size and float(p.min()) < -1e-12:
         raise ValueError(f"negative probability {p.min():.3e} below round-off tolerance")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-10")
-    q = np.clip(p, 0.0, None)
-    nz = q[q > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
-
-
-def cmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two equal-size complex square matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
+    total = p.sum(axis=-1)
+    off = np.abs(total - 1.0) > 1e-10
+    if off.any():
+        raise ValueError(f"probabilities sum to {float(total[off][0])!r}, expected 1 within 1e-10")
+    q = np.atleast_2d(np.clip(p, 0.0, None))
+    positive = q > 0.0
+    s = -masked_sum(q * np.log2(np.where(positive, q, 1.0)), positive)
+    return float(s[0]) if p.ndim == 1 else s

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import maxabs, require_symmetric
+from .numkernel import require_symmetric
 
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-10
@@ -42,18 +42,27 @@ class DensityMatrix:
     dims: BipartiteDims
 
     def __post_init__(self) -> None:
-        mat = require_symmetric(self.mat)
-        if mat.shape[0] != self.dims.total:
-            raise ValueError(
-                f"matrix is {mat.shape[0]}x{mat.shape[0]} but dims {self.dims} need {self.dims.total}"
-            )
-        tr = float(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr!r} is not 1 within {TRACE_TOL}")
-        low = float(np.linalg.eigvalsh(mat)[0])
-        if low < EIG_FLOOR:
-            raise ValueError(f"matrix is not positive semidefinite: lowest eigenvalue {low:.3e}")
-        object.__setattr__(self, "mat", mat)
+        if np.ndim(self.mat) != 2:
+            raise ValueError(f"expected a square matrix, got shape {np.shape(self.mat)}")
+        object.__setattr__(self, "mat", check_density(self.mat, self.dims)[0])
+
+
+def check_density(mat: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray]:
+    """DensityMatrix checks on a matrix or a stack; returns it with its ascending eigenvalues."""
+    mat = require_symmetric(mat)
+    if mat.shape[-1] != dims.total:
+        raise ValueError(
+            f"matrix is {mat.shape[-1]}x{mat.shape[-1]} but dims {dims} need {dims.total}"
+        )
+    tr = mat.trace(axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValueError(f"trace {float(tr[off][0])!r} is not 1 within {TRACE_TOL}")
+    eigs = np.linalg.eigvalsh(mat)
+    low = float(eigs[..., 0].min())
+    if low < EIG_FLOOR:
+        raise ValueError(f"matrix is not positive semidefinite: lowest eigenvalue {low:.3e}")
+    return mat, eigs
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,31 +70,40 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def _split(rho: DensityMatrix) -> tuple[int, int, np.ndarray]:
-    da, db = rho.dims.da, rho.dims.db
-    return da, db, rho.mat.reshape(da, db, da, db)
+def _split(mat: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    return mat.reshape(mat.shape[:-2] + (dims.da, dims.db, dims.da, dims.db))
+
+
+def partial_transpose_of(mat: np.ndarray, dims: BipartiteDims, subsystem: str = "B") -> np.ndarray:
+    """Partial transpose of a plain matrix, or of each matrix in a stack (..., d, d)."""
+    t = _split(mat, dims)
+    if subsystem == "B":
+        out = t.swapaxes(-3, -1)
+    elif subsystem == "A":
+        out = t.swapaxes(-4, -2)
+    else:
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    return out.reshape(mat.shape)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: str = "B") -> np.ndarray:
     """Partial transpose of `rho` on one subsystem, as a plain matrix."""
-    da, db, t = _split(rho)
-    if subsystem == "B":
-        out = t.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        out = t.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return out.reshape(da * db, da * db).copy()
+    return partial_transpose_of(rho.mat, rho.dims, subsystem)
+
+
+def partial_trace_of(mat: np.ndarray, dims: BipartiteDims, traced: str = "B") -> np.ndarray:
+    """Reduced state of a plain matrix, or of each matrix in a stack (..., d, d)."""
+    t = _split(mat, dims)
+    if traced == "B":
+        return np.einsum("...ikjk->...ij", t)
+    if traced == "A":
+        return np.einsum("...kikj->...ij", t)
+    raise ValueError(f"traced must be 'A' or 'B', got {traced!r}")
 
 
 def partial_trace(rho: DensityMatrix, traced: str = "B") -> np.ndarray:
     """Reduced state after tracing out one subsystem, as a plain matrix."""
-    _, _, t = _split(rho)
-    if traced == "B":
-        return np.einsum("ikjk->ij", t).copy()
-    if traced == "A":
-        return np.einsum("kikj->ij", t).copy()
-    raise ValueError(f"traced must be 'A' or 'B', got {traced!r}")
+    return partial_trace_of(rho.mat, rho.dims, traced)
 
 
 def max_entangled(d: int) -> np.ndarray:
@@ -113,12 +131,8 @@ def dm_from_pure(v: np.ndarray, dims: BipartiteDims) -> DensityMatrix:
     return DensityMatrix(mat=np.outer(v, v), dims=dims)
 
 
-def purity_of(mat: np.ndarray) -> float:
-    """Tr(rho^2) for a symmetric matrix given as a plain array."""
+def purity_of(mat: np.ndarray) -> float | np.ndarray:
+    """Tr(rho^2) for a symmetric matrix given as a plain array, or for each in a stack."""
     m = np.asarray(mat, dtype=float)
-    return float(np.sum(m * m))
-
-
-def is_symmetric(a: np.ndarray, rtol: float = 1e-13) -> bool:
-    a = np.asarray(a, dtype=float)
-    return maxabs(a - a.T) <= rtol * max(1.0, maxabs(a))
+    p = (m * m).reshape(m.shape[:-2] + (-1,)).sum(axis=-1)
+    return float(p) if m.ndim == 2 else p

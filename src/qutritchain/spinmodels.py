@@ -72,12 +72,20 @@ def heisenberg_coupling() -> np.ndarray:
     return np.kron(sx, sx) + sysy + np.kron(sz, sz)
 
 
+# The operator terms of H, built once: S1.S2, (S1.S2)^2, S1z x I and I x S2z.
+_EXCHANGE = heisenberg_coupling()
+_EXCHANGE_SQ = _EXCHANGE @ _EXCHANGE
+_SZ_I = np.kron(spin1_operators()[2], np.eye(3))
+_I_SZ = np.kron(np.eye(3), spin1_operators()[2])
+
+
 def hamiltonian_qutrit(p: QutritChainParams) -> np.ndarray:
-    """Full 9x9 Hamiltonian of the spin-1 pair."""
-    _, _, sz = spin1_operators()
-    d = heisenberg_coupling()
-    eye3 = np.eye(3)
-    return p.J * d + p.K * (d @ d) + p.B1 * np.kron(sz, eye3) + p.B2 * np.kron(eye3, sz)
+    """Full 9x9 Hamiltonian of the spin-1 pair.
+
+    Fields of `p` given as equal-shape arrays yield a (..., 9, 9) stack.
+    """
+    j, k, b1, b2 = (np.asarray(x, dtype=float)[..., None, None] for x in (p.J, p.K, p.B1, p.B2))
+    return j * _EXCHANGE + k * _EXCHANGE_SQ + b1 * _SZ_I + b2 * _I_SZ
 
 
 class ClosedFormEnergies(NamedTuple):

@@ -71,13 +71,17 @@ class GibbsState:
     weights: np.ndarray
 
 
-def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
-    """Normalized exp(-(E - E_min)/T); requires T > 0."""
-    if temperature <= 0.0:
+def boltzmann_weights(energies: np.ndarray, temperature: float | np.ndarray) -> np.ndarray:
+    """Normalized exp(-(E - E_min)/T); requires T > 0.
+
+    A stack of spectra (..., n) takes one temperature or one per spectrum.
+    """
+    t = np.asarray(temperature, dtype=float)[..., None]
+    if not (t > 0.0).all():
         raise ValueError(f"temperature must be positive, got {temperature}")
     e = np.asarray(energies, dtype=float)
-    w = np.exp(-(e - e.min()) / temperature)
-    return w / w.sum()
+    w = np.exp((e.min(axis=-1, keepdims=True) - e) / t)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def gibbs_state(spectrum: Spectrum, temperature: float) -> GibbsState:
@@ -88,11 +92,15 @@ def gibbs_state(spectrum: Spectrum, temperature: float) -> GibbsState:
     )
 
 
+def mixture(spectrum: Spectrum, weights: np.ndarray) -> np.ndarray:
+    """sum_i w_i |v_i><v_i| over the eigenvectors, per spectrum for a stack."""
+    return (spectrum.vectors * weights[..., None, :]) @ spectrum.vectors.swapaxes(-1, -2)
+
+
 def gibbs(spectrum: Spectrum, temperature: float, dims: BipartiteDims) -> DensityMatrix:
     """Thermal density matrix exp(-H/T)/Z built from the eigendecomposition."""
     w = boltzmann_weights(spectrum.values, temperature)
-    v = spectrum.vectors
-    return DensityMatrix(mat=(v * w) @ v.T, dims=dims)
+    return DensityMatrix(mat=mixture(spectrum, w), dims=dims)
 
 
 def ground_state(spectrum: Spectrum, dims: BipartiteDims) -> DensityMatrix:

@@ -1,7 +1,12 @@
-import numpy as np
+import os
 
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from qutritchain import sweeps
 from qutritchain.cli import main
-from qutritchain.sweeps import SweepConfig, single_point_report
+from qutritchain.sweeps import SWEEP_MODES, SweepConfig, single_point_report
 
 
 def test_spectrum_to_file(tmp_path):
@@ -91,3 +96,75 @@ def test_threshold_subcommand(capsys):
     rows = [line.split(",") for line in text.strip().split("\n")[1:]]
     for row in rows:
         assert float(row[1]) <= float(row[2])
+
+
+# each of these ended in a traceback with exit code 1
+@pytest.mark.parametrize("argv", [
+    ["report", "--T", "0"],
+    ["sweep", "--mode", "grid-kt", "--range-t=-1:1:5"],
+    ["report", "--T", "nan"],
+    ["report", "--K", "inf"],
+])
+def test_known_defects_return_config_error(argv, capsys):
+    assert main(argv) == 2
+
+
+def test_out_of_range_inputs_return_config_error(tmp_path, capsys):
+    assert main(["sweep", "--range-b1=-1e308:1e308:3"]) == 2
+    assert main(["sweep", "--range-b2=0:inf:3"]) == 2
+    # the pool is gone, so no thread count starts a process; too many is still refused
+    assert main(["report", "--threads", str((os.cpu_count() or 1) + 1)]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("B2 = -inf\n")
+    assert main(["report", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_hamiltonian_returns_consistency_code(capsys):
+    assert main(["report", "--K", "1e308"]) == 3
+
+
+_NUMBERS = ["0", "1", "-1", "0.3", "nan", "inf", "-inf", "1e308", "-1e308"]
+_RANGES = ["0:1:3", "-1:1:3", "0.05:1:2", "1:0:3", "0:1:1", "a:b:c", "-1e308:1e308:3", "0:inf:2"]
+_OPTION_WORDS = {
+    **{key: _NUMBERS for key in ("J", "K", "B1", "B2", "T")},
+    **{f"range-{axis}": _RANGES for axis in ("b1", "b2", "k", "t")},
+    "mode": [*SWEEP_MODES, "bogus"],
+    "measures": ["negativity,alb", "cdc,udc_21", "purity", "bogus"],
+    "out": ["out.csv", ""],
+    "threads": ["0", "1", "2", "99", "-1", "x"],
+}
+# no "/" in generated text, so every file the CLI writes lands in the test's directory
+_TEXT = st.text(alphabet=st.characters(blacklist_characters="/"), max_size=5)
+
+
+def _option(key):
+    # mostly words that parse, sometimes arbitrary text
+    words = st.sampled_from(_OPTION_WORDS.get(key, _NUMBERS))
+    return st.tuples(st.just(key), st.one_of(words, words, words, _TEXT))
+
+
+_OPTION = st.sampled_from([*_OPTION_WORDS, "bogus"]).flatmap(_option)
+_ARGV = st.builds(
+    lambda head, options, extra: [head] + [f"--{k}={v}" for k, v in options] + extra,
+    st.sampled_from(["sweep", "threshold", "spectrum", "report"]),
+    st.lists(_OPTION, max_size=4),
+    st.one_of(st.just([]), st.just([]), st.just([]), st.lists(_TEXT, min_size=1, max_size=1)),
+)
+_CONFIG_LINE = st.one_of(_OPTION.map(" = ".join), _TEXT)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from 1e308 inputs
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV,
+       config=st.one_of(st.none(), st.lists(_CONFIG_LINE, max_size=4).map("\n".join)))
+def test_exit_codes_are_documented_for_any_input(argv, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # default grids cut to 3 points per axis, so runs without ranges stay short
+    small = {axis: (lo, hi, 3) for axis, (lo, hi, _) in sweeps._DEFAULT_RANGES.items()}
+    monkeypatch.setattr(sweeps, "_DEFAULT_RANGES", small)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8", errors="surrogatepass")
+        argv = argv + ["--config", "run.cfg"]
+    assert main(argv) in (0, 2, 3)

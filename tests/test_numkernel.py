@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from qutritchain.numkernel import (
-    Spectrum, cmatmul, entropy_bits, maxabs, require_symmetric, singular_values, sym_eig,
+    Spectrum, entropy_bits, masked_sum, maxabs, require_symmetric, singular_values, sym_eig,
 )
 
 
@@ -86,13 +86,25 @@ def test_entropy_bits_rejects_bad_input():
         entropy_bits(np.array([1.5, -0.5]))
 
 
-def test_cmatmul_matches_numpy():
+def test_require_symmetric_checks_each_matrix_of_a_stack():
     rng = np.random.default_rng(15)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert maxabs(np.abs(cmatmul(a, b) - a @ b)) < 1e-12
+    stack = np.array([random_symmetric(rng, 4) for _ in range(5)])
+    assert require_symmetric(stack) is not None
+    stack[3, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="not symmetric"):
+        require_symmetric(stack)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            require_symmetric(np.array([[1.0, bad], [bad, 1.0]]))
 
 
-def test_cmatmul_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        cmatmul(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+def test_stacked_rows_sum_like_single_vectors():
+    # masked_sum and entropy_bits on a stack give the bits of a loop over rows
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(200, 9))
+    mask = rng.random(size=x.shape) < rng.random(size=(200, 1))
+    assert np.array_equal(masked_sum(x, mask), [np.sum(r[m]) for r, m in zip(x, mask)])
+    p = np.where(mask, rng.random(size=x.shape), 0.0)
+    p[~mask.any(axis=1), 0] = 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    assert np.array_equal(entropy_bits(p), [entropy_bits(row) for row in p])
