@@ -20,7 +20,6 @@ from .spinmodels import (
     XYParams,
     central_block,
     closed_form_energies,
-    closed_form_vectors,
     hamiltonian_qutrit,
     hamiltonian_xy,
     heisenberg_coupling,
@@ -38,15 +37,12 @@ from .thermal import (
     ground_state,
     purity,
     purity_beta_derivative,
-    separable_ball_radius,
     tstar,
     vn_entropy,
 )
 from .entanglement import (
     AntisymBasis,
-    BoundReport,
     alb,
-    bound_report,
     build_antisym_basis,
     chen_factor,
     chen_lower_bound,
@@ -54,7 +50,6 @@ from .entanglement import (
     negativity,
     tau_matrices,
     ub_mixture,
-    wootters_concurrence,
 )
 from .densecode import (
     Ensemble,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Optional
 
@@ -61,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--measures", default=None, help="comma separated measure names")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--config", default=None, help="key=value file; flags take precedence")
-        sp.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     return parser
 
 
@@ -71,7 +69,7 @@ def _load_config_file(path: str) -> dict[str, str]:
             text = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: undecodable text, NUL in the path
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    known = set(_FLOAT_KEYS) | set(_RANGE_KEYS) | {"mode", "measures", "out", "threads"}
+    known = set(_FLOAT_KEYS) | set(_RANGE_KEYS) | {"mode", "measures", "out"}
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -138,14 +136,6 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
 
     mode = _pick(getattr(args, "mode", None), file_map, "mode") or "grid-b1b2"
 
-    threads_raw = _pick(args.threads, file_map, "threads")
-    try:
-        threads = int(threads_raw) if threads_raw is not None else 1
-    except ValueError as exc:
-        raise ConfigError(f"bad thread count {threads_raw!r}") from exc
-    if not 1 <= threads <= (os.cpu_count() or 1):
-        raise ConfigError(f"thread count must be between 1 and the CPU count, got {threads}")
-
     return SweepConfig(
         mode=mode,
         J=floats["J"],
@@ -156,7 +146,6 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
         ranges=ranges,
         measures=measures,
         out=_pick(args.out, file_map, "out"),
-        threads=threads,
     )
 
 

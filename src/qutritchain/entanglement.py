@@ -20,12 +20,11 @@ I-concurrence on rank-1 states.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import densecode, thermal
 from .numkernel import Spectrum, singular_values
 from .qstate import BipartiteDims, DensityMatrix, partial_transpose
 
@@ -33,41 +32,10 @@ from .qstate import BipartiteDims, DensityMatrix, partial_transpose
 RANK_CUTOFF = 1e-14
 
 
-def negativity(rho: DensityMatrix, subsystem: str = "B") -> float:
-    """Sum of |negative eigenvalues| of the partial transpose.
-
-    The two subsystem choices give the same value for the real symmetric
-    states handled here; "B" is the documented default.
-    """
-    mu = np.linalg.eigvalsh(partial_transpose(rho, subsystem))
+def negativity(rho: DensityMatrix) -> float:
+    """Sum of |negative eigenvalues| of the partial transpose on subsystem B."""
+    mu = np.linalg.eigvalsh(partial_transpose(rho))
     return float(-np.sum(mu[mu < 0.0]))
-
-
-_SYSY = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
-
-
-def wootters_concurrence(rho: DensityMatrix) -> float:
-    """Exact two-qubit concurrence max(L1 - L2 - L3 - L4, 0).
-
-    Uses the symmetric form sqrt(rho) (sy x sy) rho (sy x sy) sqrt(rho), which
-    has the same spectrum as rho (sy x sy) rho* (sy x sy) but stays manifestly
-    symmetric PSD for the real states handled here.
-    """
-    if (rho.dims.da, rho.dims.db) != (2, 2):
-        raise ValueError(f"Wootters concurrence is a two-qubit quantity, got dims {rho.dims}")
-    m = rho.mat
-    w, v = np.linalg.eigh(m)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    sym = sqrt_rho @ _SYSY @ m @ _SYSY @ sqrt_rho
-    lam = np.sqrt(np.clip(np.linalg.eigvalsh(sym), 0.0, None))[::-1]
-    return float(max(lam[0] - lam[1:].sum(), 0.0))
 
 
 def iconcurrence_pure(v: np.ndarray, dims: BipartiteDims) -> float:
@@ -176,37 +144,3 @@ def ub_mixture(spectrum: Spectrum, weights: np.ndarray, dims: BipartiteDims) -> 
         if w[j] > RANK_CUTOFF:
             total += w[j] * iconcurrence_pure(spectrum.vectors[:, j], dims)
     return total
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All scalar diagnostics of one thermal state."""
-
-    negativity: float
-    chen_lb: float
-    alb: float
-    ub: float
-    purity: float
-    entropy: float
-    cdc: float
-    udc_12: float
-    udc_21: float
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
-
-def bound_report(rho: DensityMatrix, spectrum: Spectrum, weights: np.ndarray) -> BoundReport:
-    """Assemble the full diagnostic report for one state and its eigenensemble."""
-    neg = negativity(rho)
-    return BoundReport(
-        negativity=neg,
-        chen_lb=chen_factor(rho.dims) * neg,
-        alb=alb(rho),
-        ub=ub_mixture(spectrum, weights, rho.dims),
-        purity=thermal.purity(rho),
-        entropy=thermal.vn_entropy(rho),
-        cdc=densecode.cdc(rho),
-        udc_12=densecode.udc(rho, "1to2"),
-        udc_21=densecode.udc(rho, "2to1"),
-    )

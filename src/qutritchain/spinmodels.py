@@ -97,15 +97,6 @@ class ClosedFormEnergies(NamedTuple):
     e9: float
 
 
-class ClosedFormVectors(NamedTuple):
-    phi1: np.ndarray
-    phi2: np.ndarray
-    phi3: np.ndarray
-    phi7: np.ndarray
-    phi8: np.ndarray
-    phi9: np.ndarray
-
-
 def closed_form_energies(p: QutritChainParams) -> ClosedFormEnergies:
     """The six closed-form eigenvalues outside the central block.
 
@@ -122,39 +113,6 @@ def closed_form_energies(p: QutritChainParams) -> ClosedFormEnergies:
         e7=-half_sum + p.K + 0.5 * root,
         e8=-half_sum + p.K - 0.5 * root,
         e9=p.J - p.B1 - p.B2 + p.K,
-    )
-
-
-def closed_form_vectors(p: QutritChainParams) -> ClosedFormVectors:
-    """Unit eigenvectors paired with closed_form_energies, same labels.
-
-    phi2 mixes |1 0> and |0 1> with weights (a, b); phi7 mixes |-1 0> and
-    |0 -1> with weights (f, g); phi3 and phi8 are the orthogonal partners.
-    Degenerate only when both a, b (or f, g) vanish, which needs J = 0.
-    """
-    root = math.hypot(p.B1 - p.B2, 2.0 * p.J)
-    a = p.B1 - p.B2 + root
-    b = 2.0 * p.J
-    f = p.B2 - p.B1 + root
-    g = 2.0 * p.J
-    norm_ab = a * a + b * b
-    norm_fg = f * f + g * g
-    if norm_ab <= 0.0 or norm_fg <= 0.0:
-        raise ValueError("degenerate field-exchange parameters: closed-form vectors undefined")
-
-    def _unit(pairs: list[tuple[int, float]]) -> np.ndarray:
-        v = np.zeros(9)
-        for idx, amp in pairs:
-            v[idx] = amp
-        return v / np.linalg.norm(v)
-
-    return ClosedFormVectors(
-        phi1=_unit([(0, 1.0)]),                      # |1 1>
-        phi2=_unit([(1, a), (3, b)]),                # a|1 0> + b|0 1>
-        phi3=_unit([(1, b), (3, -a)]),
-        phi7=_unit([(7, f), (5, g)]),                # f|-1 0> + g|0 -1>
-        phi8=_unit([(7, g), (5, -f)]),
-        phi9=_unit([(8, 1.0)]),                      # |-1 -1>
     )
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import entanglement, thermal
+from . import densecode, entanglement, thermal
 from .numkernel import entropy_bits, masked_sum, sym_eig
 from .qstate import (
     BipartiteDims, DensityMatrix, check_density, partial_trace_of, partial_transpose_of, purity_of,
@@ -68,6 +68,9 @@ SPECTRUM_RESIDUAL_TOL = 1e-9
 # raise peak memory: 1024 points peak about 7 MB above 256 on a full sweep.
 CHUNK_POINTS = 256
 
+# Largest grid a run accepts, per axis and in total.
+MAX_GRID_POINTS = 1_000_000
+
 
 class ConfigError(Exception):
     """Bad mode, range, measure, or output destination."""
@@ -86,6 +89,8 @@ class AxisRange:
     def __post_init__(self) -> None:
         if self.count < 2:
             raise ConfigError(f"axis needs at least 2 points, got {self.count}")
+        if self.count > MAX_GRID_POINTS:
+            raise ConfigError(f"axis has {self.count} points, above the cap of {MAX_GRID_POINTS}")
         # a finite span also rules out infinite and NaN endpoints
         if not (self.start < self.stop and math.isfinite(self.stop - self.start)):
             raise ConfigError(f"axis needs a finite start below stop, got {self.start}:{self.stop}")
@@ -107,16 +112,20 @@ class SweepConfig:
     ranges: dict = field(default_factory=dict)
     measures: tuple[str, ...] = ()
     out: Optional[str] = None
-    threads: int = 1
 
 
 def _axis_range(cfg: SweepConfig, axis: str) -> AxisRange:
     if axis in cfg.ranges:
-        r = cfg.ranges[axis]
-        if not isinstance(r, AxisRange):
-            r = AxisRange(*r)
-        return r
+        return cfg.ranges[axis]
     return AxisRange(*_DEFAULT_RANGES[axis])
+
+
+def _single_axis(cfg: SweepConfig, run: str) -> Optional[str]:
+    """The one axis among k, b1 and b2 that has a range in `cfg`, or None."""
+    axes = [a for a in ("k", "b1", "b2") if a in cfg.ranges]
+    if len(axes) > 1:
+        raise ConfigError(f"{run} runs sweep one axis, got ranges for {axes}")
+    return axes[0] if axes else None
 
 
 def _check_measures(names: Iterable[str]) -> tuple[str, ...]:
@@ -215,14 +224,25 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _sweep_worker(task: tuple) -> tuple[float, ...]:
-    """Single-state reference for one grid point: every measure through the public functions."""
-    j, k, b1, b2, t, names = task
+def _sweep_worker(point: tuple[float, ...], names: tuple[str, ...]) -> tuple[float, ...]:
+    """Single-state reference for one (J, K, B1, B2, T) point: each measure by its public function."""
+    j, k, b1, b2, t = point
     spectrum = sym_eig(hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2)))
     weights = thermal.boltzmann_weights(spectrum.values, t)
     rho = DensityMatrix(mat=thermal.mixture(spectrum, weights), dims=QUTRIT_DIMS)
-    report = entanglement.bound_report(rho, spectrum, weights).as_dict()
-    return tuple(report[n] for n in names)
+    # same keys as _MEASURES
+    scalar = {
+        "negativity": lambda: entanglement.negativity(rho),
+        "chen_lb": lambda: entanglement.chen_lower_bound(rho),
+        "alb": lambda: entanglement.alb(rho, _antisym_basis33()),
+        "ub": lambda: entanglement.ub_mixture(spectrum, weights, QUTRIT_DIMS),
+        "purity": lambda: thermal.purity(rho),
+        "entropy": lambda: thermal.vn_entropy(rho),
+        "cdc": lambda: densecode.cdc(rho),
+        "udc_12": lambda: densecode.udc(rho, "1to2"),
+        "udc_21": lambda: densecode.udc(rho, "2to1"),
+    }
+    return tuple(scalar[n]() for n in names)
 
 
 def _fmt(x: float) -> str:
@@ -252,10 +272,12 @@ def run_sweep(cfg: SweepConfig) -> str:
         raise ConfigError(f"unknown sweep mode {cfg.mode!r}; choose from {', '.join(SWEEP_MODES)}")
     axes = _MODE_AXES[cfg.mode]
     measures = _check_measures(cfg.measures or _DEFAULT_MEASURES.get(cfg.mode, ("negativity",)))
-    grids = [_axis_range(cfg, a).values() for a in axes]
+    ranges = [_axis_range(cfg, a) for a in axes]
+    if math.prod(r.count for r in ranges) > MAX_GRID_POINTS:
+        raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
 
     combos = [()]
-    for g in grids:
+    for g in (r.values() for r in ranges):
         combos = [c + (float(v),) for c in combos for v in g]
     values = _measure_table(np.array([_point_for(cfg, axes, c) for c in combos]), measures)
 
@@ -278,10 +300,7 @@ def run_threshold(cfg: SweepConfig) -> str:
             raise ConfigError(
                 f"threshold runs support measures {', '.join(_TS_MEASURES)}, got {name!r}"
             )
-    axis_keys = [a for a in ("k", "b1", "b2") if a in cfg.ranges]
-    if len(axis_keys) > 1:
-        raise ConfigError(f"threshold runs sweep a single axis, got ranges for {axis_keys}")
-    axis = axis_keys[0] if axis_keys else "k"
+    axis = _single_axis(cfg, "threshold") or "k"
     grid = _axis_range(cfg, axis).values()
 
     basis = _antisym_basis33()
@@ -314,11 +333,8 @@ def run_threshold(cfg: SweepConfig) -> str:
 
 def run_spectrum(cfg: SweepConfig) -> str:
     """Emit closed-form energy labels E1..E9 plus the residual against sym_eig."""
-    axis_keys = [a for a in ("b1", "b2", "k") if a in cfg.ranges]
-    if len(axis_keys) > 1:
-        raise ConfigError(f"spectrum runs sweep at most one axis, got ranges for {axis_keys}")
-    if axis_keys:
-        axis = axis_keys[0]
+    axis = _single_axis(cfg, "spectrum")
+    if axis:
         points = [_point_for(cfg, (axis,), (float(v),)) for v in _axis_range(cfg, axis).values()]
     else:
         points = [(cfg.J, cfg.K, cfg.B1, cfg.B2, cfg.T)]

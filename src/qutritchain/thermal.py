@@ -14,9 +14,8 @@ Two separability temperatures appear:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -25,6 +24,11 @@ from .qstate import BipartiteDims, DensityMatrix, purity_of
 
 # Eigenvalues within this window of the minimum count as the ground multiplet.
 GROUND_WINDOW = 1e-9
+
+# estimate_ts scans TS_GRID temperatures up to TS_TMAX for a measure above TS_TOL.
+TS_TMAX = 10.0
+TS_GRID = 400
+TS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,17 +53,6 @@ class MultipartiteDims:
     def purity_threshold(self) -> float:
         """Purity below which the state sits inside the separable ball."""
         return 1.0 / (self.d - 2.0 ** (2 - self.m))
-
-
-def separable_ball_radius(d: int) -> float:
-    """Hilbert-Schmidt radius 1/sqrt(d(d-1)) of the bipartite separable ball.
-
-    Equivalent to the purity form of the criterion: || rho - I/d ||_2 below
-    this radius is the same condition as Tr(rho^2) <= 1/(d-1).
-    """
-    if d < 4:
-        raise ValueError(f"a bipartite system has d >= 4, got {d}")
-    return 1.0 / math.sqrt(d * (d - 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,34 +174,28 @@ def tstar(spectrum: Spectrum, dims: MultipartiteDims) -> Optional[float]:
 
 
 def estimate_ts(
-    spectrum: Spectrum,
-    dims: BipartiteDims,
-    measure: Callable[[DensityMatrix], float],
-    tmax: float = 10.0,
-    grid: int = 400,
-    tol: float = 1e-9,
+    spectrum: Spectrum, dims: BipartiteDims, measure: Callable[[DensityMatrix], float],
 ) -> Optional[float]:
-    """Largest temperature where `measure` on the Gibbs state exceeds `tol`.
+    """Largest temperature where `measure` on the Gibbs state exceeds TS_TOL.
 
-    A grid scan up to tmax locates the last excursion above tol (the measure
-    need not be monotone in T), then bisection narrows the vanishing point to
-    a width of 1e-6.  Returns None if the measure never exceeds tol, and tmax
-    if it is still above tol there (the estimate is truncated).
+    A grid scan up to TS_TMAX locates the last excursion above TS_TOL (the
+    measure need not be monotone in T), then bisection narrows the vanishing
+    point to a width of 1e-6.  Returns None if the measure never exceeds
+    TS_TOL, and TS_TMAX if it is still above TS_TOL there (the estimate is
+    truncated).
     """
-    if tmax <= 0.0 or grid < 2:
-        raise ValueError(f"need tmax > 0 and grid >= 2, got tmax={tmax}, grid={grid}")
-    ts = np.linspace(tmax / grid, tmax, grid)
+    ts = np.linspace(TS_TMAX / TS_GRID, TS_TMAX, TS_GRID)
     vals = np.array([measure(gibbs(spectrum, float(t), dims)) for t in ts])
-    above = np.nonzero(vals > tol)[0]
+    above = np.nonzero(vals > TS_TOL)[0]
     if above.size == 0:
         return None
     i = int(above[-1])
-    if i == grid - 1:
-        return float(tmax)
+    if i == TS_GRID - 1:
+        return TS_TMAX
     lo, hi = float(ts[i]), float(ts[i + 1])
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if measure(gibbs(spectrum, mid, dims)) > tol:
+        if measure(gibbs(spectrum, mid, dims)) > TS_TOL:
             lo = mid
         else:
             hi = mid

@@ -1,6 +1,3 @@
-import os
-
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -34,15 +31,6 @@ def test_sweep_measure_selection(capsys):
     assert capsys.readouterr().out.startswith("B1,negativity,alb\n")
 
 
-def test_threads_do_not_change_output(tmp_path):
-    args = ["sweep", "--mode", "grid-b1b2", "--K", "-1.7", "--T", "0.5",
-            "--range-b1=-2:2:5", "--range-b2=-2:2:5"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(a), "--threads", "1"]) == 0
-    assert main(args + ["--out", str(b), "--threads", "2"]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_report_matches_library(capsys):
     code = main(["report", "--K", "-1.7", "--B1", "1.3", "--B2", "-1.3", "--T", "1"])
     assert code == 0
@@ -62,6 +50,7 @@ def test_usage_errors_return_config_code(capsys):
     # failure still comes back as code 2 instead of raising
     assert main(["sweep", "--range-b1", "-1:1:3"]) == 2
     assert main(["no-such-command"]) == 2
+    assert main(["report", "--threads", "1"]) == 2  # a removed option
 
 
 def test_unknown_measure_returns_config_error(capsys):
@@ -85,6 +74,8 @@ def test_config_file_and_cli_precedence(tmp_path, capsys):
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("K = -2\nFROBNICATE = 1\n")
+    assert main(["report", "--config", str(cfg)]) == 2
+    cfg.write_text("threads = 1\n")  # a removed key
     assert main(["report", "--config", str(cfg)]) == 2
 
 
@@ -112,8 +103,11 @@ def test_known_defects_return_config_error(argv, capsys):
 def test_out_of_range_inputs_return_config_error(tmp_path, capsys):
     assert main(["sweep", "--range-b1=-1e308:1e308:3"]) == 2
     assert main(["sweep", "--range-b2=0:inf:3"]) == 2
-    # the pool is gone, so no thread count starts a process; too many is still refused
-    assert main(["report", "--threads", str((os.cpu_count() or 1) + 1)]) == 2
+    # grids above MAX_GRID_POINTS, on one axis or in total, are refused before any is built
+    for head in ("sweep", "threshold", "spectrum"):
+        assert main([head, "--range-b2=0:1:1000000000000"]) == 2
+        assert main([head, "--range-b2=0:1:100000000000000000000"]) == 2
+        assert main([head, "--range-b1=0:1:1001", "--range-b2=0:1:1000"]) == 2
     cfg = tmp_path / "run.cfg"
     cfg.write_text("B2 = -inf\n")
     assert main(["report", "--config", str(cfg)]) == 2
@@ -125,14 +119,14 @@ def test_overflowing_hamiltonian_returns_consistency_code(capsys):
 
 
 _NUMBERS = ["0", "1", "-1", "0.3", "nan", "inf", "-inf", "1e308", "-1e308"]
-_RANGES = ["0:1:3", "-1:1:3", "0.05:1:2", "1:0:3", "0:1:1", "a:b:c", "-1e308:1e308:3", "0:inf:2"]
+_RANGES = ["0:1:3", "-1:1:3", "0.05:1:2", "1:0:3", "0:1:1", "a:b:c", "-1e308:1e308:3", "0:inf:2",
+           "0:1:1000000000000"]
 _OPTION_WORDS = {
     **{key: _NUMBERS for key in ("J", "K", "B1", "B2", "T")},
     **{f"range-{axis}": _RANGES for axis in ("b1", "b2", "k", "t")},
     "mode": [*SWEEP_MODES, "bogus"],
     "measures": ["negativity,alb", "cdc,udc_21", "purity", "bogus"],
     "out": ["out.csv", ""],
-    "threads": ["0", "1", "2", "99", "-1", "x"],
 }
 # no "/" in generated text, so every file the CLI writes lands in the test's directory
 _TEXT = st.text(alphabet=st.characters(blacklist_characters="/"), max_size=5)

@@ -8,9 +8,10 @@ from qutritchain.qstate import BipartiteDims, DensityMatrix, dm_from_pure, max_e
 from qutritchain.spinmodels import QutritChainParams, hamiltonian_qutrit
 from qutritchain.thermal import gibbs, gibbs_state
 from qutritchain.entanglement import (
-    alb, bound_report, build_antisym_basis, chen_factor, chen_lower_bound,
-    iconcurrence_pure, negativity, tau_matrices, ub_mixture, wootters_concurrence,
+    alb, build_antisym_basis, chen_factor, chen_lower_bound,
+    iconcurrence_pure, negativity, tau_matrices, ub_mixture,
 )
+from qutritchain.sweeps import MEASURE_NAMES, _sweep_worker
 
 DIMS33 = BipartiteDims(3, 3)
 DIMS22 = BipartiteDims(2, 2)
@@ -30,12 +31,6 @@ def chain_gibbs(j, k, b1, b2, t):
 def random_pure(rng, d):
     v = rng.normal(size=d)
     return v / np.linalg.norm(v)
-
-
-def random_density(rng, dims):
-    a = rng.normal(size=(dims.total, dims.total))
-    m = a @ a.T
-    return DensityMatrix(m / np.trace(m), dims)
 
 
 def test_negativity_landmarks():
@@ -58,28 +53,6 @@ def test_negativity_vanishes_on_products():
 def test_negativity_thermal_oracle_value():
     rho = chain_gibbs(-1.0, -1.7, 1.3, -1.3, 1.0)
     assert abs(negativity(rho) - ORACLE_NEGATIVITY) < 1e-9
-
-
-def test_wootters_landmarks():
-    bell = dm_from_pure(singlet(), DIMS22)
-    assert abs(wootters_concurrence(bell) - 1.0) < 1e-12
-    zero = np.zeros(4)
-    zero[0] = 1.0
-    assert wootters_concurrence(dm_from_pure(zero, DIMS22)) < 1e-12
-
-
-def test_wootters_werner_state():
-    # p |psi-><psi-| + (1-p) I/4 has concurrence (3p-1)/2 for p > 1/3
-    p = 0.8
-    v = singlet()
-    mat = p * np.outer(v, v) + (1.0 - p) * np.eye(4) / 4.0
-    rho = DensityMatrix(mat, DIMS22)
-    assert abs(wootters_concurrence(rho) - 0.7) < 1e-9
-
-
-def test_wootters_requires_two_qubits():
-    with pytest.raises(ValueError):
-        wootters_concurrence(DensityMatrix(np.eye(9) / 9.0, DIMS33))
 
 
 def test_iconcurrence_pure_landmarks():
@@ -206,17 +179,16 @@ def test_ub_mixture_pure_limit():
     assert abs(ub_mixture(spec, weights, DIMS33) - want) < 1e-12
 
 
-def test_bound_report_is_consistent():
+def test_sweep_worker_is_consistent():
     spec = sym_eig(hamiltonian_qutrit(QutritChainParams(J=-1.0, K=-1.7, B1=1.3, B2=-1.3)))
     g = gibbs_state(spec, 1.0)
     rho = gibbs(spec, 1.0, DIMS33)
-    report = bound_report(rho, spec, g.weights)
-    assert abs(report.negativity - ORACLE_NEGATIVITY) < 1e-9
-    assert abs(report.chen_lb - chen_lower_bound(rho)) < 1e-12
-    assert abs(report.alb - alb(rho)) < 1e-12
-    assert abs(report.ub - ub_mixture(spec, g.weights, DIMS33)) < 1e-12
-    assert report.chen_lb <= report.ub + 1e-9
-    assert report.alb <= report.ub + 1e-9
-    d = report.as_dict()
-    assert list(d) == ["negativity", "chen_lb", "alb", "ub", "purity",
-                       "entropy", "cdc", "udc_12", "udc_21"]
+    assert MEASURE_NAMES == ("negativity", "chen_lb", "alb", "ub", "purity",
+                             "entropy", "cdc", "udc_12", "udc_21")
+    row = dict(zip(MEASURE_NAMES, _sweep_worker((-1.0, -1.7, 1.3, -1.3, 1.0), MEASURE_NAMES)))
+    assert abs(row["negativity"] - ORACLE_NEGATIVITY) < 1e-9
+    assert abs(row["chen_lb"] - chen_lower_bound(rho)) < 1e-12
+    assert abs(row["alb"] - alb(rho)) < 1e-12
+    assert abs(row["ub"] - ub_mixture(spec, g.weights, DIMS33)) < 1e-12
+    assert row["chen_lb"] <= row["ub"] + 1e-9
+    assert row["alb"] <= row["ub"] + 1e-9

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from qutritchain.numkernel import (
-    Spectrum, entropy_bits, masked_sum, maxabs, require_symmetric, singular_values, sym_eig,
+    entropy_bits, masked_sum, maxabs, require_symmetric, singular_values, sym_eig,
 )
 
 

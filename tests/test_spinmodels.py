@@ -1,12 +1,11 @@
 import math
 
 import numpy as np
-import pytest
 
 from qutritchain.numkernel import maxabs, sym_eig
 from qutritchain.spinmodels import (
     CENTRAL_BLOCK_INDICES, QutritChainParams, XYParams, central_block,
-    closed_form_energies, closed_form_vectors, hamiltonian_qutrit, hamiltonian_xy,
+    closed_form_energies, hamiltonian_qutrit, hamiltonian_xy,
     heisenberg_coupling, spin1_operators, xy_closed_form_energies,
 )
 
@@ -64,27 +63,6 @@ def test_closed_form_energies_match_numerics():
         full = np.sort(np.concatenate([np.array(cf), block]))
         numeric = sym_eig(hamiltonian_qutrit(p)).values
         assert maxabs(full - numeric) < 1e-9
-
-
-def test_closed_form_vectors_are_eigenvectors():
-    rng = np.random.default_rng(34)
-    for _ in range(20):
-        p = random_params(rng)
-        if abs(p.J) < 1e-6:
-            continue
-        h = hamiltonian_qutrit(p)
-        cf = closed_form_energies(p)
-        vecs = closed_form_vectors(p)
-        for v, e in zip(vecs, cf):
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-            assert maxabs(h @ v - e * v) < 1e-9
-        stack = np.stack(vecs)
-        assert maxabs(stack @ stack.T - np.eye(6)) < 1e-12
-
-
-def test_closed_form_vectors_degenerate_error():
-    with pytest.raises(ValueError):
-        closed_form_vectors(QutritChainParams(J=0.0, K=1.0, B1=0.0, B2=1.0))
 
 
 def test_central_block_zero_field_spectrum():

@@ -8,7 +8,7 @@ from qutritchain.qstate import BipartiteDims, purity_of
 from qutritchain.spinmodels import QutritChainParams, hamiltonian_qutrit
 from qutritchain.thermal import (
     MultipartiteDims, boltzmann_weights, estimate_ts, gb_separable, gibbs, gibbs_state,
-    ground_state, purity, purity_beta_derivative, separable_ball_radius, tstar, vn_entropy,
+    ground_state, purity, purity_beta_derivative, tstar, vn_entropy,
 )
 from qutritchain.entanglement import negativity
 
@@ -118,12 +118,6 @@ def test_purity_monotone_in_beta():
         betas = np.sort(rng.uniform(0.01, 5.0, size=10))
         purities = [purity_of(gibbs(spec, 1.0 / b, DIMS33).mat) for b in betas]
         assert np.all(np.diff(purities) >= -1e-12)
-
-
-def test_separable_ball_radius():
-    assert abs(separable_ball_radius(9) - 1.0 / math.sqrt(72.0)) < 1e-15
-    with pytest.raises(ValueError):
-        separable_ball_radius(3)
 
 
 def test_purity_thresholds():
