@@ -27,13 +27,11 @@ from .spinmodels import (
     xy_closed_form_energies,
 )
 from .thermal import (
-    GibbsState,
     MultipartiteDims,
     boltzmann_weights,
     estimate_ts,
     gb_separable,
     gibbs,
-    gibbs_state,
     ground_state,
     purity,
     purity_beta_derivative,

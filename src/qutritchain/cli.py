@@ -24,8 +24,28 @@ from .sweeps import (
     single_point_report,
 )
 
-_RANGE_KEYS = ("range-b1", "range-b2", "range-k", "range-t")
-_FLOAT_KEYS = ("J", "K", "B1", "B2", "T")
+_FLOAT_DEFAULTS = {"J": -1.0, "K": -1.0, "B1": 0.0, "B2": 0.0, "T": 1.0}
+_FIELDS = ("J", "K", "B1", "B2")
+_AXIS_KEYS = ("range-b1", "range-b2", "range-k")  # the axes a threshold or spectrum run sweeps
+_RANGE_KEYS = (*_AXIS_KEYS, "range-t")
+_HELP = {
+    "J": "exchange coupling (default -1)",
+    "K": "biquadratic coupling (default -1)",
+    "B1": "field on site 1 (default 0)",
+    "B2": "field on site 2 (default 0)",
+    "T": "temperature (default 1)",
+    "mode": f"one of {', '.join(SWEEP_MODES)}",
+    **{key: f"grid for the {key[6:]} axis" for key in _RANGE_KEYS},
+    "measures": "comma separated measure names",
+    "out": "output path (default: stdout)",
+}
+# The keys each subcommand reads, both as --flags and as config-file keys.
+_OPTIONS = {
+    "sweep": (*_FIELDS, "T", "mode", *_RANGE_KEYS, "measures", "out"),
+    "threshold": (*_FIELDS, *_AXIS_KEYS, "measures", "out"),
+    "spectrum": (*_FIELDS, *_AXIS_KEYS, "out"),
+    "report": (*_FIELDS, "T", "out"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,34 +62,19 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in descriptions.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--J", type=float, default=None, help="exchange coupling (default -1)")
-        sp.add_argument("--K", type=float, default=None, help="biquadratic coupling (default -1)")
-        sp.add_argument("--B1", type=float, default=None, help="field on site 1 (default 0)")
-        sp.add_argument("--B2", type=float, default=None, help="field on site 2 (default 0)")
-        sp.add_argument("--T", type=float, default=None, help="temperature (default 1)")
-        if name == "sweep":
-            sp.add_argument("--mode", default=None, help=f"one of {', '.join(SWEEP_MODES)}")
-        for axis in ("b1", "b2", "k", "t"):
-            sp.add_argument(
-                f"--range-{axis}",
-                dest=f"range_{axis}",
-                metavar="START:STOP:COUNT",
-                default=None,
-                help=f"grid for the {axis} axis",
-            )
-        sp.add_argument("--measures", default=None, help="comma separated measure names")
-        sp.add_argument("--out", default=None, help="output path (default: stdout)")
+        for key in _OPTIONS[name]:
+            metavar = "START:STOP:COUNT" if key in _RANGE_KEYS else None
+            sp.add_argument(f"--{key}", dest=key, metavar=metavar, help=_HELP[key])
         sp.add_argument("--config", default=None, help="key=value file; flags take precedence")
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, command: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: undecodable text, NUL in the path
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    known = set(_FLOAT_KEYS) | set(_RANGE_KEYS) | {"mode", "measures", "out"}
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -78,8 +83,8 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in _OPTIONS[command]:
+            raise ConfigError(f"{path}:{lineno}: {command} reads no key {key!r}")
         out[key] = value
     return out
 
@@ -96,18 +101,14 @@ def _parse_range(text: str) -> AxisRange:
     return AxisRange(start=start, stop=stop, count=count)
 
 
-def _pick(args_value, file_map: dict[str, str], key: str) -> Optional[str]:
-    if args_value is not None:
-        return args_value
-    return file_map.get(key)
-
-
 def build_config(args: argparse.Namespace) -> SweepConfig:
-    file_map = _load_config_file(args.config) if args.config else {}
+    given = _load_config_file(args.config, args.command) if args.config else {}
+    flags = vars(args)  # flags take precedence over the file
+    given.update({key: flags[key] for key in _OPTIONS[args.command] if flags[key] is not None})
 
     floats = {}
-    for key, default in zip(_FLOAT_KEYS, (-1.0, -1.0, 0.0, 0.0, 1.0)):
-        raw = _pick(getattr(args, key), file_map, key)
+    for key, default in _FLOAT_DEFAULTS.items():
+        raw = given.get(key)
         if raw is None:
             floats[key] = default
         else:
@@ -120,32 +121,18 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     if floats["T"] <= 0.0:
         raise ConfigError(f"temperature must be positive, got T={floats['T']}")
 
-    ranges = {}
-    for key in _RANGE_KEYS:
-        axis = key.split("-", 1)[1]
-        raw = _pick(getattr(args, key.replace("-", "_")), file_map, key)
-        if raw is not None:
-            ranges[axis] = _parse_range(raw)
+    ranges = {key[6:]: _parse_range(given[key]) for key in _RANGE_KEYS if key in given}
     if "t" in ranges and ranges["t"].start <= 0.0:
         raise ConfigError(f"temperatures must be positive, got range-t from {ranges['t'].start}")
 
-    measures_raw = _pick(args.measures, file_map, "measures")
-    measures = ()
-    if measures_raw:
-        measures = tuple(name.strip() for name in measures_raw.split(",") if name.strip())
-
-    mode = _pick(getattr(args, "mode", None), file_map, "mode") or "grid-b1b2"
+    measures = tuple(name.strip() for name in given.get("measures", "").split(",") if name.strip())
 
     return SweepConfig(
-        mode=mode,
-        J=floats["J"],
-        K=floats["K"],
-        B1=floats["B1"],
-        B2=floats["B2"],
-        T=floats["T"],
+        mode=given.get("mode") or "grid-b1b2",
         ranges=ranges,
         measures=measures,
-        out=_pick(args.out, file_map, "out"),
+        out=given.get("out"),
+        **floats,
     )
 
 

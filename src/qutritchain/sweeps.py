@@ -3,9 +3,9 @@
 Output format: one header row, comma separators, newline line endings, every
 float printed with 12 significant digits.  Row order is the lexicographic
 product of the axis grids, so identical configurations produce byte-identical
-files.  Grid points are evaluated in fixed-size batches, each one stack of
-Gibbs states read by every requested measure; the output does not depend on
-how points are batched.
+files.  Grid points, and the scan temperatures of a threshold run, are
+evaluated in fixed-size batches, each one stack of Gibbs states read by every
+requested measure; the output does not depend on how points are batched.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from . import densecode, entanglement, thermal
-from .numkernel import entropy_bits, masked_sum, sym_eig
+from .numkernel import Spectrum, entropy_bits, masked_sum, sym_eig
 from .qstate import (
     BipartiteDims, DensityMatrix, check_density, partial_trace_of, partial_transpose_of, purity_of,
 )
@@ -142,16 +142,18 @@ def _antisym_basis33() -> entanglement.AntisymBasis:
 
 
 class _Batch:
-    """Gibbs states of a batch of (J, K, B1, B2, T) points, plus what measures share.
+    """Gibbs states of a stack of spectra at their temperatures, plus what measures share.
 
-    Each array repeats, point for point and in the same order, the operations
-    of the single-state functions, so every measure gives the same bits.
+    A single spectrum is repeated for every temperature.  Each array repeats,
+    point for point and in the same order, the operations of the single-state
+    functions, so every measure gives the same bits.
     """
 
-    def __init__(self, points: np.ndarray) -> None:
-        j, k, b1, b2, t = points.T
-        self.spectrum = sym_eig(hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2)))
-        self.weights = thermal.boltzmann_weights(self.spectrum.values, t)
+    def __init__(self, spectrum: Spectrum, temperatures: np.ndarray) -> None:
+        n = len(temperatures)
+        self.spectrum = Spectrum(np.broadcast_to(spectrum.values, (n, 9)),
+                                 np.broadcast_to(spectrum.vectors, (n, 9, 9)))
+        self.weights = thermal.boltzmann_weights(self.spectrum.values, temperatures)
         self.rho, self.rho_eigs = check_density(
             thermal.mixture(self.spectrum, self.weights), QUTRIT_DIMS)
 
@@ -172,22 +174,21 @@ class _Batch:
         return self.reduced_entropy("A")
 
     def alb(self) -> np.ndarray:
-        """entanglement.alb: per rank, the tau matrices of all points and chi vectors at once."""
+        """entanglement.alb: per rank, the tau matrices of all points, one chi vector at a time."""
         w, v = np.linalg.eigh(self.rho)
-        chi = _antisym_basis33().vectors.reshape(-1, 9, 9)
         rank = (w > entanglement.RANK_CUTOFF).sum(axis=1)
         best = np.zeros(len(w))
-        for r in np.unique(rank):
+        for r in sorted(set(rank.tolist())):  # not np.unique, as in masked_sum
             rows = rank == r
             # eigh sorts ascending, so the kept levels are the last r
             order = np.argsort(w[rows, 9 - r:], axis=1)[:, ::-1]
             lam = np.take_along_axis(w[rows, 9 - r:], order, axis=1)
             vecs = np.take_along_axis(v[rows, :, 9 - r:], order[:, None, :], axis=2)
             scale = np.sqrt(lam)
-            tau = (vecs.swapaxes(1, 2)[:, None] @ chi @ vecs[:, None]) * (
-                scale[:, None, :, None] * scale[:, None, None, :])
-            z = np.linalg.svd(tau, compute_uv=False)
-            best[rows] = np.maximum((z[..., 0] - z[..., 1:].sum(axis=-1)).max(axis=1), 0.0)
+            weight = scale[:, :, None] * scale[:, None, :]
+            for chi in _antisym_basis33().vectors.reshape(-1, 9, 9):
+                z = np.linalg.svd((vecs.swapaxes(1, 2) @ chi @ vecs) * weight, compute_uv=False)
+                best[rows] = np.maximum(best[rows], z[:, 0] - z[:, 1:].sum(axis=-1))
         return best
 
     def ub(self) -> np.ndarray:
@@ -215,13 +216,24 @@ _MEASURES = {
 MEASURE_NAMES = tuple(_MEASURES)
 
 
+def _evaluate(n: int, batch_at: Callable[[slice], _Batch], names: tuple[str, ...]) -> np.ndarray:
+    """Measures `names` at n points, one column per name, from the batches of
+    CHUNK_POINTS points that `batch_at` builds for each slice of the points."""
+    parts = []
+    for i in range(0, n, CHUNK_POINTS):
+        batch = batch_at(slice(i, i + CHUNK_POINTS))
+        parts.append(np.column_stack([_MEASURES[name](batch) for name in names]))
+    return np.concatenate(parts)
+
+
 def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     """Measures `names` at each (J, K, B1, B2, T) row of `points`, one column per name."""
-    parts = []
-    for i in range(0, len(points), CHUNK_POINTS):
-        batch = _Batch(points[i:i + CHUNK_POINTS])
-        parts.append(np.column_stack([_MEASURES[n](batch) for n in names]))
-    return np.concatenate(parts)
+
+    def batch_at(rows: slice) -> _Batch:
+        j, k, b1, b2, t = points[rows].T
+        return _Batch(sym_eig(hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2))), t)
+
+    return _evaluate(len(points), batch_at, names)
 
 
 def _sweep_worker(point: tuple[float, ...], names: tuple[str, ...]) -> tuple[float, ...]:
@@ -293,7 +305,12 @@ _TS_MEASURES = ("negativity", "alb")
 
 
 def run_threshold(cfg: SweepConfig) -> str:
-    """Sweep one axis, emitting measure-vanishing temperatures and tstar."""
+    """Sweep one axis, emitting measure-vanishing temperatures and tstar.
+
+    Per axis value, the Gibbs states of its one spectrum at the thermal.TS_SCAN
+    temperatures are evaluated in batches by every requested measure; the
+    bisection of thermal.vanishing_point then evaluates one state at a time.
+    """
     requested = cfg.measures or ("negativity",)
     for name in requested:
         if name not in _TS_MEASURES:
@@ -303,19 +320,15 @@ def run_threshold(cfg: SweepConfig) -> str:
     axis = _single_axis(cfg, "threshold") or "k"
     grid = _axis_range(cfg, axis).values()
 
-    basis = _antisym_basis33()
-    measure_fns = {
-        "negativity": entanglement.negativity,
-        "alb": lambda rho: entanglement.alb(rho, basis),
-    }
-
     rows = []
     for value in grid:
         j, k, b1, b2, _ = _point_for(cfg, (axis,), (float(value),))
         spectrum = sym_eig(hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2)))
+        scan = _evaluate(thermal.TS_GRID, lambda s: _Batch(spectrum, thermal.TS_SCAN[s]), requested)
         ts_vals = {
-            name: thermal.estimate_ts(spectrum, QUTRIT_DIMS, measure_fns[name])
-            for name in requested
+            name: thermal.vanishing_point(
+                scan[:, i], lambda t: _MEASURES[name](_Batch(spectrum, np.array([t])))[0])
+            for i, name in enumerate(requested)
         }
         t_ball = thermal.tstar(spectrum, QUTRIT_SPLIT)
         for name, ts in ts_vals.items():

@@ -9,7 +9,7 @@ Two separability temperatures appear:
     ball threshold 1/(d - 2^(2-m)); above it the state is certifiably
     separable regardless of any measure.
   * estimate_ts: the temperature where a chosen entanglement measure decays
-    to the noise floor, found by a scan plus bisection.
+    to the noise floor, found by a scan plus bisection (vanishing_point).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ GROUND_WINDOW = 1e-9
 TS_TMAX = 10.0
 TS_GRID = 400
 TS_TOL = 1e-9
+TS_SCAN = np.linspace(TS_TMAX / TS_GRID, TS_TMAX, TS_GRID)
 
 
 @dataclass(frozen=True)
@@ -55,15 +56,6 @@ class MultipartiteDims:
         return 1.0 / (self.d - 2.0 ** (2 - self.m))
 
 
-@dataclass(frozen=True, eq=False)
-class GibbsState:
-    """A spectrum together with its Boltzmann weights at one temperature."""
-
-    spectrum: Spectrum
-    temperature: float
-    weights: np.ndarray
-
-
 def boltzmann_weights(energies: np.ndarray, temperature: float | np.ndarray) -> np.ndarray:
     """Normalized exp(-(E - E_min)/T); requires T > 0.
 
@@ -75,14 +67,6 @@ def boltzmann_weights(energies: np.ndarray, temperature: float | np.ndarray) -> 
     e = np.asarray(energies, dtype=float)
     w = np.exp((e.min(axis=-1, keepdims=True) - e) / t)
     return w / w.sum(axis=-1, keepdims=True)
-
-
-def gibbs_state(spectrum: Spectrum, temperature: float) -> GibbsState:
-    return GibbsState(
-        spectrum=spectrum,
-        temperature=temperature,
-        weights=boltzmann_weights(spectrum.values, temperature),
-    )
 
 
 def mixture(spectrum: Spectrum, weights: np.ndarray) -> np.ndarray:
@@ -110,10 +94,10 @@ def purity(rho: DensityMatrix) -> float:
     return purity_of(rho.mat)
 
 
-def purity_beta_derivative(g: GibbsState) -> float:
+def purity_beta_derivative(spectrum: Spectrum, temperature: float) -> float:
     """dP/d(beta) = sum_ij 2 w_i^2 w_j (E_j - E_i), nonnegative for any spectrum."""
-    w = g.weights
-    e = g.spectrum.values
+    e = spectrum.values
+    w = boltzmann_weights(e, temperature)
     return float(2.0 * np.sum(np.outer(w * w, w) * (e[None, :] - e[:, None])))
 
 
@@ -173,33 +157,44 @@ def tstar(spectrum: Spectrum, dims: MultipartiteDims) -> Optional[float]:
     return 2.0 / (lo + hi)
 
 
-def estimate_ts(
-    spectrum: Spectrum, dims: BipartiteDims, measure: Callable[[DensityMatrix], float],
-) -> Optional[float]:
-    """Largest temperature where `measure` on the Gibbs state exceeds TS_TOL.
+def vanishing_point(scan: np.ndarray, measure_at: Callable[[float], float]) -> Optional[float]:
+    """Largest temperature where a measure exceeds TS_TOL, from its values `scan`
+    at the TS_SCAN temperatures and `measure_at` for the bisection steps.
 
-    A grid scan up to TS_TMAX locates the last excursion above TS_TOL (the
-    measure need not be monotone in T), then bisection narrows the vanishing
-    point to a width of 1e-6.  Returns None if the measure never exceeds
-    TS_TOL, and TS_TMAX if it is still above TS_TOL there (the estimate is
-    truncated).
+    The scan locates the last excursion above TS_TOL (the measure need not be
+    monotone in T), then bisection narrows the vanishing point to a width of
+    1e-6.  Returns None if the measure never exceeds TS_TOL, and TS_TMAX if it
+    is still above TS_TOL there (the estimate is truncated).
     """
-    ts = np.linspace(TS_TMAX / TS_GRID, TS_TMAX, TS_GRID)
-    vals = np.array([measure(gibbs(spectrum, float(t), dims)) for t in ts])
-    above = np.nonzero(vals > TS_TOL)[0]
+    above = np.nonzero(scan > TS_TOL)[0]
     if above.size == 0:
         return None
     i = int(above[-1])
     if i == TS_GRID - 1:
         return TS_TMAX
-    lo, hi = float(ts[i]), float(ts[i + 1])
+    lo, hi = float(TS_SCAN[i]), float(TS_SCAN[i + 1])
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if measure(gibbs(spectrum, mid, dims)) > TS_TOL:
+        if measure_at(mid) > TS_TOL:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def estimate_ts(
+    spectrum: Spectrum, dims: BipartiteDims, measure: Callable[[DensityMatrix], float],
+) -> Optional[float]:
+    """Largest temperature where `measure` on the Gibbs state exceeds TS_TOL.
+
+    The scalar reference of the batched threshold run: vanishing_point with
+    every state built and measured one at a time.
+    """
+
+    def measure_at(t: float) -> float:
+        return measure(gibbs(spectrum, t, dims))
+
+    return vanishing_point(np.array([measure_at(float(t)) for t in TS_SCAN]), measure_at)
 
 
 def vn_entropy(rho: DensityMatrix) -> float:

@@ -20,7 +20,7 @@ from qutritchain.spinmodels import (
     xy_closed_form_energies,
 )
 from qutritchain.thermal import (
-    MultipartiteDims, estimate_ts, gibbs, gibbs_state, purity_beta_derivative, tstar,
+    MultipartiteDims, boltzmann_weights, estimate_ts, gibbs, purity_beta_derivative, tstar,
 )
 from qutritchain.densecode import average_state, cdc, heisenberg_weyl, holevo_chi, weyl_ensemble
 from qutritchain.entanglement import (
@@ -165,8 +165,7 @@ def test_c07_purity_monotonicity():
         a = rng.normal(size=(9, 9))
         spec = sym_eig(a + a.T)
         beta = rng.uniform(0.05, 3.0)
-        g = gibbs_state(spec, 1.0 / beta)
-        analytic = purity_beta_derivative(g)
+        analytic = purity_beta_derivative(spec, 1.0 / beta)
         h = 1e-6
         up = gibbs(spec, 1.0 / (beta + h), DIMS).mat
         dn = gibbs(spec, 1.0 / (beta - h), DIMS).mat
@@ -215,9 +214,9 @@ def test_c10_bound_ordering_and_pure_consistency():
         j, k, b1, b2 = rng.uniform(-2.0, 2.0, size=4)
         t = rng.uniform(0.2, 2.0)
         spec = chain_spectrum(j, k, b1, b2)
-        g = gibbs_state(spec, t)
+        weights = boltzmann_weights(spec.values, t)
         rho = gibbs(spec, t, DIMS)
-        ub = ub_mixture(spec, g.weights, DIMS)
+        ub = ub_mixture(spec, weights, DIMS)
         assert chen_lower_bound(rho) <= ub + 1e-9
         assert alb(rho, BASIS) <= ub + 1e-9
     worst = 0.0

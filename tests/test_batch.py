@@ -1,11 +1,15 @@
-"""The batched sweep path against the single-state reference `_sweep_worker`."""
+"""The batched paths against the single-state references `_sweep_worker` and
+`thermal.estimate_ts`."""
 
 import numpy as np
 import pytest
 
-from qutritchain import sweeps
+from qutritchain import entanglement, sweeps, thermal
+from qutritchain.numkernel import sym_eig
+from qutritchain.spinmodels import QutritChainParams, hamiltonian_qutrit
 from qutritchain.sweeps import (
-    MEASURE_NAMES, SWEEP_MODES, AxisRange, SweepConfig, _measure_table, _sweep_worker, run_sweep,
+    MEASURE_NAMES, QUTRIT_DIMS, QUTRIT_SPLIT, SWEEP_MODES, AxisRange, SweepConfig, _measure_table,
+    _sweep_worker, run_sweep, run_threshold,
 )
 
 # Largest allowed gap between a batched measure and its single-state value.
@@ -60,14 +64,56 @@ def test_every_mode_matches_reference(mode, monkeypatch):
     assert np.max(np.abs(values - reference_table(points, names))) <= MAX_ABS_DIFF
 
 
-def test_csv_independent_of_batch_size_and_threads(monkeypatch):
+def test_threshold_matches_scalar_estimate_ts(monkeypatch):
+    written, calls = [], []
+    monkeypatch.setattr(sweeps, "_csv", lambda header, rows: written.append(rows) or "")
+    vanishing_point = thermal.vanishing_point
+
+    def traced(scan, measure_at):
+        steps = []  # every bisection step as (t, measure)
+        calls.append((scan, steps))
+
+        def step(t):
+            steps.append((t, measure_at(t)))
+            return steps[-1][1]
+
+        return vanishing_point(scan, step)
+
+    monkeypatch.setattr(thermal, "vanishing_point", traced)
+    scalar = {"negativity": entanglement.negativity,
+              "alb": lambda rho: entanglement.alb(rho, sweeps._antisym_basis33())}
+    kinds = {name: set() for name in scalar}
+    for b1, b2 in ((0.0, 0.0), (0.35, -0.35)):
+        cfg = SweepConfig(B1=b1, B2=b2, ranges={"k": AxisRange(-6.0, 0.0, 4)},
+                          measures=tuple(scalar))
+        run_threshold(cfg)
+        batched = calls[::-1]
+        calls.clear()
+        for k, *cells, t_ball in written.pop():
+            params = QutritChainParams(J=cfg.J, K=k, B1=b1, B2=b2)
+            spectrum = sym_eig(hamiltonian_qutrit(params))
+            for (name, measure), cell in zip(scalar.items(), cells):
+                want = thermal.estimate_ts(spectrum, QUTRIT_DIMS, measure)
+                assert cell == ("" if want is None else want)  # zero difference
+                (scan, steps), (want_scan, want_steps) = batched.pop(), calls.pop()
+                assert np.array_equal(scan, want_scan) and steps == want_steps
+                kinds[name].add(want if want in (None, thermal.TS_TMAX) else "inside")
+            assert t_ball == thermal.tstar(spectrum, QUTRIT_SPLIT)
+    for name in scalar:
+        assert kinds[name] == {None, thermal.TS_TMAX, "inside"}
+
+
+def test_csv_independent_of_batch_size(monkeypatch):
     # 25 points: one default batch, 25 batches of one, and batches of 7 with a short last one
     cfg = SweepConfig(mode="grid-b1b2", K=-1.7, T=0.2, measures=MEASURE_NAMES,
                       ranges={"b1": AxisRange(-3.0, 3.0, 5), "b2": AxisRange(-3.0, 3.0, 5)})
-    want = run_sweep(cfg)
+    # 400 scan temperatures per K: two default batches, or 400, or 58 of 7 with a short last one
+    threshold = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, 0.0, 2)},
+                            measures=("negativity", "alb"))
+    want = run_sweep(cfg), run_threshold(threshold)
     for size in (1, 7):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
-        assert run_sweep(cfg) == want
+        assert (run_sweep(cfg), run_threshold(threshold)) == want
 
 
 def test_batch_rejects_nonpositive_temperature():

@@ -51,6 +51,10 @@ def test_usage_errors_return_config_code(capsys):
     assert main(["sweep", "--range-b1", "-1:1:3"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["report", "--threads", "1"]) == 2  # a removed option
+    # options a subcommand does not read
+    assert main(["spectrum", "--measures", "bogus"]) == 2
+    assert main(["report", "--measures", "bogus", "--range-b1=0:1:3"]) == 2
+    assert main(["threshold", "--range-t=0.1:1:3"]) == 2
 
 
 def test_unknown_measure_returns_config_error(capsys):
@@ -77,6 +81,16 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert main(["report", "--config", str(cfg)]) == 2
     cfg.write_text("threads = 1\n")  # a removed key
     assert main(["report", "--config", str(cfg)]) == 2
+
+
+def test_config_file_key_the_subcommand_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("range-k = -2:-1:2\nmeasures = negativity\n")
+    assert main(["threshold", "--config", str(cfg)]) == 0
+    assert main(["report", "--config", str(cfg)]) == 2
+    cfg.write_text("T = 0.5\n")
+    assert main(["sweep", "--range-b1=0:1:2", "--range-b2=0:1:2", "--config", str(cfg)]) == 0
+    assert main(["spectrum", "--config", str(cfg)]) == 2
 
 
 def test_threshold_subcommand(capsys):

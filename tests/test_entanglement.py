@@ -6,7 +6,7 @@ import pytest
 from qutritchain.numkernel import maxabs, sym_eig
 from qutritchain.qstate import BipartiteDims, DensityMatrix, dm_from_pure, max_entangled, singlet
 from qutritchain.spinmodels import QutritChainParams, hamiltonian_qutrit
-from qutritchain.thermal import gibbs, gibbs_state
+from qutritchain.thermal import boltzmann_weights, gibbs
 from qutritchain.entanglement import (
     alb, build_antisym_basis, chen_factor, chen_lower_bound,
     iconcurrence_pure, negativity, tau_matrices, ub_mixture,
@@ -150,9 +150,9 @@ def test_bounds_ordered_on_thermal_states():
         j, k, b1, b2 = rng.uniform(-2.0, 2.0, size=4)
         t = rng.uniform(0.2, 2.0)
         spec = sym_eig(hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2)))
-        g = gibbs_state(spec, t)
+        weights = boltzmann_weights(spec.values, t)
         rho = gibbs(spec, t, DIMS33)
-        ub = ub_mixture(spec, g.weights, DIMS33)
+        ub = ub_mixture(spec, weights, DIMS33)
         assert chen_lower_bound(rho) <= ub + 1e-9
         assert alb(rho, BASIS33) <= ub + 1e-9
 
@@ -181,7 +181,7 @@ def test_ub_mixture_pure_limit():
 
 def test_sweep_worker_is_consistent():
     spec = sym_eig(hamiltonian_qutrit(QutritChainParams(J=-1.0, K=-1.7, B1=1.3, B2=-1.3)))
-    g = gibbs_state(spec, 1.0)
+    weights = boltzmann_weights(spec.values, 1.0)
     rho = gibbs(spec, 1.0, DIMS33)
     assert MEASURE_NAMES == ("negativity", "chen_lb", "alb", "ub", "purity",
                              "entropy", "cdc", "udc_12", "udc_21")
@@ -189,6 +189,6 @@ def test_sweep_worker_is_consistent():
     assert abs(row["negativity"] - ORACLE_NEGATIVITY) < 1e-9
     assert abs(row["chen_lb"] - chen_lower_bound(rho)) < 1e-12
     assert abs(row["alb"] - alb(rho)) < 1e-12
-    assert abs(row["ub"] - ub_mixture(spec, g.weights, DIMS33)) < 1e-12
+    assert abs(row["ub"] - ub_mixture(spec, weights, DIMS33)) < 1e-12
     assert row["chen_lb"] <= row["ub"] + 1e-9
     assert row["alb"] <= row["ub"] + 1e-9

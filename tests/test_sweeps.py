@@ -39,7 +39,7 @@ def test_unknown_mode_and_measure():
         run_sweep(SweepConfig(measures=("bogus",)))
 
 
-def test_sweep_deterministic_and_thread_invariant():
+def test_sweep_deterministic():
     cfg = dict(mode="grid-b1b2", K=-1.7, T=0.5,
                ranges={"b1": AxisRange(-2.0, 2.0, 5), "b2": AxisRange(-2.0, 2.0, 5)})
     assert run_sweep(SweepConfig(**cfg)) == run_sweep(SweepConfig(**cfg))
