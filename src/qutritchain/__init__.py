@@ -3,12 +3,11 @@ for a pair of spin-1 sites with bilinear-biquadratic exchange in a
 site-dependent magnetic field, plus a spin-1/2 XY pair used as a cross-check.
 """
 
-from .numkernel import Spectrum, entropy_bits, singular_values, sym_eig
+from .numkernel import Spectrum, entropy_bits, sym_eig
 from .qstate import (
     BipartiteDims,
     DensityMatrix,
     dm_from_pure,
-    kron,
     max_entangled,
     partial_trace,
     partial_transpose,
@@ -30,7 +29,6 @@ from .thermal import (
     MultipartiteDims,
     boltzmann_weights,
     estimate_ts,
-    gb_separable,
     gibbs,
     ground_state,
     purity,

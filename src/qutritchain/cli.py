@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .sweeps import (
     ConfigError,
@@ -24,27 +24,48 @@ from .sweeps import (
     single_point_report,
 )
 
-_FLOAT_DEFAULTS = {"J": -1.0, "K": -1.0, "B1": 0.0, "B2": 0.0, "T": 1.0}
+# The float parameters, each with its help text; defaults come from SweepConfig.
+_FLOAT_HELP = {
+    "J": "exchange coupling",
+    "K": "biquadratic coupling",
+    "B1": "field on site 1",
+    "B2": "field on site 2",
+    "T": "temperature",
+}
+_FLOAT_DEFAULTS = {key: getattr(SweepConfig, key) for key in _FLOAT_HELP}
 _FIELDS = ("J", "K", "B1", "B2")
 _AXIS_KEYS = ("range-b1", "range-b2", "range-k")  # the axes a threshold or spectrum run sweeps
 _RANGE_KEYS = (*_AXIS_KEYS, "range-t")
 _HELP = {
-    "J": "exchange coupling (default -1)",
-    "K": "biquadratic coupling (default -1)",
-    "B1": "field on site 1 (default 0)",
-    "B2": "field on site 2 (default 0)",
-    "T": "temperature (default 1)",
+    **{key: f"{text} (default {_FLOAT_DEFAULTS[key]:g})" for key, text in _FLOAT_HELP.items()},
     "mode": f"one of {', '.join(SWEEP_MODES)}",
     **{key: f"grid for the {key[6:]} axis" for key in _RANGE_KEYS},
     "measures": "comma separated measure names",
     "out": "output path (default: stdout)",
 }
-# The keys each subcommand reads, both as --flags and as config-file keys.
-_OPTIONS = {
-    "sweep": (*_FIELDS, "T", "mode", *_RANGE_KEYS, "measures", "out"),
-    "threshold": (*_FIELDS, *_AXIS_KEYS, "measures", "out"),
-    "spectrum": (*_FIELDS, *_AXIS_KEYS, "out"),
-    "report": (*_FIELDS, "T", "out"),
+
+
+class _Command(NamedTuple):
+    run: Callable[[SweepConfig], str]
+    help: str
+    keys: tuple[str, ...]  # read both as --flags and as config-file keys
+
+
+# The lambdas look each run function up in this module when called, so a wrapper
+# set on the module attribute (bench/probe.py times runs so) takes effect.
+_COMMANDS = {
+    "sweep": _Command(lambda cfg: run_sweep(cfg),
+                      "evaluate measures over a parameter grid",
+                      (*_FIELDS, "T", "mode", *_RANGE_KEYS, "measures", "out")),
+    "threshold": _Command(lambda cfg: run_threshold(cfg),
+                          "estimate measure-vanishing temperatures and the separable-ball T*",
+                          (*_FIELDS, *_AXIS_KEYS, "measures", "out")),
+    "spectrum": _Command(lambda cfg: run_spectrum(cfg),
+                         "emit closed-form energies with the numerical residual",
+                         (*_FIELDS, *_AXIS_KEYS, "out")),
+    "report": _Command(lambda cfg: single_point_report(cfg),
+                       "print every diagnostic at a single parameter point",
+                       (*_FIELDS, "T", "out")),
 }
 
 
@@ -54,15 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Thermal entanglement and dense-coding sweeps for a spin-1 pair.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "sweep": "evaluate measures over a parameter grid",
-        "threshold": "estimate measure-vanishing temperatures and the separable-ball T*",
-        "spectrum": "emit closed-form energies with the numerical residual",
-        "report": "print every diagnostic at a single parameter point",
-    }
-    for name, help_text in descriptions.items():
-        sp = sub.add_parser(name, help=help_text)
-        for key in _OPTIONS[name]:
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for key in command.keys:
             metavar = "START:STOP:COUNT" if key in _RANGE_KEYS else None
             sp.add_argument(f"--{key}", dest=key, metavar=metavar, help=_HELP[key])
         sp.add_argument("--config", default=None, help="key=value file; flags take precedence")
@@ -83,7 +98,7 @@ def _load_config_file(path: str, command: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _OPTIONS[command]:
+        if key not in _COMMANDS[command].keys:
             raise ConfigError(f"{path}:{lineno}: {command} reads no key {key!r}")
         out[key] = value
     return out
@@ -104,7 +119,8 @@ def _parse_range(text: str) -> AxisRange:
 def build_config(args: argparse.Namespace) -> SweepConfig:
     given = _load_config_file(args.config, args.command) if args.config else {}
     flags = vars(args)  # flags take precedence over the file
-    given.update({key: flags[key] for key in _OPTIONS[args.command] if flags[key] is not None})
+    keys = _COMMANDS[args.command].keys
+    given.update({key: flags[key] for key in keys if flags[key] is not None})
 
     floats = {}
     for key, default in _FLOAT_DEFAULTS.items():
@@ -128,7 +144,7 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     measures = tuple(name.strip() for name in given.get("measures", "").split(",") if name.strip())
 
     return SweepConfig(
-        mode=given.get("mode") or "grid-b1b2",
+        mode=given.get("mode") or SweepConfig.mode,
         ranges=ranges,
         measures=measures,
         out=given.get("out"),
@@ -156,15 +172,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(args)
-        if args.command == "sweep":
-            text = run_sweep(cfg)
-        elif args.command == "threshold":
-            text = run_threshold(cfg)
-        elif args.command == "spectrum":
-            text = run_spectrum(cfg)
-        else:
-            text = single_point_report(cfg)
-        _write_output(text, cfg.out)
+        _write_output(_COMMANDS[args.command].run(cfg), cfg.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numkernel import Spectrum, singular_values
+from .numkernel import Spectrum
 from .qstate import BipartiteDims, DensityMatrix, partial_transpose
 
 # Eigenvalues of rho below this weight are dropped from the tau matrices.
@@ -127,7 +127,7 @@ def alb(rho: DensityMatrix, basis: Optional[AntisymBasis] = None) -> float:
     """Algebraic lower bound: best single-tau value max(z1 - sum z_rest, 0)."""
     best = 0.0
     for t in tau_matrices(rho, basis):
-        z = singular_values(t)
+        z = np.linalg.svd(t, compute_uv=False)
         best = max(best, float(z[0] - z[1:].sum()))
     return best
 

@@ -75,14 +75,6 @@ def sym_eig(a: np.ndarray) -> Spectrum:
     return Spectrum(values=values, vectors=vectors)
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of a real matrix, descending."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    return np.linalg.svd(a, compute_uv=False)
-
-
 def masked_sum(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row sums of the 2-d array `x` over the entries where `mask` holds, each
     row added up exactly as np.sum(row[row_mask]) would add it."""

@@ -65,11 +65,6 @@ def check_density(mat: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, np.
     return mat, eigs
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product in the package's composite-index convention."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def _split(mat: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     return mat.reshape(mat.shape[:-2] + (dims.da, dims.db, dims.da, dims.db))
 

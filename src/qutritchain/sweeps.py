@@ -28,15 +28,6 @@ from .thermal import MultipartiteDims
 QUTRIT_DIMS = BipartiteDims(3, 3)
 QUTRIT_SPLIT = MultipartiteDims((3, 3))
 
-SWEEP_MODES = (
-    "grid-b1b2",
-    "line-b1eqnegb2",
-    "grid-kt",
-    "grid-b2t",
-    "bounds-scan",
-    "densecode-scan",
-)
-
 # Axes swept per mode, outermost first.
 _MODE_AXES = {
     "grid-b1b2": ("b1", "b2"),
@@ -46,6 +37,7 @@ _MODE_AXES = {
     "bounds-scan": ("b1",),
     "densecode-scan": ("k",),
 }
+SWEEP_MODES = tuple(_MODE_AXES)
 
 _DEFAULT_MEASURES = {
     "bounds-scan": ("chen_lb", "alb", "ub"),
@@ -257,25 +249,29 @@ def _sweep_worker(point: tuple[float, ...], names: tuple[str, ...]) -> tuple[flo
     return tuple(scalar[n]() for n in names)
 
 
-def _fmt(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".12g")
+def _csv(header: list[str], table: np.ndarray) -> str:
+    """The header, then one line per row of `table` with every cell printed to
+    12 significant digits; -0.0 prints as 0 and NaN as an empty cell."""
+    template = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    # row by row: a list of every row at once raises peak memory on long tables
+    body = "".join([template % tuple(row.tolist()) for row in table + 0.0])
+    # %g spells NaN "nan", which no other cell text contains
+    return ",".join(header) + "\n" + body.replace("nan", "")
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
-
-
-def _point_for(cfg: SweepConfig, axes: tuple[str, ...], values: tuple[float, ...]) -> tuple:
-    p = {"j": cfg.J, "k": cfg.K, "b1": cfg.B1, "b2": cfg.B2, "t": cfg.T, **dict(zip(axes, values))}
+def _grid(cfg: SweepConfig, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The product grid over `axes`, outermost first: its axis coordinates, one
+    column per axis, and its (J, K, B1, B2, T) rows.  No axes gives the one
+    fixed point of `cfg`."""
+    ranges = [_axis_range(cfg, a) for a in axes]
+    if math.prod(r.count for r in ranges) > MAX_GRID_POINTS:
+        raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
+    columns = {"j": cfg.J, "k": cfg.K, "b1": cfg.B1, "b2": cfg.B2, "t": cfg.T}
+    columns.update(zip(axes, np.meshgrid(*(r.values() for r in ranges), indexing="ij")))
     if cfg.mode == "line-b1eqnegb2":
-        p["b2"] = -p["b1"]
-    return p["j"], p["k"], p["b1"], p["b2"], p["t"]
+        columns["b2"] = -columns["b1"]
+    points = np.stack(np.broadcast_arrays(*columns.values()), axis=-1).reshape(-1, 5)
+    return points[:, [list(columns).index(a) for a in axes]], points
 
 
 def run_sweep(cfg: SweepConfig) -> str:
@@ -284,21 +280,15 @@ def run_sweep(cfg: SweepConfig) -> str:
         raise ConfigError(f"unknown sweep mode {cfg.mode!r}; choose from {', '.join(SWEEP_MODES)}")
     axes = _MODE_AXES[cfg.mode]
     measures = _check_measures(cfg.measures or _DEFAULT_MEASURES.get(cfg.mode, ("negativity",)))
-    ranges = [_axis_range(cfg, a) for a in axes]
-    if math.prod(r.count for r in ranges) > MAX_GRID_POINTS:
-        raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
-
-    combos = [()]
-    for g in (r.values() for r in ranges):
-        combos = [c + (float(v),) for c in combos for v in g]
-    values = _measure_table(np.array([_point_for(cfg, axes, c) for c in combos]), measures)
+    coords, points = _grid(cfg, axes)
+    values = _measure_table(points, measures)
 
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        raise ConsistencyError(f"non-finite measure at axis point {combos[np.argmin(finite)]}")
-    rows = [list(combo) + list(vals) for combo, vals in zip(combos, values)]
+        raise ConsistencyError(
+            f"non-finite measure at axis point {tuple(coords[np.argmin(finite)].tolist())}")
     header = [_AXIS_LABEL[a] for a in axes] + list(measures)
-    return _csv(header, rows)
+    return _csv(header, np.hstack([coords, values]))
 
 
 _TS_MEASURES = ("negativity", "alb")
@@ -318,59 +308,54 @@ def run_threshold(cfg: SweepConfig) -> str:
                 f"threshold runs support measures {', '.join(_TS_MEASURES)}, got {name!r}"
             )
     axis = _single_axis(cfg, "threshold") or "k"
-    grid = _axis_range(cfg, axis).values()
+    coords, points = _grid(cfg, (axis,))
 
-    rows = []
-    for value in grid:
-        j, k, b1, b2, _ = _point_for(cfg, (axis,), (float(value),))
+    table = np.empty((len(points), len(requested) + 2))
+    table[:, 0] = coords[:, 0]
+    for row, (j, k, b1, b2, _) in zip(table, points.tolist()):
         spectrum = sym_eig(hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2)))
         scan = _evaluate(thermal.TS_GRID, lambda s: _Batch(spectrum, thermal.TS_SCAN[s]), requested)
-        ts_vals = {
-            name: thermal.vanishing_point(
+        ts_vals = [
+            thermal.vanishing_point(
                 scan[:, i], lambda t: _MEASURES[name](_Batch(spectrum, np.array([t])))[0])
             for i, name in enumerate(requested)
-        }
+        ]
         t_ball = thermal.tstar(spectrum, QUTRIT_SPLIT)
-        for name, ts in ts_vals.items():
+        for name, ts in zip(requested, ts_vals):
             if ts is not None and t_ball is not None and ts > t_ball + 1e-6:
                 raise ConsistencyError(
                     f"{name} persists to T={ts:.6f} beyond the separable ball at T*={t_ball:.6f}"
                 )
-        row = [float(value)]
-        row += ["" if ts_vals[name] is None else ts_vals[name] for name in requested]
-        row.append("" if t_ball is None else t_ball)
-        rows.append(row)
+        # None becomes NaN, which _csv prints as an empty cell
+        row[1:] = [np.nan if t is None else t for t in (*ts_vals, t_ball)]
     header = [_AXIS_LABEL[axis]] + [f"ts_{name}" for name in requested] + ["tstar"]
-    return _csv(header, rows)
+    return _csv(header, table)
 
 
 def run_spectrum(cfg: SweepConfig) -> str:
     """Emit closed-form energy labels E1..E9 plus the residual against sym_eig."""
     axis = _single_axis(cfg, "spectrum")
-    if axis:
-        points = [_point_for(cfg, (axis,), (float(v),)) for v in _axis_range(cfg, axis).values()]
-    else:
-        points = [(cfg.J, cfg.K, cfg.B1, cfg.B2, cfg.T)]
+    _, points = _grid(cfg, (axis,) if axis else ())
 
-    rows = []
-    for j, k, b1, b2, _ in points:
+    table = np.empty((len(points), 14))
+    table[:, :4] = points[:, :4]
+    for row, (j, k, b1, b2, _) in zip(table, points.tolist()):
         params = QutritChainParams(J=j, K=k, B1=b1, B2=b2)
         cf = closed_form_energies(params)
-        inner = np.sort(np.linalg.eigvalsh(central_block(params)))
+        inner = np.linalg.eigvalsh(central_block(params))
         numerical = sym_eig(hamiltonian_qutrit(params)).values
-        labeled = np.array([cf.e1, cf.e2, cf.e3, inner[0], inner[1], inner[2], cf.e7, cf.e8, cf.e9])
-        residual = float(np.max(np.abs(np.sort(labeled) - numerical)))
-        if residual >= SPECTRUM_RESIDUAL_TOL:
+        row[4:13] = [cf.e1, cf.e2, cf.e3, *inner, cf.e7, cf.e8, cf.e9]
+        residual = float(np.max(np.abs(np.sort(row[4:13]) - numerical)))
+        if not residual < SPECTRUM_RESIDUAL_TOL:  # a NaN residual fails too
             raise ConsistencyError(
                 f"closed-form spectrum residual {residual:.3e} at (J={j}, K={k}, B1={b1}, B2={b2})"
             )
-        rows.append([j, k, b1, b2] + [float(e) for e in labeled] + [residual])
+        row[13] = residual
     header = ["J", "K", "B1", "B2"] + [f"E{i}" for i in range(1, 10)] + ["residual"]
-    return _csv(header, rows)
+    return _csv(header, table)
 
 
 def single_point_report(cfg: SweepConfig) -> str:
     """Every measure at the fixed parameter point, as key=value lines."""
-    values = _measure_table(np.array([[cfg.J, cfg.K, cfg.B1, cfg.B2, cfg.T]]), MEASURE_NAMES)[0]
-    lines = [f"{name}={_fmt(value)}" for name, value in zip(MEASURE_NAMES, values)]
-    return "\n".join(lines) + "\n"
+    values = _measure_table(_grid(cfg, ())[1], MEASURE_NAMES)[0] + 0.0
+    return "".join("%s=%.12g\n" % line for line in zip(MEASURE_NAMES, values.tolist()))

@@ -15,7 +15,7 @@ Two separability temperatures appear:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -99,19 +99,6 @@ def purity_beta_derivative(spectrum: Spectrum, temperature: float) -> float:
     e = spectrum.values
     w = boltzmann_weights(e, temperature)
     return float(2.0 * np.sum(np.outer(w * w, w) * (e[None, :] - e[:, None])))
-
-
-def gb_separable(rho: Union[DensityMatrix, np.ndarray], dims: MultipartiteDims) -> bool:
-    """Gurvits-Barnum ball test: purity at or below the m-partite threshold."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] != dims.d:
-        raise ValueError(f"matrix dimension {mat.shape[0]} does not match dims product {dims.d}")
-    tr = float(np.trace(mat))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"trace {tr!r} is not 1 within 1e-10")
-    return purity_of(mat) <= dims.purity_threshold
 
 
 def _gibbs_purity(energies: np.ndarray, beta: float) -> float:

@@ -66,7 +66,9 @@ def test_every_mode_matches_reference(mode, monkeypatch):
 
 def test_threshold_matches_scalar_estimate_ts(monkeypatch):
     written, calls = [], []
-    monkeypatch.setattr(sweeps, "_csv", lambda header, rows: written.append(rows) or "")
+    # the table as printed: a NaN cell is an empty one
+    monkeypatch.setattr(sweeps, "_csv", lambda header, table: written.append(
+        [["" if np.isnan(x) else x for x in row] for row in table.tolist()]) or "")
     vanishing_point = thermal.vanishing_point
 
     def traced(scan, measure_at):

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qutritchain import sweeps
+from qutritchain import cli, sweeps
 from qutritchain.cli import main
 from qutritchain.sweeps import SWEEP_MODES, SweepConfig, single_point_report
 
@@ -37,6 +37,15 @@ def test_report_matches_library(capsys):
     got = capsys.readouterr().out
     want = single_point_report(SweepConfig(K=-1.7, B1=1.3, B2=-1.3, T=1.0))
     assert got.strip() == want.strip()
+
+
+def test_main_calls_run_functions_through_the_module(monkeypatch, capsys):
+    # bench/probe.py times each launch by wrapping these module attributes
+    for command, name in (("sweep", "run_sweep"), ("threshold", "run_threshold"),
+                          ("spectrum", "run_spectrum"), ("report", "single_point_report")):
+        monkeypatch.setattr(cli, name, lambda cfg, name=name: f"{name}\n")
+        assert main([command]) == 0
+        assert capsys.readouterr().out == f"{name}\n"
 
 
 def test_bad_range_returns_config_error(capsys):
@@ -161,13 +170,31 @@ _ARGV = st.builds(
 )
 _CONFIG_LINE = st.one_of(_OPTION.map(" = ".join), _TEXT)
 
+# Inputs that always run, with the code each must return.  Hypothesis also
+# draws literals it finds in the package source, so which inputs the generated
+# examples reach changes with every change to those literals.
+_PINNED = {
+    **{((head, "--range-b2=0:1:1000000000000"), None): 2
+       for head in ("sweep", "threshold", "spectrum")},
+    (("report", "--K=1e308"), None): 3,
+    (("report",), "measures = negativity"): 2,  # a key report does not read
+}
+
+
+def _with_pinned(test):
+    for argv, config in _PINNED:
+        test = example(argv=list(argv), config=config)(test)
+    return test
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from 1e308 inputs
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_ARGV,
        config=st.one_of(st.none(), st.lists(_CONFIG_LINE, max_size=4).map("\n".join)))
+@_with_pinned
 def test_exit_codes_are_documented_for_any_input(argv, config, tmp_path, monkeypatch, capsys):
+    pinned = _PINNED.get((tuple(argv), config))
     monkeypatch.chdir(tmp_path)
     # default grids cut to 3 points per axis, so runs without ranges stay short
     small = {axis: (lo, hi, 3) for axis, (lo, hi, _) in sweeps._DEFAULT_RANGES.items()}
@@ -175,4 +202,5 @@ def test_exit_codes_are_documented_for_any_input(argv, config, tmp_path, monkeyp
     if config is not None:
         (tmp_path / "run.cfg").write_text(config, encoding="utf-8", errors="surrogatepass")
         argv = argv + ["--config", "run.cfg"]
-    assert main(argv) in (0, 2, 3)
+    code = main(argv)
+    assert code in (0, 2, 3) and pinned in (None, code)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from qutritchain.numkernel import (
-    entropy_bits, masked_sum, maxabs, require_symmetric, singular_values, sym_eig,
+    entropy_bits, masked_sum, maxabs, require_symmetric, sym_eig,
 )
 
 
@@ -55,22 +55,6 @@ def test_spectrum_is_frozen():
     spec = sym_eig(np.eye(3))
     with pytest.raises(AttributeError):
         spec.values = np.zeros(3)
-
-
-def test_singular_values_descending_and_match_gram_route():
-    # cross-check: squared singular values are the eigenvalues of A^T A
-    rng = np.random.default_rng(14)
-    for _ in range(20):
-        a = rng.normal(size=(9, 9))
-        s = singular_values(a)
-        assert np.all(np.diff(s) <= 1e-12)
-        gram = np.sort(np.linalg.eigvalsh(a.T @ a))[::-1]
-        assert maxabs(s**2 - np.clip(gram, 0.0, None)) < 1e-9
-
-
-def test_singular_values_of_diagonal():
-    s = singular_values(np.diag([3.0, -5.0, 0.0]))
-    assert maxabs(s - np.array([5.0, 3.0, 0.0])) < 1e-14
 
 
 def test_entropy_bits_landmarks():

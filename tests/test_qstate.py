@@ -3,7 +3,7 @@ import pytest
 
 from qutritchain.numkernel import maxabs
 from qutritchain.qstate import (
-    BipartiteDims, DensityMatrix, dm_from_pure, kron, max_entangled, partial_trace,
+    BipartiteDims, DensityMatrix, dm_from_pure, max_entangled, partial_trace,
     partial_transpose, purity_of, singlet,
 )
 
@@ -51,13 +51,6 @@ def test_density_matrix_validation():
     neg = np.diag([0.7, 0.5, -0.1, -0.1])             # not PSD
     with pytest.raises(ValueError):
         DensityMatrix(neg, dims)
-
-
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(21)
-    a = rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3))
-    assert maxabs(kron(a, b) - np.kron(a, b)) < 1e-14
 
 
 def test_partial_transpose_matches_loop_reference():

@@ -7,8 +7,8 @@ from qutritchain.spinmodels import QutritChainParams, hamiltonian_qutrit
 from qutritchain.thermal import ground_state
 from qutritchain.entanglement import negativity
 from qutritchain.sweeps import (
-    AxisRange, ConfigError, ConsistencyError, SweepConfig, run_spectrum, run_sweep,
-    run_threshold, single_point_report,
+    MEASURE_NAMES, AxisRange, ConfigError, ConsistencyError, SweepConfig, _csv, _measure_table,
+    run_spectrum, run_sweep, run_threshold, single_point_report,
 )
 
 # B2 value where the lowest central-block level meets the aligned product
@@ -178,6 +178,18 @@ def test_single_point_report_format():
     values = {ln.split("=")[0]: float(ln.split("=")[1]) for ln in lines}
     assert abs(values["negativity"] - 0.3852587643) < 1e-9
     assert values["udc_12"] == 0.0
+
+
+def test_output_format():
+    # README "Output format": 12 significant digits, no -0, NaN as an empty cell
+    table = np.array([[-0.0, 1e-300, 1e15, 0.123456789012345],
+                      [np.nan, 2.5, -123456.789012345, 0.0]])
+    assert _csv(["a", "b", "c", "d"], table) == (
+        "a,b,c,d\n0,1e-300,1e+15,0.123456789012\n,2.5,-123456.789012,0\n")
+    cfg = SweepConfig(K=-0.2, B1=3.0, B2=3.0, T=0.05)  # cold, aligned fields: zeros, tiny values
+    values = _measure_table(np.array([[cfg.J, cfg.K, cfg.B1, cfg.B2, cfg.T]]), MEASURE_NAMES)[0]
+    assert single_point_report(cfg) == "".join(
+        f"{name}={format(float(v) + 0.0, '.12g')}\n" for name, v in zip(MEASURE_NAMES, values))
 
 
 def test_consistency_error_is_exported():

@@ -7,7 +7,7 @@ from qutritchain.numkernel import Spectrum, maxabs, sym_eig
 from qutritchain.qstate import BipartiteDims, purity_of
 from qutritchain.spinmodels import QutritChainParams, hamiltonian_qutrit
 from qutritchain.thermal import (
-    MultipartiteDims, boltzmann_weights, estimate_ts, gb_separable, gibbs,
+    TS_SCAN, TS_TOL, MultipartiteDims, boltzmann_weights, estimate_ts, gibbs,
     ground_state, purity, purity_beta_derivative, tstar, vn_entropy,
 )
 from qutritchain.entanglement import negativity
@@ -124,13 +124,6 @@ def test_purity_thresholds():
     assert abs(MultipartiteDims((2, 2, 2)).purity_threshold - 2.0 / 15) < 1e-15
 
 
-def test_gb_separable_landmarks():
-    assert gb_separable(np.eye(9) / 9.0, SPLIT33)
-    me = np.zeros(9)
-    me[[0, 4, 8]] = 1.0 / math.sqrt(3.0)
-    assert not gb_separable(np.outer(me, me), SPLIT33)
-
-
 def test_tstar_two_level_value():
     # E = {0, 1, 1, 1} on a 2x2 split: purity (1 + 3x^2)/(1 + 3x)^2 with
     # x = exp(-beta) reaches the 1/3 threshold at T = 1/ln 3
@@ -161,7 +154,7 @@ def test_gibbs_separable_above_tstar():
     t = tstar(spec, SPLIT33)
     assert t is not None
     for scale in (1.0, 1.5, 3.0):
-        assert gb_separable(gibbs(spec, scale * t, DIMS33), SPLIT33)
+        assert purity(gibbs(spec, scale * t, DIMS33)) <= SPLIT33.purity_threshold
 
 
 def test_tstar_bounds_measure_threshold():
@@ -181,6 +174,21 @@ def test_estimate_ts_none_when_never_entangled():
     spec = chain_spectrum(-1.0, -0.5, 6.0, 6.0)
     assert estimate_ts(spec, DIMS33, negativity) is None
     assert tstar(spec, SPLIT33) is not None
+
+
+def test_estimate_ts_blind_below_the_scan():
+    # the scan starts at TS_TMAX / TS_GRID = 0.025: a measure that is positive
+    # only below T = 0.02 reads None, just as one that is never positive
+    spec = chain_spectrum(-1.0, -1.7, 3.0, 0.2)  # near a ground crossing: purity falls fast
+
+    def above_purity_at(t_edge):
+        floor = purity(gibbs(spec, t_edge, DIMS33))
+        return lambda rho: max(purity(rho) - floor, 0.0)
+
+    assert TS_SCAN[0] == 0.025
+    assert above_purity_at(0.02)(gibbs(spec, 0.015, DIMS33)) > TS_TOL
+    assert estimate_ts(spec, DIMS33, above_purity_at(0.02)) is None
+    assert abs(estimate_ts(spec, DIMS33, above_purity_at(0.03)) - 0.03) < 1e-6
 
 
 def test_estimate_ts_grows_with_exchange_strength():
