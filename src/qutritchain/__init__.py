@@ -3,7 +3,7 @@ for a pair of spin-1 sites with bilinear-biquadratic exchange in a
 site-dependent magnetic field, plus a spin-1/2 XY pair used as a cross-check.
 """
 
-from .numkernel import Spectrum, entropy_bits, sym_eig
+from .numkernel import Spectrum, block_eig, entropy_bits, sym_eig
 from .qstate import (
     BipartiteDims,
     DensityMatrix,
@@ -39,6 +39,7 @@ from .thermal import (
 from .entanglement import (
     AntisymBasis,
     alb,
+    alb_mixture,
     build_antisym_basis,
     chen_factor,
     chen_lower_bound,

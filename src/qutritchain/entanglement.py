@@ -8,7 +8,8 @@ over decompositions, so the package works with a sandwich instead:
     T^a_{jk} = sqrt(w_j w_k) <chi_a | Phi_j x Phi_k>, where {chi_a} spans the
     antisymmetric-antisymmetric subspace of two copies.  Each tau matrix
     yields max(z_1 - sum_{i>1} z_i, 0) from its singular values; the bound is
-    the best single-a value.
+    the best single-a value.  alb takes {w_j, Phi_j} from rho, alb_mixture
+    from any explicit decomposition (here: the thermal eigenensemble).
   * ub_mixture: the convexity upper bound sum_j w_j C(Phi_j) from any explicit
     pure-state decomposition (here: the thermal eigenensemble).
 
@@ -101,6 +102,24 @@ def build_antisym_basis(dims: BipartiteDims) -> AntisymBasis:
     return AntisymBasis(dims=dims, vectors=np.array(rows))
 
 
+def _tau_matrices(vectors: np.ndarray, weights: np.ndarray, basis: AntisymBasis) -> list[np.ndarray]:
+    """T^a = Y^T C_a Y with Y the columns of `vectors` above RANK_CUTOFF, in
+    descending weight, each scaled by the square root of its weight."""
+    keep = weights > RANK_CUTOFF
+    order = np.argsort(weights[keep])[::-1]
+    y = vectors[:, keep][:, order] * np.sqrt(weights[keep][order])
+    total = basis.dims.total
+    return [y.T @ c @ y for c in basis.vectors.reshape(-1, total, total)]
+
+
+def _basis_for(rho: DensityMatrix, basis: Optional[AntisymBasis]) -> AntisymBasis:
+    if basis is None:
+        return build_antisym_basis(rho.dims)
+    if basis.dims != rho.dims:
+        raise ValueError(f"basis dims {basis.dims} do not match state dims {rho.dims}")
+    return basis
+
+
 def tau_matrices(rho: DensityMatrix, basis: Optional[AntisymBasis] = None) -> list[np.ndarray]:
     """The tau matrices of rho, one r x r symmetric block per chi vector.
 
@@ -108,28 +127,32 @@ def tau_matrices(rho: DensityMatrix, basis: Optional[AntisymBasis] = None) -> li
     descending order.  T^a_{jk} = sqrt(w_j w_k) Phi_j^T C_a Phi_k with C_a the
     chi vector reshaped to a (symmetric) matrix on the single-copy space.
     """
-    if basis is None:
-        basis = build_antisym_basis(rho.dims)
-    elif basis.dims != rho.dims:
-        raise ValueError(f"basis dims {basis.dims} do not match state dims {rho.dims}")
     w, v = np.linalg.eigh(rho.mat)
-    keep = w > RANK_CUTOFF
-    order = np.argsort(w[keep])[::-1]
-    lam = w[keep][order]
-    vecs = v[:, keep][:, order]
-    scale = np.sqrt(lam)
-    weight = np.outer(scale, scale)
-    total = rho.dims.total
-    return [(vecs.T @ c @ vecs) * weight for c in basis.vectors.reshape(-1, total, total)]
+    return _tau_matrices(v, w, _basis_for(rho, basis))
 
 
-def alb(rho: DensityMatrix, basis: Optional[AntisymBasis] = None) -> float:
-    """Algebraic lower bound: best single-tau value max(z1 - sum z_rest, 0)."""
+def alb_mixture(spectrum: Spectrum, weights: np.ndarray, basis: AntisymBasis) -> float:
+    """Algebraic lower bound from an explicit decomposition sum_j w_j |Phi_j><Phi_j|.
+
+    The bound does not depend on the decomposition, so a Gibbs state is best
+    decomposed by the eigenvectors of H: those of rho are ill-determined for
+    weights near RANK_CUTOFF, which at T = 0.02 has moved alb(rho) by 3e-8.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.shape != spectrum.values.shape:
+        raise ValueError("one weight per spectrum level is required")
     best = 0.0
-    for t in tau_matrices(rho, basis):
+    for t in _tau_matrices(spectrum.vectors, w, basis):
         z = np.linalg.svd(t, compute_uv=False)
         best = max(best, float(z[0] - z[1:].sum()))
     return best
+
+
+def alb(rho: DensityMatrix, basis: Optional[AntisymBasis] = None) -> float:
+    """Algebraic lower bound: best single-tau value max(z1 - sum z_rest, 0),
+    from the eigendecomposition of rho (see alb_mixture)."""
+    w, v = np.linalg.eigh(rho.mat)
+    return alb_mixture(Spectrum(values=w, vectors=v), w, _basis_for(rho, basis))
 
 
 def ub_mixture(spectrum: Spectrum, weights: np.ndarray, dims: BipartiteDims) -> float:

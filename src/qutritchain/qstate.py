@@ -44,11 +44,15 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         if np.ndim(self.mat) != 2:
             raise ValueError(f"expected a square matrix, got shape {np.shape(self.mat)}")
-        object.__setattr__(self, "mat", check_density(self.mat, self.dims)[0])
+        object.__setattr__(self, "mat", check_density(self.mat, self.dims))
 
 
-def check_density(mat: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray]:
-    """DensityMatrix checks on a matrix or a stack; returns it with its ascending eigenvalues."""
+def check_density(mat: np.ndarray, dims: BipartiteDims, eigs: np.ndarray | None = None) -> np.ndarray:
+    """DensityMatrix checks on a matrix or a stack; returns it as a float array.
+
+    `eigs` are its eigenvalues where the caller knows them, such as the
+    weights of a mixture of orthonormal vectors; otherwise they are solved for.
+    """
     mat = require_symmetric(mat)
     if mat.shape[-1] != dims.total:
         raise ValueError(
@@ -58,11 +62,10 @@ def check_density(mat: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, np.
     off = np.abs(tr - 1.0) > TRACE_TOL
     if off.any():
         raise ValueError(f"trace {float(tr[off][0])!r} is not 1 within {TRACE_TOL}")
-    eigs = np.linalg.eigvalsh(mat)
-    low = float(eigs[..., 0].min())
+    low = float((np.linalg.eigvalsh(mat) if eigs is None else eigs).min())
     if low < EIG_FLOOR:
         raise ValueError(f"matrix is not positive semidefinite: lowest eigenvalue {low:.3e}")
-    return mat, eigs
+    return mat
 
 
 def _split(mat: np.ndarray, dims: BipartiteDims) -> np.ndarray:

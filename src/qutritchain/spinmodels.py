@@ -79,6 +79,20 @@ _SZ_I = np.kron(spin1_operators()[2], np.eye(3))
 _I_SZ = np.kron(np.eye(3), spin1_operators()[2])
 
 
+def _blocks(charge: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The index sets on which `charge` is constant, highest charge first."""
+    return tuple(tuple(np.flatnonzero(charge == q).tolist())
+                 for q in sorted(set(charge.tolist()), reverse=True))
+
+
+# H conserves total Sz, so it is block diagonal on these composite index sets
+# (Sz = 2, 1, 0, -1, -2).  So is a Gibbs state, whose partial transpose on
+# site 2 then conserves S1z - S2z instead: it is block diagonal on
+# SZ_DIFFERENCE_BLOCKS (S1z - S2z = 2, 1, 0, -1, -2).
+SZ_SECTORS = _blocks(np.diag(_SZ_I + _I_SZ))
+SZ_DIFFERENCE_BLOCKS = _blocks(np.diag(_SZ_I - _I_SZ))
+
+
 def hamiltonian_qutrit(p: QutritChainParams) -> np.ndarray:
     """Full 9x9 Hamiltonian of the spin-1 pair.
 

@@ -2,10 +2,12 @@
 
 Output format: one header row, comma separators, newline line endings, every
 float printed with 12 significant digits.  Row order is the lexicographic
-product of the axis grids, so identical configurations produce byte-identical
-files.  Grid points, and the scan temperatures of a threshold run, are
-evaluated in fixed-size batches, each one stack of Gibbs states read by every
-requested measure; the output does not depend on how points are batched.
+product of the axis grids.  Grid points, and the scan temperatures of a
+threshold run, are evaluated in fixed-size batches, each one stack of Gibbs
+states built per total-Sz sector and read by every requested measure.  The
+same configuration gives byte-identical files on every rerun and for every
+batch size; each measure agrees with its single-state library function
+(_sweep_worker) to 1e-12, not bit for bit.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import densecode, entanglement, thermal
-from .numkernel import Spectrum, entropy_bits, masked_sum, sym_eig
-from .qstate import (
-    BipartiteDims, DensityMatrix, check_density, partial_trace_of, partial_transpose_of, purity_of,
+from .numkernel import Spectrum, block_eig, entropy_bits, sym_eig
+from .qstate import BipartiteDims, DensityMatrix, check_density, partial_transpose_of
+from .spinmodels import (
+    SZ_DIFFERENCE_BLOCKS, SZ_SECTORS, QutritChainParams, central_block, closed_form_energies,
+    hamiltonian_qutrit,
 )
-from .spinmodels import QutritChainParams, central_block, closed_form_energies, hamiltonian_qutrit
 from .thermal import MultipartiteDims
 
 QUTRIT_DIMS = BipartiteDims(3, 3)
@@ -133,62 +136,111 @@ def _antisym_basis33() -> entanglement.AntisymBasis:
     return entanglement.build_antisym_basis(QUTRIT_DIMS)
 
 
-class _Batch:
-    """Gibbs states of a stack of spectra at their temperatures, plus what measures share.
+@cache
+def _tau_blocks() -> list[tuple[np.ndarray, ...]]:
+    """Where the tau matrices of a total-Sz sector spectrum are nonzero.
 
-    A single spectrum is repeated for every temperature.  Each array repeats,
-    point for point and in the same order, the operations of the single-state
-    functions, so every measure gives the same bits.
+    Levels are numbered sector by sector, as block_eig numbers them.  chi_a
+    has a total-Sz charge q_a and couples sector s only to sector q_a - s, so
+    tau_a is a direct sum of the blocks (s, q_a - s), each of at most 3x3; a
+    block off the diagonal appears with its transpose, so its singular values
+    count twice.  The blocks are grouped by shape, each taken with no more
+    rows than columns: per group, the chi index of each block, its rows, its
+    columns and its multiplicity.
+    """
+    levels = np.split(np.arange(9), np.cumsum([len(s) for s in SZ_SECTORS])[:-1])
+    groups: dict[tuple[int, int], list] = {}
+    for a, chi in enumerate(_antisym_basis33().vectors.reshape(-1, 9, 9)):
+        for i, si in enumerate(SZ_SECTORS):
+            for j in range(i, len(SZ_SECTORS)):
+                if chi[np.ix_(si, SZ_SECTORS[j])].any():
+                    rows, cols = sorted((levels[i], levels[j]), key=len)
+                    groups.setdefault((len(rows), len(cols)), []).append(
+                        (a, rows, cols, 1.0 if i == j else 2.0))
+    return [tuple(np.array(x) for x in zip(*g)) for g in groups.values()]
+
+
+class _Batch:
+    """Gibbs states of a stack of Hamiltonians at their temperatures, plus what measures share.
+
+    Each state is built from `sectors`, the spectrum of its H solved per
+    total-Sz sector (block_eig on SZ_SECTORS), whose eigenvectors stay inside
+    one sector even at degeneracies.  So rho's eigenvalues are the weights,
+    its reduced states are diagonal and its partial transpose and tau matrices
+    split into blocks of at most 3x3: no measure solves an eigenproblem of
+    rho.  A single H is repeated for every temperature.  Every measure agrees
+    with the single-state reference (_sweep_worker) to 1e-12, and its bits
+    do not depend on how points are batched.
     """
 
-    def __init__(self, spectrum: Spectrum, temperatures: np.ndarray) -> None:
+    def __init__(self, h: np.ndarray, sectors: Spectrum, temperatures: np.ndarray) -> None:
         n = len(temperatures)
-        self.spectrum = Spectrum(np.broadcast_to(spectrum.values, (n, 9)),
-                                 np.broadcast_to(spectrum.vectors, (n, 9, 9)))
-        self.weights = thermal.boltzmann_weights(self.spectrum.values, temperatures)
-        self.rho, self.rho_eigs = check_density(
-            thermal.mixture(self.spectrum, self.weights), QUTRIT_DIMS)
+        self.h = h
+        self.temperatures = temperatures
+        self.sectors = Spectrum(np.broadcast_to(sectors.values, (n, 9)),
+                                np.broadcast_to(sectors.vectors, (n, 9, 9)))
+        self.weights = thermal.boltzmann_weights(self.sectors.values, temperatures)
+        self.rho = check_density(
+            thermal.mixture(self.sectors, self.weights), QUTRIT_DIMS, self.weights)
 
     @cached_property
     def negativity(self) -> np.ndarray:
-        mu = np.linalg.eigvalsh(partial_transpose_of(self.rho, QUTRIT_DIMS))
-        return -masked_sum(mu, mu < 0.0)
+        pt = partial_transpose_of(self.rho, QUTRIT_DIMS)
+        total = np.zeros(len(pt))
+        for block in SZ_DIFFERENCE_BLOCKS:
+            if len(block) > 1:  # a 1x1 block is a diagonal entry of rho, never negative
+                idx = np.array(block)
+                mu = np.linalg.eigvalsh(pt[:, idx[:, None], idx])
+                total -= np.where(mu < 0.0, mu, 0.0).sum(axis=-1)
+        return total
 
     @cached_property
     def entropy(self) -> np.ndarray:
-        return entropy_bits(self.rho_eigs)
+        return entropy_bits(self.weights)
 
     def reduced_entropy(self, traced: str) -> np.ndarray:
-        return entropy_bits(np.linalg.eigvalsh(partial_trace_of(self.rho, QUTRIT_DIMS, traced)))
+        """Entropy of the reduced state after tracing out site `traced`: rho
+        conserves total Sz, so both reduced states are diagonal."""
+        diagonal = np.diagonal(self.rho, axis1=1, axis2=2).reshape(-1, 3, 3)
+        return entropy_bits(diagonal.sum(axis=1 if traced == "A" else 2))
 
     @cached_property
     def entropy_b(self) -> np.ndarray:
         return self.reduced_entropy("A")
 
     def alb(self) -> np.ndarray:
-        """entanglement.alb: per rank, the tau matrices of all points, one chi vector at a time."""
-        w, v = np.linalg.eigh(self.rho)
-        rank = (w > entanglement.RANK_CUTOFF).sum(axis=1)
-        best = np.zeros(len(w))
-        for r in sorted(set(rank.tolist())):  # not np.unique, as in masked_sum
-            rows = rank == r
-            # eigh sorts ascending, so the kept levels are the last r
-            order = np.argsort(w[rows, 9 - r:], axis=1)[:, ::-1]
-            lam = np.take_along_axis(w[rows, 9 - r:], order, axis=1)
-            vecs = np.take_along_axis(v[rows, :, 9 - r:], order[:, None, :], axis=2)
-            scale = np.sqrt(lam)
-            weight = scale[:, :, None] * scale[:, None, :]
-            for chi in _antisym_basis33().vectors.reshape(-1, 9, 9):
-                z = np.linalg.svd((vecs.swapaxes(1, 2) @ chi @ vecs) * weight, compute_uv=False)
-                best[rows] = np.maximum(best[rows], z[:, 0] - z[:, 1:].sum(axis=-1))
-        return best
+        """entanglement.alb_mixture over the sector eigenvectors, block by block of each tau matrix."""
+        w = self.weights
+        y = self.sectors.vectors * np.sqrt(np.where(w > entanglement.RANK_CUTOFF, w, 0.0))[:, None, :]
+        chis = _antisym_basis33().vectors.reshape(-1, 9, 9)
+        top = np.zeros((len(chis), len(w)))  # largest singular value of each tau matrix
+        total = np.zeros((len(chis), len(w)))  # sum of its singular values
+        for a, rows, cols, multiplicity in _tau_blocks():
+            # Y_rows^T C_a Y_cols for each block, shape (points, blocks, rows, columns)
+            blocks = (y[:, :, rows].transpose(0, 2, 3, 1) @ chis[a]
+                      @ y[:, :, cols].transpose(0, 2, 1, 3))
+            if rows.shape[1] == 1:  # a row: its norm is its one singular value
+                z = np.linalg.norm(blocks, axis=(-2, -1))[..., None]
+            else:
+                z = np.linalg.svd(blocks, compute_uv=False)
+            np.maximum.at(top, a, z[..., 0].T)
+            np.add.at(total, a, multiplicity[:, None] * z.sum(axis=-1).T)
+        # z1 - (z2 + z3 + ...) for each tau matrix, the best of them, and 0
+        return np.maximum((2.0 * top - total).max(axis=0), 0.0)
 
     def ub(self) -> np.ndarray:
-        """entanglement.ub_mixture over the thermal eigenensemble of each point."""
-        m = self.spectrum.vectors.swapaxes(1, 2).reshape(-1, 9, 3, 3)
+        """entanglement.ub_mixture over the thermal eigenensemble of each point.
+
+        ub depends on the basis chosen inside degenerate levels, so it takes
+        the eigenvectors of sym_eig, as the single-state reference does.
+        """
+        n = len(self.temperatures)
+        dense = sym_eig(self.h)
+        vectors = np.broadcast_to(dense.vectors, (n, 9, 9))
+        m = vectors.swapaxes(1, 2).reshape(-1, 9, 3, 3)
         ra = m @ m.swapaxes(-1, -2)
         conc = np.sqrt(np.maximum(2.0 * (1.0 - (ra * ra).reshape(-1, 9, 9).sum(axis=-1)), 0.0))
-        w = self.weights
+        w = thermal.boltzmann_weights(np.broadcast_to(dense.values, (n, 9)), self.temperatures)
         # summed level by level in order, skipping the levels ub_mixture skips
         return np.cumsum(np.where(w > entanglement.RANK_CUTOFF, w * conc, 0.0), axis=1)[:, -1]
 
@@ -199,7 +251,7 @@ _MEASURES = {
     "chen_lb": lambda b: entanglement.chen_factor(QUTRIT_DIMS) * b.negativity,
     "alb": _Batch.alb,
     "ub": _Batch.ub,
-    "purity": lambda b: purity_of(b.rho),
+    "purity": lambda b: (b.weights * b.weights).sum(axis=-1),
     "entropy": lambda b: b.entropy,
     "cdc": lambda b: np.maximum(math.log2(QUTRIT_DIMS.da) + b.entropy_b - b.entropy, 0.0),
     "udc_12": lambda b: np.maximum(b.entropy_b - b.entropy, 0.0),
@@ -223,7 +275,8 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
 
     def batch_at(rows: slice) -> _Batch:
         j, k, b1, b2, t = points[rows].T
-        return _Batch(sym_eig(hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2))), t)
+        h = hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2))
+        return _Batch(h, block_eig(h, SZ_SECTORS), t)
 
     return _evaluate(len(points), batch_at, names)
 
@@ -238,7 +291,7 @@ def _sweep_worker(point: tuple[float, ...], names: tuple[str, ...]) -> tuple[flo
     scalar = {
         "negativity": lambda: entanglement.negativity(rho),
         "chen_lb": lambda: entanglement.chen_lower_bound(rho),
-        "alb": lambda: entanglement.alb(rho, _antisym_basis33()),
+        "alb": lambda: entanglement.alb_mixture(spectrum, weights, _antisym_basis33()),
         "ub": lambda: entanglement.ub_mixture(spectrum, weights, QUTRIT_DIMS),
         "purity": lambda: thermal.purity(rho),
         "entropy": lambda: thermal.vn_entropy(rho),
@@ -297,9 +350,10 @@ _TS_MEASURES = ("negativity", "alb")
 def run_threshold(cfg: SweepConfig) -> str:
     """Sweep one axis, emitting measure-vanishing temperatures and tstar.
 
-    Per axis value, the Gibbs states of its one spectrum at the thermal.TS_SCAN
-    temperatures are evaluated in batches by every requested measure; the
-    bisection of thermal.vanishing_point then evaluates one state at a time.
+    Per axis value, H is solved once per total-Sz sector.  The Gibbs states of
+    that spectrum at the thermal.TS_SCAN temperatures are evaluated in batches
+    by every requested measure; the bisection of thermal.vanishing_point then
+    evaluates one state at a time from the same spectrum.
     """
     requested = cfg.measures or ("negativity",)
     for name in requested:
@@ -313,14 +367,15 @@ def run_threshold(cfg: SweepConfig) -> str:
     table = np.empty((len(points), len(requested) + 2))
     table[:, 0] = coords[:, 0]
     for row, (j, k, b1, b2, _) in zip(table, points.tolist()):
-        spectrum = sym_eig(hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2)))
-        scan = _evaluate(thermal.TS_GRID, lambda s: _Batch(spectrum, thermal.TS_SCAN[s]), requested)
+        h = hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2))
+        sectors = block_eig(h, SZ_SECTORS)
+        scan = _evaluate(thermal.TS_GRID, lambda s: _Batch(h, sectors, thermal.TS_SCAN[s]), requested)
         ts_vals = [
             thermal.vanishing_point(
-                scan[:, i], lambda t: _MEASURES[name](_Batch(spectrum, np.array([t])))[0])
+                scan[:, i], lambda t: _MEASURES[name](_Batch(h, sectors, np.array([t])))[0])
             for i, name in enumerate(requested)
         ]
-        t_ball = thermal.tstar(spectrum, QUTRIT_SPLIT)
+        t_ball = thermal.tstar(sym_eig(h), QUTRIT_SPLIT)
         for name, ts in zip(requested, ts_vals):
             if ts is not None and t_ball is not None and ts > t_ball + 1e-6:
                 raise ConsistencyError(

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qutritchain.numkernel import (
-    entropy_bits, masked_sum, maxabs, require_symmetric, sym_eig,
-)
+from qutritchain.numkernel import block_eig, entropy_bits, maxabs, require_symmetric, sym_eig
 
 
 def random_symmetric(rng, n):
@@ -83,12 +81,32 @@ def test_require_symmetric_checks_each_matrix_of_a_stack():
 
 
 def test_stacked_rows_sum_like_single_vectors():
-    # masked_sum and entropy_bits on a stack give the bits of a loop over rows
+    # entropy_bits on a stack gives the bits of a loop over rows
     rng = np.random.default_rng(16)
-    x = rng.normal(size=(200, 9))
-    mask = rng.random(size=x.shape) < rng.random(size=(200, 1))
-    assert np.array_equal(masked_sum(x, mask), [np.sum(r[m]) for r, m in zip(x, mask)])
-    p = np.where(mask, rng.random(size=x.shape), 0.0)
+    mask = rng.random(size=(200, 9)) < rng.random(size=(200, 1))
+    p = np.where(mask, rng.random(size=mask.shape), 0.0)
     p[~mask.any(axis=1), 0] = 1.0
     p /= p.sum(axis=1, keepdims=True)
     assert np.array_equal(entropy_bits(p), [entropy_bits(row) for row in p])
+
+
+def test_block_eig_solves_each_block():
+    rng = np.random.default_rng(17)
+    blocks = ((3,), (0, 4), (1, 2, 5))
+    stack = np.zeros((6, 6, 6))
+    for block in blocks:
+        idx = np.ix_(range(6), block, block)
+        stack[idx] = np.array([random_symmetric(rng, len(block)) for _ in range(6)])
+    stack[1, :3, :3] = stack[1, 3:, 3:] = 0.0  # degenerate levels in two blocks
+    spec = block_eig(stack, blocks)
+    for a, values, vectors in zip(stack, spec.values, spec.vectors):
+        assert maxabs((vectors * values) @ vectors.T - a) < 1e-12
+        assert maxabs(vectors.T @ vectors - np.eye(6)) < 1e-12
+        assert maxabs(np.sort(values) - np.linalg.eigvalsh(a)) < 1e-12
+        start = 0
+        for block in blocks:
+            levels = slice(start, start + len(block))
+            assert np.all(np.diff(values[levels]) >= 0)
+            outside = np.setdiff1d(np.arange(6), block)
+            assert not vectors[outside, levels].any()
+            start += len(block)
