@@ -2,12 +2,12 @@
 
 Output format: one header row, comma separators, newline line endings, every
 float printed with 12 significant digits.  Row order is the lexicographic
-product of the axis grids.  Grid points, and the scan temperatures of a
-threshold run, are evaluated in fixed-size batches, each one stack of Gibbs
-states built per total-Sz sector and read by every requested measure.  The
-same configuration gives byte-identical files on every rerun and for every
-batch size; each measure agrees with its single-state library function
-(_sweep_worker) to 1e-12, not bit for bit.
+product of the axis grids.  Grid points, and the scan and bisection states of
+a threshold run, are evaluated in batches of at most CHUNK_POINTS, each one
+stack of Gibbs states built per total-Sz sector and read by every requested
+measure.  The same configuration gives byte-identical files on every rerun
+and for every batch size; each measure agrees with its single-state library
+function (_sweep_worker) to 1e-12, not bit for bit.
 """
 
 from __future__ import annotations
@@ -350,10 +350,14 @@ _TS_MEASURES = ("negativity", "alb")
 def run_threshold(cfg: SweepConfig) -> str:
     """Sweep one axis, emitting measure-vanishing temperatures and tstar.
 
-    Per axis value, H is solved once per total-Sz sector.  The Gibbs states of
-    that spectrum at the thermal.TS_SCAN temperatures are evaluated in batches
-    by every requested measure; the bisection of thermal.vanishing_point then
-    evaluates one state at a time from the same spectrum.
+    Axis values run in groups of CHUNK_POINTS rows.  Per group, H is
+    assembled as one stack and solved once per total-Sz sector.  The Gibbs
+    states of every (row, thermal.TS_SCAN temperature) pair form one point
+    list, evaluated in batches by every requested measure.  Then
+    thermal.vanishing_point bisects all rows of a measure in lockstep, one
+    batch per step over the rows still bisecting, from the same sectors;
+    tstar comes from one stacked sym_eig.  The first row whose ts lies
+    beyond its tstar, in axis order, raises ConsistencyError.
     """
     requested = cfg.measures or ("negativity",)
     for name in requested:
@@ -366,23 +370,40 @@ def run_threshold(cfg: SweepConfig) -> str:
 
     table = np.empty((len(points), len(requested) + 2))
     table[:, 0] = coords[:, 0]
-    for row, (j, k, b1, b2, _) in zip(table, points.tolist()):
+    for start in range(0, len(points), CHUNK_POINTS):
+        group = table[start:start + CHUNK_POINTS]
+        j, k, b1, b2, _ = points[start:start + CHUNK_POINTS].T
         h = hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2))
         sectors = block_eig(h, SZ_SECTORS)
-        scan = _evaluate(thermal.TS_GRID, lambda s: _Batch(h, sectors, thermal.TS_SCAN[s]), requested)
-        ts_vals = [
-            thermal.vanishing_point(
-                scan[:, i], lambda t: _MEASURES[name](_Batch(h, sectors, np.array([t])))[0])
-            for i, name in enumerate(requested)
-        ]
-        t_ball = thermal.tstar(sym_eig(h), QUTRIT_SPLIT)
-        for name, ts in zip(requested, ts_vals):
-            if ts is not None and t_ball is not None and ts > t_ball + 1e-6:
-                raise ConsistencyError(
-                    f"{name} persists to T={ts:.6f} beyond the separable ball at T*={t_ball:.6f}"
-                )
-        # None becomes NaN, which _csv prints as an empty cell
-        row[1:] = [np.nan if t is None else t for t in (*ts_vals, t_ball)]
+
+        def batch(rows: np.ndarray, temperatures: np.ndarray) -> _Batch:
+            return _Batch(h[rows], Spectrum(sectors.values[rows], sectors.vectors[rows]),
+                          temperatures)
+
+        n = len(h) * thermal.TS_GRID
+
+        def scan_batch(pairs: slice) -> _Batch:
+            """The (row, TS_SCAN temperature) pairs in `pairs`, numbered row by row."""
+            rows, t = np.divmod(np.arange(*pairs.indices(n)), thermal.TS_GRID)
+            return batch(rows, thermal.TS_SCAN[t])
+
+        scan = _evaluate(n, scan_batch, requested)
+        for i, name in enumerate(requested):
+            # NaN where the measure never exceeds TS_TOL, which _csv prints as an empty cell
+            group[:, i + 1] = thermal.vanishing_point(
+                scan[:, i].reshape(len(h), thermal.TS_GRID),
+                lambda rows, temperatures: _MEASURES[name](batch(rows, temperatures)))
+        dense = sym_eig(h)
+        for row, values, vectors in zip(group, dense.values, dense.vectors):
+            t_ball = thermal.tstar(Spectrum(values, vectors), QUTRIT_SPLIT)
+            row[-1] = np.nan if t_ball is None else t_ball
+        beyond = group[:, 1:-1] > group[:, -1:] + 1e-6  # False where either cell is NaN
+        if beyond.any():
+            r, i = np.argwhere(beyond)[0]
+            raise ConsistencyError(
+                f"{requested[i]} persists to T={group[r, i + 1]:.6f} beyond the separable ball "
+                f"at T*={group[r, -1]:.6f}"
+            )
     header = [_AXIS_LABEL[axis]] + [f"ts_{name}" for name in requested] + ["tstar"]
     return _csv(header, table)
 

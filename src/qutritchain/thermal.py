@@ -144,29 +144,36 @@ def tstar(spectrum: Spectrum, dims: MultipartiteDims) -> Optional[float]:
     return 2.0 / (lo + hi)
 
 
-def vanishing_point(scan: np.ndarray, measure_at: Callable[[float], float]) -> Optional[float]:
-    """Largest temperature where a measure exceeds TS_TOL, from its values `scan`
-    at the TS_SCAN temperatures and `measure_at` for the bisection steps.
+def vanishing_point(
+    scan: np.ndarray, measure_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Largest temperature where a measure exceeds TS_TOL, per row of `scan`,
+    the measure's values at the TS_SCAN temperatures, shape (rows, TS_GRID).
 
-    The scan locates the last excursion above TS_TOL (the measure need not be
-    monotone in T), then bisection narrows the vanishing point to a width of
-    1e-6.  Returns None if the measure never exceeds TS_TOL, and TS_TMAX if it
-    is still above TS_TOL there (the estimate is truncated).
+    The scan locates each row's last excursion above TS_TOL (the measure need
+    not be monotone in T), then bisection narrows the vanishing point to a
+    width of 1e-6.  All rows bisect in lockstep: each step calls
+    measure_at(rows, temperatures) once, for the rows still wider than 1e-6 at
+    their midpoints.  A row stops by its own width test, so its midpoints and
+    result do not depend on the other rows.  Gives NaN where the measure never
+    exceeds TS_TOL, and TS_TMAX where it is still above TS_TOL there (the
+    estimate is truncated).
     """
-    above = np.nonzero(scan > TS_TOL)[0]
-    if above.size == 0:
-        return None
-    i = int(above[-1])
-    if i == TS_GRID - 1:
-        return TS_TMAX
-    lo, hi = float(TS_SCAN[i]), float(TS_SCAN[i + 1])
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if measure_at(mid) > TS_TOL:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    above = scan > TS_TOL
+    hit = above.any(axis=1)
+    last = TS_GRID - 1 - np.argmax(above[:, ::-1], axis=1)
+    ts = np.where(hit, TS_TMAX, np.nan)
+    rows = np.nonzero(hit & (last < TS_GRID - 1))[0]
+    lo, hi = TS_SCAN[last[rows]], TS_SCAN[last[rows] + 1]
+    wide = np.nonzero(hi - lo > 1e-6)[0]
+    while wide.size:
+        mid = 0.5 * (lo[wide] + hi[wide])
+        up = measure_at(rows[wide], mid) > TS_TOL
+        lo[wide[up]] = mid[up]
+        hi[wide[~up]] = mid[~up]
+        wide = wide[hi[wide] - lo[wide] > 1e-6]
+    ts[rows] = 0.5 * (lo + hi)
+    return ts
 
 
 def estimate_ts(
@@ -174,14 +181,16 @@ def estimate_ts(
 ) -> Optional[float]:
     """Largest temperature where `measure` on the Gibbs state exceeds TS_TOL.
 
-    The scalar reference of the batched threshold run: vanishing_point with
-    every state built and measured one at a time.
+    The scalar reference of the batched threshold run: vanishing_point on one
+    row, with every state built and measured one at a time.  None where the
+    measure never exceeds TS_TOL.
     """
 
-    def measure_at(t: float) -> float:
-        return measure(gibbs(spectrum, t, dims))
+    def measure_at(temperatures: np.ndarray) -> np.ndarray:
+        return np.array([measure(gibbs(spectrum, float(t), dims)) for t in temperatures])
 
-    return vanishing_point(np.array([measure_at(float(t)) for t in TS_SCAN]), measure_at)
+    ts = vanishing_point(measure_at(TS_SCAN)[None], lambda rows, t: measure_at(t))[0]
+    return None if np.isnan(ts) else float(ts)
 
 
 def vn_entropy(rho: DensityMatrix) -> float:

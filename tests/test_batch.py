@@ -1,6 +1,8 @@
 """The batched paths against the single-state references `_sweep_worker` and
 `thermal.estimate_ts`."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,40 +75,70 @@ def test_threshold_matches_scalar_estimate_ts(monkeypatch):
     vanishing_point = thermal.vanishing_point
 
     def traced(scan, measure_at):
-        steps = []  # every bisection step as (t, measure)
+        steps = [[] for _ in scan]  # every bisection step of each row as (t, measure)
         calls.append((scan, steps))
 
-        def step(t):
-            steps.append((t, measure_at(t)))
-            return steps[-1][1]
+        def step(rows, temperatures):
+            values = measure_at(rows, temperatures)
+            for row, t, v in zip(rows.tolist(), temperatures.tolist(), values.tolist()):
+                steps[row].append((t, v))
+            return values
 
         return vanishing_point(scan, step)
 
     monkeypatch.setattr(thermal, "vanishing_point", traced)
-    scalar = {"negativity": entanglement.negativity,
-              "alb": lambda rho: entanglement.alb(rho, sweeps._antisym_basis33())}
-    kinds = {name: set() for name in scalar}
+    names = ("negativity", "alb")
+    kinds = {name: set() for name in names}
     for b1, b2 in ((0.0, 0.0), (0.35, -0.35)):
-        cfg = SweepConfig(B1=b1, B2=b2, ranges={"k": AxisRange(-6.0, 0.0, 4)},
-                          measures=tuple(scalar))
+        cfg = SweepConfig(B1=b1, B2=b2, ranges={"k": AxisRange(-6.0, 0.0, 4)}, measures=names)
         run_threshold(cfg)
-        batched = calls[::-1]
+        batched = calls.copy()  # one lockstep call per measure, over every row
         calls.clear()
-        for k, *cells, t_ball in written.pop():
-            params = QutritChainParams(J=cfg.J, K=k, B1=b1, B2=b2)
-            spectrum = sym_eig(hamiltonian_qutrit(params))
-            for (name, measure), cell in zip(scalar.items(), cells):
-                want = thermal.estimate_ts(spectrum, QUTRIT_DIMS, measure)
+        assert [scan.shape for scan, _ in batched] == [(4, thermal.TS_GRID)] * len(names)
+        for row, (k, *cells, t_ball) in enumerate(written.pop()):
+            spectrum = sym_eig(hamiltonian_qutrit(QutritChainParams(J=cfg.J, K=k, B1=b1, B2=b2)))
+            v = spectrum.vectors
+            scalar = {
+                "negativity": entanglement.negativity,
+                # weights of rho in the H eigenbasis: those of rho are ill-determined at low T
+                "alb": lambda rho: entanglement.alb_mixture(
+                    spectrum, np.diagonal(v.T @ rho.mat @ v), sweeps._antisym_basis33()),
+            }
+            for name, cell, (scan, steps) in zip(names, cells, batched):
+                want = thermal.estimate_ts(spectrum, QUTRIT_DIMS, scalar[name])
                 assert cell == ("" if want is None else want)  # zero difference
-                (scan, steps), (want_scan, want_steps) = batched.pop(), calls.pop()
-                assert np.max(np.abs(scan - want_scan)) <= MAX_ABS_DIFF
+                [(want_scan, [want_steps])] = calls
+                calls.clear()
+                assert np.max(np.abs(scan[row] - want_scan[0])) <= MAX_ABS_DIFF
                 # the same midpoints, with values within MAX_ABS_DIFF
-                assert [t for t, _ in steps] == [t for t, _ in want_steps]
-                assert all(abs(v - w) <= MAX_ABS_DIFF for (_, v), (_, w) in zip(steps, want_steps))
+                assert [t for t, _ in steps[row]] == [t for t, _ in want_steps]
+                assert all(abs(x - y) <= MAX_ABS_DIFF
+                           for (_, x), (_, y) in zip(steps[row], want_steps))
                 kinds[name].add(want if want in (None, thermal.TS_TMAX) else "inside")
             assert t_ball == thermal.tstar(spectrum, QUTRIT_SPLIT)
-    for name in scalar:
+    for name in names:
         assert kinds[name] == {None, thermal.TS_TMAX, "inside"}
+
+
+def test_threshold_bisects_rows_in_lockstep(monkeypatch):
+    sizes = []
+
+    class Counted(sweeps._Batch):
+        def __init__(self, h, sectors, temperatures):
+            sizes.append(len(temperatures))
+            super().__init__(h, sectors, temperatures)
+
+    monkeypatch.setattr(sweeps, "_Batch", Counted)
+    cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
+                      measures=("negativity", "alb"))
+    want = run_threshold(cfg)
+    # the scan in stacks of CHUNK_POINTS pairs, then one stack per bisection step
+    # and measure: a one-row-at-a-time bisection would take 630 stacks more
+    assert len(sizes) <= math.ceil(21 * thermal.TS_GRID / sweeps.CHUNK_POINTS) + 2 * 16
+    sizes.clear()
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", 7)
+    assert run_threshold(cfg) == want
+    assert max(sizes) == 7
 
 
 # Two points (J, K, B1, B2, T) where alb(rho), taking the eigenvectors of rho,
@@ -143,13 +175,17 @@ def test_csv_independent_of_batch_size(monkeypatch):
     # 25 points: one default batch, 25 batches of one, and batches of 7 with a short last one
     cfg = SweepConfig(mode="grid-b1b2", K=-1.7, T=0.2, measures=MEASURE_NAMES,
                       ranges={"b1": AxisRange(-3.0, 3.0, 5), "b2": AxisRange(-3.0, 3.0, 5)})
-    # 400 scan temperatures per K: two default batches, or 400, or 58 of 7 with a short last one
-    threshold = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, 0.0, 2)},
-                            measures=("negativity", "alb"))
-    want = run_sweep(cfg), run_threshold(threshold)
+    # 9 K values per field: 3600 scan pairs in 15 default batches, or 3600, or 515 of 7
+    # that cut across rows; only the rows with inner cells bisect.  At B1 = -B2 = 0.35
+    # the cells are TS_TMAX or inner; at zero field also empty.
+    thresholds = [SweepConfig(B1=b1, B2=-b1, ranges={"k": AxisRange(-6.0, 0.0, 9)},
+                              measures=("negativity", "alb")) for b1 in (0.35, 0.0)]
+    want = run_sweep(cfg), [run_threshold(t) for t in thresholds]
+    cells = {cell for text in want[1] for line in text.split()[1:] for cell in line.split(",")[1:3]}
+    assert {"", "10"} < cells
     for size in (1, 7):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
-        assert (run_sweep(cfg), run_threshold(threshold)) == want
+        assert (run_sweep(cfg), [run_threshold(t) for t in thresholds]) == want
 
 
 def test_batch_rejects_nonpositive_temperature():

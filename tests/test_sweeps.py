@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qutritchain import sweeps, thermal
 from qutritchain.numkernel import sym_eig
 from qutritchain.qstate import BipartiteDims
 from qutritchain.spinmodels import QutritChainParams, hamiltonian_qutrit
@@ -148,6 +149,31 @@ def test_threshold_empty_field_when_never_entangled():
     for r in rows:
         assert r[1] is None                 # no threshold to report
         assert r[2] is not None and r[2] > 0
+
+
+def test_threshold_names_the_first_row_beyond_tstar(monkeypatch):
+    cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-6.0, 0.0, 9)},
+                      measures=("alb", "negativity"))
+    tables = []
+    monkeypatch.setattr(sweeps, "_csv", lambda header, table: tables.append(table) or "")
+    run_threshold(cfg)
+    [table] = tables
+    tstar, calls = thermal.tstar, []
+
+    def shrunk(spectrum, dims):
+        # tstar runs once per row in axis order; from the fourth row on it is 20 times too low
+        calls.append(None)
+        return tstar(spectrum, dims) * (0.05 if len(calls) > 3 else 1.0)
+
+    monkeypatch.setattr(thermal, "tstar", shrunk)
+    # in groups of two rows, the first row to break the check (3, for both measures) is
+    # the second of the second group; rows 4 to 6 break it too
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", 2)
+    ts, t_ball = table[3, 1], 0.05 * table[3, 3]
+    with pytest.raises(ConsistencyError) as err:
+        run_threshold(cfg)
+    assert str(err.value) == (
+        f"alb persists to T={ts:.6f} beyond the separable ball at T*={t_ball:.6f}")
 
 
 def test_spectrum_csv_matches_closed_forms():
