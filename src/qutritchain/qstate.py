@@ -89,19 +89,14 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "B") -> np.ndarray:
     return partial_transpose_of(rho.mat, rho.dims, subsystem)
 
 
-def partial_trace_of(mat: np.ndarray, dims: BipartiteDims, traced: str = "B") -> np.ndarray:
-    """Reduced state of a plain matrix, or of each matrix in a stack (..., d, d)."""
-    t = _split(mat, dims)
+def partial_trace(rho: DensityMatrix, traced: str = "B") -> np.ndarray:
+    """Reduced state after tracing out one subsystem, as a plain matrix."""
+    t = _split(rho.mat, rho.dims)
     if traced == "B":
         return np.einsum("...ikjk->...ij", t)
     if traced == "A":
         return np.einsum("...kikj->...ij", t)
     raise ValueError(f"traced must be 'A' or 'B', got {traced!r}")
-
-
-def partial_trace(rho: DensityMatrix, traced: str = "B") -> np.ndarray:
-    """Reduced state after tracing out one subsystem, as a plain matrix."""
-    return partial_trace_of(rho.mat, rho.dims, traced)
 
 
 def max_entangled(d: int) -> np.ndarray:

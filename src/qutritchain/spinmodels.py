@@ -13,6 +13,8 @@ Total Sz is conserved, which splits H into five blocks: two trivial ones
 (|1 1>, |-1 -1>), two 2x2 ones (spanned by {|1 0>, |0 1>} and
 {|-1 0>, |0 -1>}) whose eigenpairs are written in closed form below, and a
 central 3x3 block on span{|0 0>, |1 -1>, |-1 1>} that is kept numerical.
+H, the closed forms and the central block take fields given as arrays, so
+the spectrum subcommand runs in 256-point stacks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ _SQRT2 = math.sqrt(2.0)
 
 # Composite indices of the total-Sz = 0 block, in the order (|00>, |1 -1>, |-1 1>).
 CENTRAL_BLOCK_INDICES = (4, 2, 6)
+_CENTRAL = np.array(CENTRAL_BLOCK_INDICES)
+_OUTSIDE_CENTRAL = np.array([i for i in range(9) if i not in CENTRAL_BLOCK_INDICES])
+# math.hypot element by element: np.hypot is one ulp off it on some inputs.
+_HYPOT = np.frompyfunc(math.hypot, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -116,9 +122,12 @@ def closed_form_energies(p: QutritChainParams) -> ClosedFormEnergies:
 
     e1 and e9 belong to |1 1> and |-1 -1>; (e2, e3) and (e7, e8) are the
     eigenvalues of the total-Sz = +1 and -1 blocks.  The remaining three
-    eigenvalues come numerically from central_block().
+    eigenvalues come numerically from central_block().  Array fields give
+    arrays, bit for bit the scalar values.
     """
-    root = math.hypot(p.B1 - p.B2, 2.0 * p.J)
+    root = _HYPOT(p.B1 - p.B2, 2.0 * p.J)
+    if isinstance(root, np.ndarray):  # an object array from array fields
+        root = root.astype(float)
     half_sum = 0.5 * (p.B1 + p.B2)
     return ClosedFormEnergies(
         e1=p.J + p.B1 + p.B2 + p.K,
@@ -131,18 +140,19 @@ def closed_form_energies(p: QutritChainParams) -> ClosedFormEnergies:
 
 
 def central_block(p: QutritChainParams) -> np.ndarray:
-    """The 3x3 total-Sz = 0 block of H on (|00>, |1 -1>, |-1 1>).
+    """The 3x3 total-Sz = 0 block of H on (|00>, |1 -1>, |-1 1>); array
+    fields of `p` yield a (..., 3, 3) stack."""
+    return central_block_of(hamiltonian_qutrit(p))
 
-    The couplings leaving the block are identically zero by Sz conservation;
-    a nonzero residue means the Hamiltonian assembly regressed.
-    """
-    h = hamiltonian_qutrit(p)
-    idx = np.array(CENTRAL_BLOCK_INDICES)
-    rest = np.setdiff1d(np.arange(9), idx)
-    leak = maxabs(h[np.ix_(idx, rest)])
+
+def central_block_of(h: np.ndarray) -> np.ndarray:
+    """The central block of an assembled H, or of each in a stack.  The
+    couplings leaving it are zero by Sz conservation; a nonzero residue
+    means the Hamiltonian assembly regressed."""
+    leak = maxabs(h[..., _CENTRAL[:, None], _OUTSIDE_CENTRAL])
     if leak > 1e-14:
         raise RuntimeError(f"central block is not invariant: leakage {leak:.3e}")
-    return h[np.ix_(idx, idx)].copy()
+    return h[..., _CENTRAL[:, None], _CENTRAL]
 
 
 def hamiltonian_xy(p: XYParams) -> np.ndarray:

@@ -23,7 +23,7 @@ from . import densecode, entanglement, thermal
 from .numkernel import Spectrum, block_eig, entropy_bits, sym_eig
 from .qstate import BipartiteDims, DensityMatrix, check_density, partial_transpose_of
 from .spinmodels import (
-    SZ_DIFFERENCE_BLOCKS, SZ_SECTORS, QutritChainParams, central_block, closed_form_energies,
+    SZ_DIFFERENCE_BLOCKS, SZ_SECTORS, QutritChainParams, central_block_of, closed_form_energies,
     hamiltonian_qutrit,
 )
 from .thermal import MultipartiteDims
@@ -109,12 +109,6 @@ class SweepConfig:
     out: Optional[str] = None
 
 
-def _axis_range(cfg: SweepConfig, axis: str) -> AxisRange:
-    if axis in cfg.ranges:
-        return cfg.ranges[axis]
-    return AxisRange(*_DEFAULT_RANGES[axis])
-
-
 def _single_axis(cfg: SweepConfig, run: str) -> Optional[str]:
     """The one axis among k, b1 and b2 that has a range in `cfg`, or None."""
     axes = [a for a in ("k", "b1", "b2") if a in cfg.ranges]
@@ -168,17 +162,14 @@ class _Batch:
     one sector even at degeneracies.  So rho's eigenvalues are the weights,
     its reduced states are diagonal and its partial transpose and tau matrices
     split into blocks of at most 3x3: no measure solves an eigenproblem of
-    rho.  A single H is repeated for every temperature.  Every measure agrees
-    with the single-state reference (_sweep_worker) to 1e-12, and its bits
-    do not depend on how points are batched.
+    rho.  Every measure agrees with the single-state reference (_sweep_worker)
+    to 1e-12, and its bits do not depend on how points are batched.
     """
 
     def __init__(self, h: np.ndarray, sectors: Spectrum, temperatures: np.ndarray) -> None:
-        n = len(temperatures)
         self.h = h
         self.temperatures = temperatures
-        self.sectors = Spectrum(np.broadcast_to(sectors.values, (n, 9)),
-                                np.broadcast_to(sectors.vectors, (n, 9, 9)))
+        self.sectors = sectors
         self.weights = thermal.boltzmann_weights(self.sectors.values, temperatures)
         self.rho = check_density(
             thermal.mixture(self.sectors, self.weights), QUTRIT_DIMS, self.weights)
@@ -234,13 +225,11 @@ class _Batch:
         ub depends on the basis chosen inside degenerate levels, so it takes
         the eigenvectors of sym_eig, as the single-state reference does.
         """
-        n = len(self.temperatures)
         dense = sym_eig(self.h)
-        vectors = np.broadcast_to(dense.vectors, (n, 9, 9))
-        m = vectors.swapaxes(1, 2).reshape(-1, 9, 3, 3)
+        m = dense.vectors.swapaxes(1, 2).reshape(-1, 9, 3, 3)
         ra = m @ m.swapaxes(-1, -2)
         conc = np.sqrt(np.maximum(2.0 * (1.0 - (ra * ra).reshape(-1, 9, 9).sum(axis=-1)), 0.0))
-        w = thermal.boltzmann_weights(np.broadcast_to(dense.values, (n, 9)), self.temperatures)
+        w = thermal.boltzmann_weights(dense.values, self.temperatures)
         # summed level by level in order, skipping the levels ub_mixture skips
         return np.cumsum(np.where(w > entanglement.RANK_CUTOFF, w * conc, 0.0), axis=1)[:, -1]
 
@@ -316,7 +305,7 @@ def _grid(cfg: SweepConfig, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarr
     """The product grid over `axes`, outermost first: its axis coordinates, one
     column per axis, and its (J, K, B1, B2, T) rows.  No axes gives the one
     fixed point of `cfg`."""
-    ranges = [_axis_range(cfg, a) for a in axes]
+    ranges = [cfg.ranges.get(a) or AxisRange(*_DEFAULT_RANGES[a]) for a in axes]
     if math.prod(r.count for r in ranges) > MAX_GRID_POINTS:
         raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
     columns = {"j": cfg.J, "k": cfg.K, "b1": cfg.B1, "b2": cfg.B2, "t": cfg.T}
@@ -409,24 +398,41 @@ def run_threshold(cfg: SweepConfig) -> str:
 
 
 def run_spectrum(cfg: SweepConfig) -> str:
-    """Emit closed-form energy labels E1..E9 plus the residual against sym_eig."""
+    """Emit closed-form energy labels E1..E9 plus the residual against sym_eig,
+    in stacks of CHUNK_POINTS points: one H assembly, one eigvalsh of the
+    central blocks and one sym_eig per stack.  The first row, in axis order,
+    whose residual is not below SPECTRUM_RESIDUAL_TOL raises ConsistencyError.
+    """
     axis = _single_axis(cfg, "spectrum")
     _, points = _grid(cfg, (axis,) if axis else ())
 
     table = np.empty((len(points), 14))
     table[:, :4] = points[:, :4]
-    for row, (j, k, b1, b2, _) in zip(table, points.tolist()):
-        params = QutritChainParams(J=j, K=k, B1=b1, B2=b2)
+
+    def solve(rows: np.ndarray) -> None:
+        """Fill and check the energy and residual cells of `rows`, a view of table."""
+        params = QutritChainParams(*rows[:, :4].T)
+        h = hamiltonian_qutrit(params)
+        try:
+            inner = np.linalg.eigvalsh(central_block_of(h))
+            numerical = sym_eig(h).values
+        except ValueError:  # a row near the float limit stopped a solver
+            if len(rows) == 1:
+                raise
+            for i in range(len(rows)):  # row by row, so an earlier failing row reports first
+                solve(rows[i:i + 1])
+            return
         cf = closed_form_energies(params)
-        inner = np.linalg.eigvalsh(central_block(params))
-        numerical = sym_eig(hamiltonian_qutrit(params)).values
-        row[4:13] = [cf.e1, cf.e2, cf.e3, *inner, cf.e7, cf.e8, cf.e9]
-        residual = float(np.max(np.abs(np.sort(row[4:13]) - numerical)))
-        if not residual < SPECTRUM_RESIDUAL_TOL:  # a NaN residual fails too
-            raise ConsistencyError(
-                f"closed-form spectrum residual {residual:.3e} at (J={j}, K={k}, B1={b1}, B2={b2})"
-            )
-        row[13] = residual
+        rows[:, 4:13] = np.column_stack([cf.e1, cf.e2, cf.e3, inner, cf.e7, cf.e8, cf.e9])
+        rows[:, 13] = np.abs(np.sort(rows[:, 4:13]) - numerical).max(axis=1)
+        failed = ~(rows[:, 13] < SPECTRUM_RESIDUAL_TOL)  # a NaN residual fails too
+        if failed.any():
+            j, k, b1, b2, *_, residual = rows[np.argmax(failed)].tolist()
+            raise ConsistencyError(f"closed-form spectrum residual {residual:.3e} "
+                                   f"at (J={j}, K={k}, B1={b1}, B2={b2})")
+
+    for start in range(0, len(points), CHUNK_POINTS):
+        solve(table[start:start + CHUNK_POINTS])
     header = ["J", "K", "B1", "B2"] + [f"E{i}" for i in range(1, 10)] + ["residual"]
     return _csv(header, table)
 

@@ -8,10 +8,12 @@ import pytest
 
 from qutritchain import entanglement, sweeps, thermal
 from qutritchain.numkernel import sym_eig
-from qutritchain.spinmodels import QutritChainParams, hamiltonian_qutrit
+from qutritchain.spinmodels import (
+    QutritChainParams, central_block, closed_form_energies, hamiltonian_qutrit,
+)
 from qutritchain.sweeps import (
     MEASURE_NAMES, QUTRIT_DIMS, QUTRIT_SPLIT, SWEEP_MODES, AxisRange, SweepConfig, _measure_table,
-    _sweep_worker, run_sweep, run_threshold,
+    _sweep_worker, run_spectrum, run_sweep, run_threshold,
 )
 
 # Largest allowed gap between a batched measure and its single-state value.
@@ -171,6 +173,25 @@ def test_ub_takes_the_eigenvectors_of_the_reference():
     assert np.array_equal(_measure_table(points, ("ub",)), reference_table(points, ("ub",)))
 
 
+def test_spectrum_matches_scalar_rows_bit_for_bit(monkeypatch):
+    tables = []
+    monkeypatch.setattr(sweeps, "_csv", lambda header, table: tables.append(table) or "")
+    run_spectrum(SweepConfig(K=-1.7, B1=3.0, ranges={"b2": AxisRange(-6.0, 6.0, 3001)}))
+    [table] = tables
+    want = []
+    for b2 in np.linspace(-6.0, 6.0, 3001).tolist():
+        p = QutritChainParams(J=-1.0, K=-1.7, B1=3.0, B2=b2)
+        cf = closed_form_energies(p)
+        # the root is math.hypot's: np.hypot is one ulp off it on some of these rows
+        half_sum, root = 0.5 * (3.0 + b2), math.hypot(3.0 - b2, -2.0)
+        assert (cf.e2, cf.e8) == (half_sum - 1.7 + 0.5 * root, -half_sum - 1.7 - 0.5 * root)
+        labeled = [cf.e1, cf.e2, cf.e3, *np.linalg.eigvalsh(central_block(p)), cf.e7, cf.e8, cf.e9]
+        residual = np.max(np.abs(np.sort(labeled) - sym_eig(hamiltonian_qutrit(p)).values))
+        want.append([-1.0, -1.7, 3.0, b2, *labeled, residual])
+    # every cell, the residual too, bit for bit
+    assert table.tobytes() == np.array(want).tobytes()
+
+
 def test_csv_independent_of_batch_size(monkeypatch):
     # 25 points: one default batch, 25 batches of one, and batches of 7 with a short last one
     cfg = SweepConfig(mode="grid-b1b2", K=-1.7, T=0.2, measures=MEASURE_NAMES,
@@ -180,12 +201,15 @@ def test_csv_independent_of_batch_size(monkeypatch):
     # the cells are TS_TMAX or inner; at zero field also empty.
     thresholds = [SweepConfig(B1=b1, B2=-b1, ranges={"k": AxisRange(-6.0, 0.0, 9)},
                               measures=("negativity", "alb")) for b1 in (0.35, 0.0)]
-    want = run_sweep(cfg), [run_threshold(t) for t in thresholds]
+    # 25 B2 values through the closed forms, the central blocks and sym_eig
+    spectrum = SweepConfig(K=-1.7, B1=3.0, ranges={"b2": AxisRange(-6.0, 6.0, 25)})
+    want = run_sweep(cfg), [run_threshold(t) for t in thresholds], run_spectrum(spectrum)
     cells = {cell for text in want[1] for line in text.split()[1:] for cell in line.split(",")[1:3]}
     assert {"", "10"} < cells
     for size in (1, 7):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
-        assert (run_sweep(cfg), [run_threshold(t) for t in thresholds]) == want
+        assert (run_sweep(cfg), [run_threshold(t) for t in thresholds],
+                run_spectrum(spectrum)) == want
 
 
 def test_batch_rejects_nonpositive_temperature():

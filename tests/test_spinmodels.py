@@ -104,6 +104,25 @@ def test_central_block_indices():
     assert maxabs(block - h[np.ix_(idx, idx)]) == 0.0
 
 
+def test_stacked_closed_forms_and_central_blocks_match_scalar_calls():
+    rng = np.random.default_rng(37)
+    rows = [tuple(rng.uniform(-3.0, 3.0, size=4)) for _ in range(50)]
+    # B1 = B2; J = 0 with B1 = B2, where the root is 0; zero field
+    rows += [(-1.0, -1.7, 1.3, 1.3), (0.0, 0.4, -2.0, -2.0), (0.0, -1.0, 0.0, 0.0),
+             (1.5, -0.5, 0.0, 0.0)]
+    j, k, b1, b2 = np.array(rows).T
+    stacked = QutritChainParams(J=j, K=k, B1=b1, B2=b2)
+    levels = np.array(closed_form_energies(stacked))
+    blocks = central_block(stacked)
+    assert levels.shape == (6, len(rows)) and blocks.shape == (len(rows), 3, 3)
+    for i, row in enumerate(rows):
+        p = QutritChainParams(*(float(x) for x in row))
+        scalar = closed_form_energies(p)
+        assert all(type(e) is float for e in scalar)
+        assert levels[:, i].tobytes() == np.array(scalar).tobytes()  # bit for bit
+        assert blocks[i].tobytes() == central_block(p).tobytes()
+
+
 def test_xy_closed_form_matches_numerics():
     rng = np.random.default_rng(36)
     for _ in range(30):

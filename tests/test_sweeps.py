@@ -4,7 +4,9 @@ import pytest
 from qutritchain import sweeps, thermal
 from qutritchain.numkernel import sym_eig
 from qutritchain.qstate import BipartiteDims
-from qutritchain.spinmodels import QutritChainParams, hamiltonian_qutrit
+from qutritchain.spinmodels import (
+    QutritChainParams, central_block, closed_form_energies, hamiltonian_qutrit,
+)
 from qutritchain.thermal import ground_state
 from qutritchain.entanglement import negativity
 from qutritchain.sweeps import (
@@ -174,6 +176,45 @@ def test_threshold_names_the_first_row_beyond_tstar(monkeypatch):
         run_threshold(cfg)
     assert str(err.value) == (
         f"alb persists to T={ts:.6f} beyond the separable ball at T*={t_ball:.6f}")
+
+
+@pytest.mark.parametrize("chunk", [2, 5])
+def test_spectrum_names_the_first_failing_row(chunk, monkeypatch):
+    cfg = SweepConfig(K=-1.7, B1=3.0, ranges={"b2": AxisRange(-1.0, 1.0, 9)})
+    b2 = cfg.ranges["b2"].values()
+
+    def wrong_from_row_3(p):
+        cf = closed_form_energies(p)
+        return cf._replace(e1=np.where(p.B2 >= b2[3], cf.e1 + 1.0, cf.e1))
+
+    monkeypatch.setattr(sweeps, "closed_form_energies", wrong_from_row_3)
+    # in stacks of two rows, the first failing row (3) is the second of the second
+    # stack; in stacks of five, rows 3 and 4 fail in the first.  Rows 4 to 8 fail too
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", chunk)
+    p = QutritChainParams(J=-1.0, K=-1.7, B1=3.0, B2=float(b2[3]))
+    cf = closed_form_energies(p)
+    inner = np.linalg.eigvalsh(central_block(p))
+    labeled = np.sort([cf.e1 + 1.0, cf.e2, cf.e3, *inner, cf.e7, cf.e8, cf.e9])
+    residual = np.max(np.abs(labeled - sym_eig(hamiltonian_qutrit(p)).values))
+    with pytest.raises(ConsistencyError) as err:
+        run_spectrum(cfg)
+    assert str(err.value) == (f"closed-form spectrum residual {residual:.3e} "
+                              f"at (J=-1.0, K=-1.7, B1=3.0, B2={float(b2[3])})")
+    assert "np.float64(" not in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_spectrum_reports_a_failing_row_before_a_solver_error(monkeypatch):
+    # H overflows at K = 5e307, so the solvers raise on the stack of rows 0 to 2;
+    # row 0, which fails the residual check, must still report first
+    def wrong(p):
+        cf = closed_form_energies(p)
+        return cf._replace(e1=cf.e1 + 1.0)
+
+    monkeypatch.setattr(sweeps, "closed_form_energies", wrong)
+    cfg = SweepConfig(ranges={"k": AxisRange(-1.0, 1e308, 3)})
+    with pytest.raises(ConsistencyError, match=r"at \(J=-1.0, K=-1.0, B1=0.0, B2=0.0\)$"):
+        run_spectrum(cfg)
 
 
 def test_spectrum_csv_matches_closed_forms():
