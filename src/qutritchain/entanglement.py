@@ -74,9 +74,6 @@ class AntisymBasis:
     dims: BipartiteDims
     vectors: np.ndarray
 
-    def __len__(self) -> int:
-        return int(self.vectors.shape[0])
-
 
 def build_antisym_basis(dims: BipartiteDims) -> AntisymBasis:
     """All chi_a = t_{jk}^A x t_{lm}^B with t = |j>|k> - |k>|j>, j < k.

@@ -72,21 +72,14 @@ def _split(mat: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     return mat.reshape(mat.shape[:-2] + (dims.da, dims.db, dims.da, dims.db))
 
 
-def partial_transpose_of(mat: np.ndarray, dims: BipartiteDims, subsystem: str = "B") -> np.ndarray:
-    """Partial transpose of a plain matrix, or of each matrix in a stack (..., d, d)."""
-    t = _split(mat, dims)
-    if subsystem == "B":
-        out = t.swapaxes(-3, -1)
-    elif subsystem == "A":
-        out = t.swapaxes(-4, -2)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return out.reshape(mat.shape)
+def partial_transpose_of(mat: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """Partial transpose on subsystem B of a matrix, or of each in a stack (..., d, d)."""
+    return _split(mat, dims).swapaxes(-3, -1).reshape(mat.shape)
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: str = "B") -> np.ndarray:
-    """Partial transpose of `rho` on one subsystem, as a plain matrix."""
-    return partial_transpose_of(rho.mat, rho.dims, subsystem)
+def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+    """Partial transpose of `rho` on subsystem B, as a plain matrix."""
+    return partial_transpose_of(rho.mat, rho.dims)
 
 
 def partial_trace(rho: DensityMatrix, traced: str = "B") -> np.ndarray:
@@ -124,8 +117,7 @@ def dm_from_pure(v: np.ndarray, dims: BipartiteDims) -> DensityMatrix:
     return DensityMatrix(mat=np.outer(v, v), dims=dims)
 
 
-def purity_of(mat: np.ndarray) -> float | np.ndarray:
-    """Tr(rho^2) for a symmetric matrix given as a plain array, or for each in a stack."""
+def purity_of(mat: np.ndarray) -> float:
+    """Tr(rho^2) for a symmetric matrix given as a plain array."""
     m = np.asarray(mat, dtype=float)
-    p = (m * m).reshape(m.shape[:-2] + (-1,)).sum(axis=-1)
-    return float(p) if m.ndim == 2 else p
+    return float((m * m).sum())

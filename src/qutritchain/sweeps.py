@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -56,7 +56,7 @@ _DEFAULT_RANGES = {
     "t": (0.01, 2.0, 101),
 }
 
-# Residual ceiling for closed-form vs numerical spectra in spectrum runs.
+# Residual ceiling for closed-form vs numerical spectra, times max(1, largest |E| of the row).
 SPECTRUM_RESIDUAL_TOL = 1e-9
 
 # Grid points evaluated as one stack.  Larger batches save little time and
@@ -249,25 +249,47 @@ _MEASURES = {
 MEASURE_NAMES = tuple(_MEASURES)
 
 
-def _evaluate(n: int, batch_at: Callable[[slice], _Batch], names: tuple[str, ...]) -> np.ndarray:
-    """Measures `names` at n points, one column per name, from the batches of
-    CHUNK_POINTS points that `batch_at` builds for each slice of the points."""
+def _params_of(point: np.ndarray) -> str:
+    """The (J, K, B1, B2) of a point row, printed as Python floats."""
+    j, k, b1, b2 = point[:4].tolist()
+    return f"(J={j}, K={k}, B1={b1}, B2={b2})"
+
+
+def _solve(points: np.ndarray) -> tuple[np.ndarray, Spectrum]:
+    """H of each (J, K, B1, B2, ...) row of `points` as one stack, and its spectrum
+    solved per total-Sz sector; a row whose H overflows raises ValueError naming it."""
+    h = hamiltonian_qutrit(QutritChainParams(*points[:, :4].T))
+    finite = np.isfinite(h).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"Hamiltonian overflows at {_params_of(points[np.argmin(finite)])}")
+    return h, block_eig(h, SZ_SECTORS)
+
+
+def _evaluate(h: np.ndarray, sectors: Spectrum, rows: Optional[np.ndarray],
+              temperatures: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    """Measures `names`, one column each, of the Gibbs states of h[rows] at `temperatures`,
+    built from the sector spectrum of h in batches of CHUNK_POINTS states.  A row may
+    appear any number of times; rows None takes each row once, in order, without a copy."""
     parts = []
-    for i in range(0, n, CHUNK_POINTS):
-        batch = batch_at(slice(i, i + CHUNK_POINTS))
+    for i in range(0, len(temperatures), CHUNK_POINTS):
+        r = slice(i, i + CHUNK_POINTS) if rows is None else rows[i:i + CHUNK_POINTS]
+        batch = _Batch(h[r], Spectrum(sectors.values[r], sectors.vectors[r]),
+                       temperatures[i:i + CHUNK_POINTS])
         parts.append(np.column_stack([_MEASURES[name](batch) for name in names]))
     return np.concatenate(parts)
 
 
 def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-    """Measures `names` at each (J, K, B1, B2, T) row of `points`, one column per name."""
-
-    def batch_at(rows: slice) -> _Batch:
-        j, k, b1, b2, t = points[rows].T
-        h = hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2))
-        return _Batch(h, block_eig(h, SZ_SECTORS), t)
-
-    return _evaluate(len(points), batch_at, names)
+    """Measures `names` at each (J, K, B1, B2, T) row of `points`, one column
+    per name, solved and evaluated in groups of CHUNK_POINTS rows."""
+    parts = []
+    for start in range(0, len(points), CHUNK_POINTS):
+        group = points[start:start + CHUNK_POINTS]
+        # the last group's h and sectors are freed only after this solve, so malloc does not
+        # trim the heap between groups and fault it back in
+        h, sectors = _solve(group)
+        parts.append(_evaluate(h, sectors, None, group[:, 4], names))
+    return np.concatenate(parts)
 
 
 def _sweep_worker(point: tuple[float, ...], names: tuple[str, ...]) -> tuple[float, ...]:
@@ -339,14 +361,12 @@ _TS_MEASURES = ("negativity", "alb")
 def run_threshold(cfg: SweepConfig) -> str:
     """Sweep one axis, emitting measure-vanishing temperatures and tstar.
 
-    Axis values run in groups of CHUNK_POINTS rows.  Per group, H is
-    assembled as one stack and solved once per total-Sz sector.  The Gibbs
-    states of every (row, thermal.TS_SCAN temperature) pair form one point
-    list, evaluated in batches by every requested measure.  Then
-    thermal.vanishing_point bisects all rows of a measure in lockstep, one
-    batch per step over the rows still bisecting, from the same sectors;
-    tstar comes from one stacked sym_eig.  The first row whose ts lies
-    beyond its tstar, in axis order, raises ConsistencyError.
+    Axis values run in groups of CHUNK_POINTS rows, each solved once by _solve.
+    Every (row, thermal.TS_SCAN temperature) pair goes through _evaluate as one
+    point list, then thermal.vanishing_point bisects all rows of a measure in
+    lockstep, one _evaluate call per step.  tstar reads each row's sector levels
+    in ascending order.  The first row whose ts lies beyond its tstar, in axis
+    order, raises ConsistencyError.
     """
     requested = cfg.measures or ("negativity",)
     for name in requested:
@@ -361,30 +381,17 @@ def run_threshold(cfg: SweepConfig) -> str:
     table[:, 0] = coords[:, 0]
     for start in range(0, len(points), CHUNK_POINTS):
         group = table[start:start + CHUNK_POINTS]
-        j, k, b1, b2, _ = points[start:start + CHUNK_POINTS].T
-        h = hamiltonian_qutrit(QutritChainParams(J=j, K=k, B1=b1, B2=b2))
-        sectors = block_eig(h, SZ_SECTORS)
-
-        def batch(rows: np.ndarray, temperatures: np.ndarray) -> _Batch:
-            return _Batch(h[rows], Spectrum(sectors.values[rows], sectors.vectors[rows]),
-                          temperatures)
-
-        n = len(h) * thermal.TS_GRID
-
-        def scan_batch(pairs: slice) -> _Batch:
-            """The (row, TS_SCAN temperature) pairs in `pairs`, numbered row by row."""
-            rows, t = np.divmod(np.arange(*pairs.indices(n)), thermal.TS_GRID)
-            return batch(rows, thermal.TS_SCAN[t])
-
-        scan = _evaluate(n, scan_batch, requested)
+        h, sectors = _solve(points[start:start + CHUNK_POINTS])
+        scan = _evaluate(h, sectors, np.repeat(np.arange(len(h)), thermal.TS_GRID),
+                         np.tile(thermal.TS_SCAN, len(h)), requested)
         for i, name in enumerate(requested):
             # NaN where the measure never exceeds TS_TOL, which _csv prints as an empty cell
             group[:, i + 1] = thermal.vanishing_point(
                 scan[:, i].reshape(len(h), thermal.TS_GRID),
-                lambda rows, temperatures: _MEASURES[name](batch(rows, temperatures)))
-        dense = sym_eig(h)
-        for row, values, vectors in zip(group, dense.values, dense.vectors):
-            t_ball = thermal.tstar(Spectrum(values, vectors), QUTRIT_SPLIT)
+                lambda rows, temperatures: _evaluate(h, sectors, rows, temperatures, (name,))[:, 0])
+        for row, values, vectors in zip(group, sectors.values, sectors.vectors):
+            order = np.argsort(values)
+            t_ball = thermal.tstar(Spectrum(values[order], vectors[:, order]), QUTRIT_SPLIT)
             row[-1] = np.nan if t_ball is None else t_ball
         beyond = group[:, 1:-1] > group[:, -1:] + 1e-6  # False where either cell is NaN
         if beyond.any():
@@ -401,8 +408,8 @@ def run_spectrum(cfg: SweepConfig) -> str:
     """Emit closed-form energy labels E1..E9 plus the residual against sym_eig,
     in stacks of CHUNK_POINTS points: one H assembly, one eigvalsh of the
     central blocks and one sym_eig per stack.  The first row, in axis order,
-    whose residual is not below SPECTRUM_RESIDUAL_TOL raises ConsistencyError.
-    """
+    whose residual fails SPECTRUM_RESIDUAL_TOL raises ConsistencyError, or a
+    ValueError naming it if it stops a solver."""
     axis = _single_axis(cfg, "spectrum")
     _, points = _grid(cfg, (axis,) if axis else ())
 
@@ -416,20 +423,21 @@ def run_spectrum(cfg: SweepConfig) -> str:
         try:
             inner = np.linalg.eigvalsh(central_block_of(h))
             numerical = sym_eig(h).values
-        except ValueError:  # a row near the float limit stopped a solver
+        except ValueError as exc:  # a row near the float limit stopped a solver
             if len(rows) == 1:
-                raise
+                raise ValueError(f"{exc} at {_params_of(rows[0])}") from exc
             for i in range(len(rows)):  # row by row, so an earlier failing row reports first
                 solve(rows[i:i + 1])
             return
         cf = closed_form_energies(params)
         rows[:, 4:13] = np.column_stack([cf.e1, cf.e2, cf.e3, inner, cf.e7, cf.e8, cf.e9])
         rows[:, 13] = np.abs(np.sort(rows[:, 4:13]) - numerical).max(axis=1)
-        failed = ~(rows[:, 13] < SPECTRUM_RESIDUAL_TOL)  # a NaN residual fails too
+        scale = np.maximum(1.0, np.abs(numerical).max(axis=1))  # the row's largest |E|, or 1
+        failed = ~(rows[:, 13] < SPECTRUM_RESIDUAL_TOL * scale)  # a NaN residual fails too
         if failed.any():
-            j, k, b1, b2, *_, residual = rows[np.argmax(failed)].tolist()
-            raise ConsistencyError(f"closed-form spectrum residual {residual:.3e} "
-                                   f"at (J={j}, K={k}, B1={b1}, B2={b2})")
+            row = rows[np.argmax(failed)]
+            raise ConsistencyError(
+                f"closed-form spectrum residual {row[13]:.3e} at {_params_of(row)}")
 
     for start in range(0, len(points), CHUNK_POINTS):
         solve(table[start:start + CHUNK_POINTS])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qutritchain import entanglement, sweeps, thermal
-from qutritchain.numkernel import sym_eig
+from qutritchain.numkernel import block_eig, sym_eig
 from qutritchain.spinmodels import (
     QutritChainParams, central_block, closed_form_energies, hamiltonian_qutrit,
 )
@@ -141,6 +141,28 @@ def test_threshold_bisects_rows_in_lockstep(monkeypatch):
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", 7)
     assert run_threshold(cfg) == want
     assert max(sizes) == 7
+
+
+def test_threshold_solves_each_hamiltonian_once(monkeypatch):
+    cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
+                      measures=("negativity", "alb"))
+    want = run_threshold(cfg)
+    solved = []
+
+    def counted(h, blocks):
+        solved.append(len(h))
+        return block_eig(h, blocks)
+
+    def dense(h):
+        raise AssertionError("a threshold run solves H by sectors only")
+
+    monkeypatch.setattr(sweeps, "block_eig", counted)
+    monkeypatch.setattr(sweeps, "sym_eig", dense)
+    for size, groups in ((256, [21]), (7, [7, 7, 7])):
+        monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
+        assert run_threshold(cfg) == want
+        assert solved == groups  # one sector solve per group of rows, for scan, bisection and tstar
+        solved.clear()
 
 
 # Two points (J, K, B1, B2, T) where alb(rho), taking the eigenvectors of rho,

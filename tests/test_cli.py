@@ -136,9 +136,20 @@ def test_out_of_range_inputs_return_config_error(tmp_path, capsys):
     assert main(["report", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # H is assembled without an overflow warning
 def test_overflowing_hamiltonian_returns_consistency_code(capsys):
-    assert main(["report", "--K", "1e308"]) == 3
+    for argv in (["sweep", "--K=1e308", "--range-b1=0:1:3", "--range-b2=0:1:3"],
+                 ["threshold", "--K=1e308", "--range-b1=0:1:3"],
+                 ["spectrum", "--K=1e308"],
+                 ["report", "--K", "1e308"]):
+        assert main(argv) == 3
+        assert "at (J=-1.0, K=1e+308, B1=0.0, B2=0.0)" in capsys.readouterr().err
+
+
+def test_spectrum_residual_scales_with_the_levels(capsys):
+    # one ulp of levels near 4e7 is above 1e-9, so an absolute tolerance fails K = 1e7
+    assert main(["spectrum", "--range-k=1e7:1e9:300"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 _NUMBERS = ["0", "1", "-1", "0.3", "nan", "inf", "-inf", "1e308", "-1e308"]

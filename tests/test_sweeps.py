@@ -203,7 +203,6 @@ def test_spectrum_names_the_first_failing_row(chunk, monkeypatch):
     assert "np.float64(" not in str(err.value)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_spectrum_reports_a_failing_row_before_a_solver_error(monkeypatch):
     # H overflows at K = 5e307, so the solvers raise on the stack of rows 0 to 2;
     # row 0, which fails the residual check, must still report first
