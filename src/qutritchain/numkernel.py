@@ -1,9 +1,10 @@
 """Dense numerical kernels for the small matrices used across the package.
 
 Every operator handled here is real in its computational basis, so the
-symmetric eigensolver is the single spectral workhorse.  Complex arithmetic
-is only needed for plain matrix products (unitary conjugations in the
-dense-coding routines) and never for an eigenproblem.
+symmetric eigensolver is the single spectral workhorse: block_eig holds the
+one np.linalg.eigh call, and sym_eig is block_eig with one block.  Complex
+arithmetic is only needed for plain matrix products (unitary conjugations in
+the dense-coding routines) and never for an eigenproblem.
 """
 
 from __future__ import annotations
@@ -63,16 +64,10 @@ class Spectrum:
 
 
 def sym_eig(a: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a real symmetric matrix, or of each in a stack.
-
-    The input must be symmetric within SYMMETRY_RTOL (relative to its largest
-    entry); it is symmetrized before the solve so round-off in the caller's
-    assembly cannot leak into the decomposition.  Deterministic for identical
-    input bytes.
-    """
-    a = require_symmetric(a)
-    values, vectors = np.linalg.eigh(0.5 * (a + a.swapaxes(-1, -2)))
-    return Spectrum(values=values, vectors=vectors)
+    """Full eigendecomposition of a real symmetric matrix, or of each in a stack:
+    block_eig with one block over all indices, so levels ascend.  Deterministic
+    for identical input bytes."""
+    return block_eig(a, (tuple(range(np.shape(a)[-1])),))
 
 
 def block_eig(a: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> Spectrum:
@@ -82,8 +77,10 @@ def block_eig(a: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> Spectrum:
     Levels are numbered block by block in the order of `blocks`, ascending
     within each block, and each eigenvector is zero outside its block, also
     where levels of two blocks are degenerate.  Entries outside the blocks are
-    taken to be zero and are not read.  The symmetry check and the
-    symmetrization are those of sym_eig.
+    taken to be zero and are not read.  The input must pass require_symmetric,
+    and each block goes to np.linalg.eigh as given, which reads only its lower
+    triangle: the package passes matrices symmetric bit for bit, as
+    hamiltonian_qutrit assembles them.
     """
     a = require_symmetric(a)
     values = np.empty(a.shape[:-1])
@@ -92,13 +89,8 @@ def block_eig(a: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> Spectrum:
     for block in blocks:
         idx = np.array(block)
         levels = np.arange(start, start + len(block))
-        sub = a[..., idx[:, None], idx]
-        if len(block) == 1:
-            values[..., levels] = sub[..., 0]
-            vectors[..., idx, levels] = 1.0
-        else:
-            values[..., levels], vectors[..., idx[:, None], levels] = np.linalg.eigh(
-                0.5 * (sub + sub.swapaxes(-1, -2)))
+        values[..., levels], vectors[..., idx[:, None], levels] = np.linalg.eigh(
+            a[..., idx[:, None], idx])
         start += len(block)
     return Spectrum(values=values, vectors=vectors)
 

@@ -257,12 +257,17 @@ def _params_of(point: np.ndarray) -> str:
 
 def _solve(points: np.ndarray) -> tuple[np.ndarray, Spectrum]:
     """H of each (J, K, B1, B2, ...) row of `points` as one stack, and its spectrum
-    solved per total-Sz sector; a row whose H overflows raises ValueError naming it."""
+    solved per total-Sz sector.  The first row whose H is not finite, or whose levels
+    span more than the float range, raises ValueError naming it."""
     h = hamiltonian_qutrit(QutritChainParams(*points[:, :4].T))
     finite = np.isfinite(h).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"Hamiltonian overflows at {_params_of(points[np.argmin(finite)])}")
-    return h, block_eig(h, SZ_SECTORS)
+    h[~finite] = 0.0  # solvable; such a row raises below
+    sectors = block_eig(h, SZ_SECTORS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = finite & np.isfinite(sectors.values.max(axis=1) - sectors.values.min(axis=1))
+    if not ok.all():
+        raise ValueError(f"Hamiltonian overflows at {_params_of(points[np.argmin(ok)])}")
+    return h, sectors
 
 
 def _evaluate(h: np.ndarray, sectors: Spectrum, rows: Optional[np.ndarray],
@@ -407,40 +412,33 @@ def run_threshold(cfg: SweepConfig) -> str:
 def run_spectrum(cfg: SweepConfig) -> str:
     """Emit closed-form energy labels E1..E9 plus the residual against sym_eig,
     in stacks of CHUNK_POINTS points: one H assembly, one eigvalsh of the
-    central blocks and one sym_eig per stack.  The first row, in axis order,
-    whose residual fails SPECTRUM_RESIDUAL_TOL raises ConsistencyError, or a
-    ValueError naming it if it stops a solver."""
+    central blocks and one sym_eig per stack.  A row whose H is not finite gets
+    NaN levels.  The first row, in axis order, whose residual fails
+    SPECTRUM_RESIDUAL_TOL (a NaN fails) raises ConsistencyError naming it."""
     axis = _single_axis(cfg, "spectrum")
     _, points = _grid(cfg, (axis,) if axis else ())
 
     table = np.empty((len(points), 14))
     table[:, :4] = points[:, :4]
-
-    def solve(rows: np.ndarray) -> None:
-        """Fill and check the energy and residual cells of `rows`, a view of table."""
+    for start in range(0, len(points), CHUNK_POINTS):
+        rows = table[start:start + CHUNK_POINTS]
         params = QutritChainParams(*rows[:, :4].T)
         h = hamiltonian_qutrit(params)
-        try:
-            inner = np.linalg.eigvalsh(central_block_of(h))
-            numerical = sym_eig(h).values
-        except ValueError as exc:  # a row near the float limit stopped a solver
-            if len(rows) == 1:
-                raise ValueError(f"{exc} at {_params_of(rows[0])}") from exc
-            for i in range(len(rows)):  # row by row, so an earlier failing row reports first
-                solve(rows[i:i + 1])
-            return
-        cf = closed_form_energies(params)
-        rows[:, 4:13] = np.column_stack([cf.e1, cf.e2, cf.e3, inner, cf.e7, cf.e8, cf.e9])
-        rows[:, 13] = np.abs(np.sort(rows[:, 4:13]) - numerical).max(axis=1)
-        scale = np.maximum(1.0, np.abs(numerical).max(axis=1))  # the row's largest |E|, or 1
-        failed = ~(rows[:, 13] < SPECTRUM_RESIDUAL_TOL * scale)  # a NaN residual fails too
+        bad = ~np.isfinite(h).all(axis=(1, 2))
+        h[bad] = 0.0  # solvable; such a row gets NaN levels
+        inner = np.linalg.eigvalsh(central_block_of(h))
+        numerical = sym_eig(h).values
+        inner[bad] = numerical[bad] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            cf = closed_form_energies(params)
+            rows[:, 4:13] = np.column_stack([cf.e1, cf.e2, cf.e3, inner, cf.e7, cf.e8, cf.e9])
+            rows[:, 13] = np.abs(np.sort(rows[:, 4:13]) - numerical).max(axis=1)
+            scale = np.maximum(1.0, np.abs(numerical).max(axis=1))  # the row's largest |E|, or 1
+            failed = ~(rows[:, 13] < SPECTRUM_RESIDUAL_TOL * scale)
         if failed.any():
             row = rows[np.argmax(failed)]
             raise ConsistencyError(
                 f"closed-form spectrum residual {row[13]:.3e} at {_params_of(row)}")
-
-    for start in range(0, len(points), CHUNK_POINTS):
-        solve(table[start:start + CHUNK_POINTS])
     header = ["J", "K", "B1", "B2"] + [f"E{i}" for i in range(1, 10)] + ["residual"]
     return _csv(header, table)
 

@@ -65,7 +65,8 @@ def boltzmann_weights(energies: np.ndarray, temperature: float | np.ndarray) -> 
     if not (t > 0.0).all():
         raise ValueError(f"temperature must be positive, got {temperature}")
     e = np.asarray(energies, dtype=float)
-    w = np.exp((e.min(axis=-1, keepdims=True) - e) / t)
+    with np.errstate(over="ignore"):  # an exponent below the float range is a weight of 0
+        w = np.exp((e.min(axis=-1, keepdims=True) - e) / t)
     return w / w.sum(axis=-1, keepdims=True)
 
 

@@ -136,14 +136,37 @@ def test_out_of_range_inputs_return_config_error(tmp_path, capsys):
     assert main(["report", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.filterwarnings("error")  # H is assembled without an overflow warning
+@pytest.mark.filterwarnings("error")  # H is assembled and solved without an overflow warning
 def test_overflowing_hamiltonian_returns_consistency_code(capsys):
-    for argv in (["sweep", "--K=1e308", "--range-b1=0:1:3", "--range-b2=0:1:3"],
-                 ["threshold", "--K=1e308", "--range-b1=0:1:3"],
-                 ["spectrum", "--K=1e308"],
-                 ["report", "--K", "1e308"]):
-        assert main(argv) == 3
-        assert "at (J=-1.0, K=1e+308, B1=0.0, B2=0.0)" in capsys.readouterr().err
+    # H, or the spread of its levels, overflows; each run names its first such row
+    k_row = "J=-1.0, K=1e+308, B1=0.0, B2=0.0"
+    for argv, row in (
+        (["sweep", "--K=1e308", "--range-b1=0:1:3", "--range-b2=0:1:3"], k_row),
+        (["threshold", "--K=1e308", "--range-b1=0:1:3"], k_row),
+        (["spectrum", "--K=1e308"], k_row),
+        (["report", "--K", "1e308"], k_row),
+        (["threshold", "--B1=1e308"], "J=-1.0, K=-2.0, B1=1e+308, B2=0.0"),
+        (["report", "--B1=1e308"], "J=-1.0, K=-1.0, B1=1e+308, B2=0.0"),
+        (["report", "--J=7e307"], "J=7e+307, K=-1.0, B1=0.0, B2=0.0"),
+        (["sweep", "--J=1e308", "--range-b1=0:1:3", "--range-b2=0:1:3"],
+         "J=1e+308, K=-1.0, B1=0.0, B2=0.0"),
+        (["spectrum", "--K=1e8", "--range-k=1e8:1e308:3"], "J=-1.0, K=5e+307, B1=0.0, B2=0.0"),
+        (["spectrum", "--B1=1e308", "--B2=1e308"], "J=-1.0, K=-1.0, B1=1e+308, B2=1e+308"),
+    ):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("numerical consistency failure: "), argv
+        assert err.endswith(f" at ({row})\n") and err.count("\n") == 1, argv
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_temperatures_give_zero_weights_without_a_warning(capsys):
+    # exp of an exponent far below the float range is a Boltzmann weight of 0
+    for argv in (["report", "--T=1e-310"],
+                 ["report", "--B1=8e307", "--T=0.5"],
+                 ["sweep", "--mode", "grid-kt", "--range-t=1e-310:1:3", "--range-k=-1:0:2"]):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def test_spectrum_residual_scales_with_the_levels(capsys):
@@ -198,7 +221,6 @@ def _with_pinned(test):
     return test
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from 1e308 inputs
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_ARGV,

@@ -45,6 +45,21 @@ def test_hamiltonian_symmetric_and_trace():
         assert abs(np.trace(h) - 12.0 * p.K) < 1e-12
 
 
+def test_hamiltonian_is_symmetric_bit_for_bit_and_solved_as_given():
+    # the solvers pass H to eigh unsymmetrized, which reads only one triangle
+    rng = np.random.default_rng(34)
+    extremes = [1e300, -1e300, 0.0, 1.0, -0.3]
+    grid = np.array(np.meshgrid(*[extremes] * 4, indexing="ij")).reshape(4, -1)
+    for fields in (rng.uniform(-3.0, 3.0, size=(4, 500)), grid):
+        h = hamiltonian_qutrit(QutritChainParams(*fields))
+        assert np.array_equal(h, h.swapaxes(-1, -2))
+    a = rng.normal(size=(200, 9, 9))
+    a += a.swapaxes(-1, -2)
+    spec, ref = sym_eig(a), np.linalg.eigh(a)
+    assert np.array_equal(spec.values, ref.eigenvalues)
+    assert np.array_equal(spec.vectors, ref.eigenvectors)
+
+
 def test_hamiltonian_conserves_total_sz():
     rng = np.random.default_rng(32)
     _, _, sz = spin1_operators()

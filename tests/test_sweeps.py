@@ -204,8 +204,8 @@ def test_spectrum_names_the_first_failing_row(chunk, monkeypatch):
 
 
 def test_spectrum_reports_a_failing_row_before_a_solver_error(monkeypatch):
-    # H overflows at K = 5e307, so the solvers raise on the stack of rows 0 to 2;
-    # row 0, which fails the residual check, must still report first
+    # the levels overflow at K = 5e307 and H at K = 1e308, so rows 1 and 2 fail the
+    # residual check too; row 0, which fails it through the closed forms, must report first
     def wrong(p):
         cf = closed_form_energies(p)
         return cf._replace(e1=cf.e1 + 1.0)
