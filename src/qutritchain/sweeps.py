@@ -138,9 +138,9 @@ def _tau_blocks() -> list[tuple[np.ndarray, ...]]:
     has a total-Sz charge q_a and couples sector s only to sector q_a - s, so
     tau_a is a direct sum of the blocks (s, q_a - s), each of at most 3x3; a
     block off the diagonal appears with its transpose, so its singular values
-    count twice.  The blocks are grouped by shape, each taken with no more
-    rows than columns: per group, the chi index of each block, its rows, its
-    columns and its multiplicity.
+    count twice; a block (s, s) is symmetric, as tau_a is.  The blocks are
+    grouped by shape, each taken with no more rows than columns: per group, the
+    chi index of each block, its rows, its columns and its multiplicity.
     """
     levels = np.split(np.arange(9), np.cumsum([len(s) for s in SZ_SECTORS])[:-1])
     groups: dict[tuple[int, int], list] = {}
@@ -152,6 +152,36 @@ def _tau_blocks() -> list[tuple[np.ndarray, ...]]:
                     groups.setdefault((len(rows), len(cols)), []).append(
                         (a, rows, cols, 1.0 if i == j else 2.0))
     return [tuple(np.array(x) for x in zip(*g)) for g in groups.values()]
+
+
+def _rotation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """hypot(x, y), and the cosine and sine of the rotation taking (x, y) to (hypot, 0)."""
+    r = np.hypot(x, y)
+    safe = np.where(r > 0.0, r, 1.0)
+    return r, np.where(r > 0.0, x / safe, 1.0), y / safe
+
+
+def _top_and_sum(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest singular value and the sum of the singular values of each block
+    of a stack (..., rows, columns), for the shapes of _tau_blocks: 1xN, 2x2, 2x3
+    and symmetric 3x3.  Both agree with np.linalg.svd to a few eps times the
+    largest singular value, without an SVD."""
+    if blocks.shape[-2] == 1:  # a row: its norm is its one singular value
+        z = np.linalg.norm(blocks, axis=(-2, -1))
+        return z, z
+    if blocks.shape[-2] == 3:  # symmetric: the singular values are the |eigenvalues|
+        z = np.abs(np.linalg.eigvalsh(blocks))
+        return z.max(axis=-1), z.sum(axis=-1)
+    (a, b, *e), (c, d, *f) = np.moveaxis(blocks, (-2, -1), (0, 1))
+    if e:  # 2x3: rotate columns so that the first row is (a, 0, 0), then the third column to 0
+        b, cos, sin = _rotation(b, e[0])
+        d, f = cos * d + sin * f[0], cos * f[0] - sin * d
+        a, cos, sin = _rotation(a, b)
+        c, d = cos * c + sin * d, cos * d - sin * c
+        b, d = np.zeros_like(a), np.hypot(d, f)
+    # [[a, b], [c, d]] has singular values (p + q) / 2 and |p - q| / 2
+    p, q = np.hypot(a + d, c - b), np.hypot(a - d, c + b)
+    return 0.5 * (p + q), np.maximum(p, q)
 
 
 class _Batch:
@@ -200,7 +230,7 @@ class _Batch:
         return self.reduced_entropy("A")
 
     def alb(self) -> np.ndarray:
-        """entanglement.alb_mixture over the sector eigenvectors, block by block of each tau matrix."""
+        """entanglement.alb_mixture over the sector eigenvectors, by _top_and_sum per tau block."""
         w = self.weights
         y = self.sectors.vectors * np.sqrt(np.where(w > entanglement.RANK_CUTOFF, w, 0.0))[:, None, :]
         chis = _antisym_basis33().vectors.reshape(-1, 9, 9)
@@ -210,12 +240,9 @@ class _Batch:
             # Y_rows^T C_a Y_cols for each block, shape (points, blocks, rows, columns)
             blocks = (y[:, :, rows].transpose(0, 2, 3, 1) @ chis[a]
                       @ y[:, :, cols].transpose(0, 2, 1, 3))
-            if rows.shape[1] == 1:  # a row: its norm is its one singular value
-                z = np.linalg.norm(blocks, axis=(-2, -1))[..., None]
-            else:
-                z = np.linalg.svd(blocks, compute_uv=False)
-            np.maximum.at(top, a, z[..., 0].T)
-            np.add.at(total, a, multiplicity[:, None] * z.sum(axis=-1).T)
+            largest, summed = _top_and_sum(blocks)
+            np.maximum.at(top, a, largest.T)
+            np.add.at(total, a, multiplicity[:, None] * summed.T)
         # z1 - (z2 + z3 + ...) for each tau matrix, the best of them, and 0
         return np.maximum((2.0 * top - total).max(axis=0), 0.0)
 
@@ -256,13 +283,21 @@ def _params_of(point: np.ndarray) -> str:
 
 
 def _solve(points: np.ndarray) -> tuple[np.ndarray, Spectrum]:
-    """H of each (J, K, B1, B2, ...) row of `points` as one stack, and its spectrum
-    solved per total-Sz sector.  The first row whose H is not finite, or whose levels
-    span more than the float range, raises ValueError naming it."""
+    """H of each (J, K, B1, B2, ...) row of `points` as one stack, and its spectrum solved
+    per total-Sz sector.  ValueError names the first row eigh fails on, else the first
+    whose H is not finite or whose levels span more than the float range."""
     h = hamiltonian_qutrit(QutritChainParams(*points[:, :4].T))
     finite = np.isfinite(h).all(axis=(1, 2))
     h[~finite] = 0.0  # solvable; such a row raises below
-    sectors = block_eig(h, SZ_SECTORS)
+    try:
+        sectors = block_eig(h, SZ_SECTORS)
+    except np.linalg.LinAlgError:
+        for point, hi in zip(points, h):  # one row at a time, only to name the first that fails
+            try:
+                block_eig(hi[None], SZ_SECTORS)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"Eigenvalues did not converge at {_params_of(point)}") from None
+        raise
     with np.errstate(over="ignore", invalid="ignore"):
         ok = finite & np.isfinite(sectors.values.max(axis=1) - sectors.values.min(axis=1))
     if not ok.all():
@@ -281,7 +316,7 @@ def _evaluate(h: np.ndarray, sectors: Spectrum, rows: Optional[np.ndarray],
         batch = _Batch(h[r], Spectrum(sectors.values[r], sectors.vectors[r]),
                        temperatures[i:i + CHUNK_POINTS])
         parts.append(np.column_stack([_MEASURES[name](batch) for name in names]))
-    return np.concatenate(parts)
+    return np.concatenate(parts) if parts else np.empty((0, len(names)))
 
 
 def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
@@ -367,11 +402,13 @@ def run_threshold(cfg: SweepConfig) -> str:
     """Sweep one axis, emitting measure-vanishing temperatures and tstar.
 
     Axis values run in groups of CHUNK_POINTS rows, each solved once by _solve.
-    Every (row, thermal.TS_SCAN temperature) pair goes through _evaluate as one
-    point list, then thermal.vanishing_point bisects all rows of a measure in
-    lockstep, one _evaluate call per step.  tstar reads each row's sector levels
-    in ascending order.  The first row whose ts lies beyond its tstar, in axis
-    order, raises ConsistencyError.
+    tstar reads each row's sector levels in ascending order; above it every
+    measure is 0.  So a row scans thermal.TS_SCAN up to its tstar and at one
+    witness point, the next (TS_SCAN[0] if tstar is None), and the rest only if
+    a measure exceeds TS_TOL there.  All rows' scan pairs go through _evaluate
+    as one point list, then thermal.vanishing_point bisects all rows of a
+    measure in lockstep, one _evaluate call per step.  The first row whose ts
+    lies beyond its tstar, in axis order, raises ConsistencyError.
     """
     requested = cfg.measures or ("negativity",)
     for name in requested:
@@ -384,20 +421,28 @@ def run_threshold(cfg: SweepConfig) -> str:
 
     table = np.empty((len(points), len(requested) + 2))
     table[:, 0] = coords[:, 0]
+    columns = np.arange(thermal.TS_GRID)
     for start in range(0, len(points), CHUNK_POINTS):
         group = table[start:start + CHUNK_POINTS]
         h, sectors = _solve(points[start:start + CHUNK_POINTS])
-        scan = _evaluate(h, sectors, np.repeat(np.arange(len(h)), thermal.TS_GRID),
-                         np.tile(thermal.TS_SCAN, len(h)), requested)
-        for i, name in enumerate(requested):
-            # NaN where the measure never exceeds TS_TOL, which _csv prints as an empty cell
-            group[:, i + 1] = thermal.vanishing_point(
-                scan[:, i].reshape(len(h), thermal.TS_GRID),
-                lambda rows, temperatures: _evaluate(h, sectors, rows, temperatures, (name,))[:, 0])
         for row, values, vectors in zip(group, sectors.values, sectors.vectors):
             order = np.argsort(values)
             t_ball = thermal.tstar(Spectrum(values[order], vectors[:, order]), QUTRIT_SPLIT)
             row[-1] = np.nan if t_ball is None else t_ball
+        # each row's first scan point above its T*, TS_SCAN[0] where T* is None
+        witness = np.searchsorted(thermal.TS_SCAN, np.nan_to_num(group[:, -1]), side="right")
+        scan = np.zeros((len(h), thermal.TS_GRID, len(requested)))  # 0 where not scanned
+        r, c = np.nonzero(columns <= witness[:, None])
+        scan[r, c] = _evaluate(h, sectors, r, thermal.TS_SCAN[c], requested)
+        # a row with a measure above TS_TOL at its witness point scans in full
+        at = scan[np.arange(len(h)), np.minimum(witness, thermal.TS_GRID - 1)]
+        r, c = np.nonzero((columns > witness[:, None]) & (at > thermal.TS_TOL).any(axis=1)[:, None])
+        scan[r, c] = _evaluate(h, sectors, r, thermal.TS_SCAN[c], requested)
+        for i, name in enumerate(requested):
+            # NaN where the measure never exceeds TS_TOL, which _csv prints as an empty cell
+            group[:, i + 1] = thermal.vanishing_point(
+                scan[:, :, i],
+                lambda rows, temperatures: _evaluate(h, sectors, rows, temperatures, (name,))[:, 0])
         beyond = group[:, 1:-1] > group[:, -1:] + 1e-6  # False where either cell is NaN
         if beyond.any():
             r, i = np.argwhere(beyond)[0]

@@ -143,6 +143,73 @@ def test_threshold_bisects_rows_in_lockstep(monkeypatch):
     assert max(sizes) == 7
 
 
+_THRESHOLD_K = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
+                           measures=("negativity", "alb"))
+
+
+def test_threshold_scans_only_to_tstar(monkeypatch):
+    sizes = []
+
+    class Counted(sweeps._Batch):
+        def __init__(self, h, sectors, temperatures):
+            sizes.append(len(temperatures))
+            super().__init__(h, sectors, temperatures)
+
+    monkeypatch.setattr(sweeps, "_Batch", Counted)
+    want = run_threshold(_THRESHOLD_K)
+    # a full scan alone builds 21 * 400 = 8400 states; the one up to each T*, its witness
+    # point and the bisection build 3556
+    assert sum(sizes) <= 3600
+    for size in (7, 1):
+        monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
+        assert run_threshold(_THRESHOLD_K) == want
+
+
+def test_threshold_row_entangled_at_its_witness_scans_in_full(monkeypatch):
+    want = run_threshold(_THRESHOLD_K).split("\n")
+    tstar, scanned = thermal.tstar, []
+    calls = iter(range(21))
+    # row 5 gets no T*: its witness is TS_SCAN[0], where it is entangled
+    monkeypatch.setattr(thermal, "tstar", lambda spectrum, dims: (
+        None if next(calls) == 5 else tstar(spectrum, dims)))
+    evaluate = sweeps._evaluate
+
+    def recorded(h, sectors, rows, temperatures, names):
+        if len(names) == 2:  # a scan call; a bisection call takes one measure
+            scanned.extend(rows.tolist())
+        return evaluate(h, sectors, rows, temperatures, names)
+
+    monkeypatch.setattr(sweeps, "_evaluate", recorded)
+    got = run_threshold(_THRESHOLD_K).split("\n")
+    counts = np.bincount(scanned, minlength=21)
+    assert counts[5] == thermal.TS_GRID and max(np.delete(counts, 5)) < thermal.TS_GRID
+    # the same ts cells as the run with every T*, with an empty tstar cell on row 5
+    assert got[6].split(",")[:3] == want[6].split(",")[:3] and got[6].endswith(",")
+    assert got[:6] + got[7:] == want[:6] + want[7:]
+
+
+def test_top_and_sum_match_svd():
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for rows, cols in ((2, 2), (2, 3), (3, 3)):
+        blocks = rng.standard_normal((3000, rows, cols))
+        blocks[:50] = 0.0
+        u, v = rng.standard_normal((100, rows, 1)), rng.standard_normal((100, cols, 1))
+        blocks[50:150] = u * (u if rows == 3 else v).swapaxes(1, 2)  # rank 1
+        blocks[150:250] = np.eye(rows, cols) * rng.standard_normal((100, 1, 1))  # equal values
+        if rows == 3:
+            blocks += blocks.swapaxes(1, 2)  # the 3x3 tau blocks are symmetric
+        for scale in (1.0, 1e-200, 1e150):
+            z = np.linalg.svd(scale * blocks, compute_uv=False)
+            top, total = sweeps._top_and_sum(scale * blocks)
+            # 8 eps of the largest singular value; 16 on 3x3 blocks, where eigvalsh and svd
+            # each err by up to 6 eps (against 40-digit values), so the sums differ by up to
+            # 12.5 eps on 200,000 random blocks
+            tol = 8.0 * eps * (rows - 1) * z[:, 0]
+            assert np.all(np.abs(top - z[:, 0]) <= tol), (rows, cols, scale)
+            assert np.all(np.abs(total - z.sum(axis=-1)) <= tol), (rows, cols, scale)
+
+
 def test_threshold_solves_each_hamiltonian_once(monkeypatch):
     cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
                       measures=("negativity", "alb"))
@@ -218,9 +285,10 @@ def test_csv_independent_of_batch_size(monkeypatch):
     # 25 points: one default batch, 25 batches of one, and batches of 7 with a short last one
     cfg = SweepConfig(mode="grid-b1b2", K=-1.7, T=0.2, measures=MEASURE_NAMES,
                       ranges={"b1": AxisRange(-3.0, 3.0, 5), "b2": AxisRange(-3.0, 3.0, 5)})
-    # 9 K values per field: 3600 scan pairs in 15 default batches, or 3600, or 515 of 7
-    # that cut across rows; only the rows with inner cells bisect.  At B1 = -B2 = 0.35
-    # the cells are TS_TMAX or inner; at zero field also empty.
+    # 9 K values per field: about 2500 scan pairs (up to each T* and its witness point) in
+    # default batches, batches of one, or of 7 that cut across rows; only the rows with
+    # inner cells bisect.  At B1 = -B2 = 0.35 the cells are TS_TMAX or inner; at zero
+    # field also empty.
     thresholds = [SweepConfig(B1=b1, B2=-b1, ranges={"k": AxisRange(-6.0, 0.0, 9)},
                               measures=("negativity", "alb")) for b1 in (0.35, 0.0)]
     # 25 B2 values through the closed forms, the central blocks and sym_eig

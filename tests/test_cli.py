@@ -159,6 +159,26 @@ def test_overflowing_hamiltonian_returns_consistency_code(capsys):
         assert err.endswith(f" at ({row})\n") and err.count("\n") == 1, argv
 
 
+def test_eigensolver_failure_names_its_first_row(capsys):
+    # eigh does not converge on the central sector at K = 0 and |B1| above about 1e228 |J|
+    field_row = "J=1.0, K=0.0, B1=1e+230, B2=0.0"
+    later_row = "J=1.0, K=0.0, B1=1.666675e+230"  # the second axis value: B1 = 1e225 converges
+    for argv, row in (
+        (["report", "--K=0", "--J=1", "--B1=1e230"], field_row),
+        (["threshold", "--K=0", "--J=1", "--B1=1e230", "--range-b2=0:1:3"], field_row),
+        (["sweep", "--mode", "grid-b2t", "--K=0", "--J=1", "--B1=1e230", "--range-b2=0:1:3",
+          "--range-t=0.5:1:2"], field_row),
+        (["threshold", "--K=0", "--J=1", "--range-b1=1e225:1e231:7"], f"{later_row}, B2=0.0"),
+        (["sweep", "--mode", "line-b1eqnegb2", "--K=0", "--J=1", "--range-b1=1e225:1e231:7"],
+         f"{later_row}, B2=-1.666675e+230"),
+    ):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == (
+            f"numerical consistency failure: Eigenvalues did not converge at ({row})\n"), argv
+
+
 @pytest.mark.filterwarnings("error")
 def test_tiny_temperatures_give_zero_weights_without_a_warning(capsys):
     # exp of an exponent far below the float range is a Boltzmann weight of 0
