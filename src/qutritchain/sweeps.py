@@ -135,12 +135,14 @@ def _tau_blocks() -> list[tuple[np.ndarray, ...]]:
     """Where the tau matrices of a total-Sz sector spectrum are nonzero.
 
     Levels are numbered sector by sector, as block_eig numbers them.  chi_a
-    has a total-Sz charge q_a and couples sector s only to sector q_a - s, so
-    tau_a is a direct sum of the blocks (s, q_a - s), each of at most 3x3; a
-    block off the diagonal appears with its transpose, so its singular values
-    count twice; a block (s, s) is symmetric, as tau_a is.  The blocks are
-    grouped by shape, each taken with no more rows than columns: per group, the
-    chi index of each block, its rows, its columns and its multiplicity.
+    has a total-Sz charge q_a and couples sector s only to sector s' = q_a - s,
+    so tau_a is a direct sum of the blocks Y_s^T C_a[S_s, S_s'] Y_s', each of at
+    most 3x3, with S_s the basis states of sector s and Y_s its eigenvectors on
+    them; a block off the diagonal appears with its transpose, so its singular
+    values count twice; a block (s, s) is symmetric, as tau_a is.  The blocks
+    are grouped by shape, each taken with no more rows than columns: per group,
+    the chi index of each block, its row levels and states, its column levels
+    and states, C_a on those states and its multiplicity.
     """
     levels = np.split(np.arange(9), np.cumsum([len(s) for s in SZ_SECTORS])[:-1])
     groups: dict[tuple[int, int], list] = {}
@@ -148,9 +150,10 @@ def _tau_blocks() -> list[tuple[np.ndarray, ...]]:
         for i, si in enumerate(SZ_SECTORS):
             for j in range(i, len(SZ_SECTORS)):
                 if chi[np.ix_(si, SZ_SECTORS[j])].any():
-                    rows, cols = sorted((levels[i], levels[j]), key=len)
+                    (rows, r), (cols, c) = sorted(((levels[i], si), (levels[j], SZ_SECTORS[j])),
+                                                  key=lambda x: len(x[0]))
                     groups.setdefault((len(rows), len(cols)), []).append(
-                        (a, rows, cols, 1.0 if i == j else 2.0))
+                        (a, rows, r, cols, c, chi[np.ix_(r, c)], 1.0 if i == j else 2.0))
     return [tuple(np.array(x) for x in zip(*g)) for g in groups.values()]
 
 
@@ -187,16 +190,19 @@ def _top_and_sum(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Batch:
     """Gibbs states of a stack of Hamiltonians at their temperatures, plus what measures share.
 
-    Each state is built from `sectors`, the spectrum of its H solved per
-    total-Sz sector (block_eig on SZ_SECTORS), whose eigenvectors stay inside
-    one sector even at degeneracies.  So rho's eigenvalues are the weights,
-    its reduced states are diagonal and its partial transpose and tau matrices
-    split into blocks of at most 3x3: no measure solves an eigenproblem of
-    rho.  Every measure agrees with the single-state reference (_sweep_worker)
-    to 1e-12, and its bits do not depend on how points are batched.
+    Each state is built from `sectors`, the spectrum of its H (in `h`, of its
+    row of `points`) solved per total-Sz sector, whose eigenvectors stay
+    inside one sector even at degeneracies.  So rho's eigenvalues are the
+    weights, the reduced states of rho and of each eigenvector are diagonal,
+    and the partial transpose and tau matrices split into blocks of at most
+    3x3: no measure solves an eigenproblem of rho.  Every measure agrees with
+    the single-state reference (_sweep_worker) to 1e-12, and its bits do not
+    depend on how points are batched.
     """
 
-    def __init__(self, h: np.ndarray, sectors: Spectrum, temperatures: np.ndarray) -> None:
+    def __init__(self, points: np.ndarray, h: np.ndarray, sectors: Spectrum,
+                 temperatures: np.ndarray) -> None:
+        self.points = points
         self.h = h
         self.temperatures = temperatures
         self.sectors = sectors
@@ -233,13 +239,13 @@ class _Batch:
         """entanglement.alb_mixture over the sector eigenvectors, by _top_and_sum per tau block."""
         w = self.weights
         y = self.sectors.vectors * np.sqrt(np.where(w > entanglement.RANK_CUTOFF, w, 0.0))[:, None, :]
-        chis = _antisym_basis33().vectors.reshape(-1, 9, 9)
-        top = np.zeros((len(chis), len(w)))  # largest singular value of each tau matrix
-        total = np.zeros((len(chis), len(w)))  # sum of its singular values
-        for a, rows, cols, multiplicity in _tau_blocks():
-            # Y_rows^T C_a Y_cols for each block, shape (points, blocks, rows, columns)
-            blocks = (y[:, :, rows].transpose(0, 2, 3, 1) @ chis[a]
-                      @ y[:, :, cols].transpose(0, 2, 1, 3))
+        chis = len(_antisym_basis33().vectors)
+        top = np.zeros((chis, len(w)))  # largest singular value of each tau matrix
+        total = np.zeros((chis, len(w)))  # sum of its singular values
+        for a, rows, r, cols, c, core, multiplicity in _tau_blocks():
+            # Y_rows^T C_a[r, c] Y_cols for each block, shape (points, blocks, rows, columns)
+            blocks = (y[:, r[:, None, :], rows[:, :, None]] @ core
+                      @ y[:, c[:, :, None], cols[:, None, :]])
             largest, summed = _top_and_sum(blocks)
             np.maximum.at(top, a, largest.T)
             np.add.at(total, a, multiplicity[:, None] * summed.T)
@@ -249,14 +255,30 @@ class _Batch:
     def ub(self) -> np.ndarray:
         """entanglement.ub_mixture over the thermal eigenensemble of each point.
 
-        ub depends on the basis chosen inside degenerate levels, so it takes
-        the eigenvectors of sym_eig, as the single-state reference does.
+        Levels are summed in ascending order.  A sector eigenvector has a diagonal
+        reduced state, so Tr rho_A^2 is the sum of its components to the fourth
+        power.  Where no two levels
+        lie within thermal.GROUND_WINDOW times max(1, largest |E|), each one is
+        unique up to sign, as sym_eig's.  ub depends on the basis chosen inside
+        degenerate levels, so the other rows take the eigenvectors of sym_eig,
+        as the single-state reference does.  Just outside the window, near a
+        crossing inside one sector, both solvers' eigenvectors are off by about
+        eps |E| / gap, and ub can differ from the reference by more than 1e-12.
         """
-        dense = sym_eig(self.h)
-        m = dense.vectors.swapaxes(1, 2).reshape(-1, 9, 3, 3)
-        ra = m @ m.swapaxes(-1, -2)
-        conc = np.sqrt(np.maximum(2.0 * (1.0 - (ra * ra).reshape(-1, 9, 9).sum(axis=-1)), 0.0))
-        w = thermal.boltzmann_weights(dense.values, self.temperatures)
+        order = np.argsort(self.sectors.values, axis=1)
+        levels = np.take_along_axis(self.sectors.values, order, axis=1)
+        squares = self.sectors.vectors * self.sectors.vectors
+        purity = np.take_along_axis((squares * squares).sum(axis=1), order, axis=1)  # Tr rho_A^2
+        w = np.take_along_axis(self.weights, order, axis=1)
+        window = thermal.GROUND_WINDOW * np.maximum(1.0, np.abs(levels).max(axis=1))
+        tied = np.nonzero((np.diff(levels, axis=1) <= window[:, None]).any(axis=1))[0]
+        if tied.size:
+            dense = _eig_naming_rows(sym_eig, self.h[tied], self.points[tied])
+            m = dense.vectors.swapaxes(1, 2).reshape(-1, 9, 3, 3)
+            ra = m @ m.swapaxes(-1, -2)
+            purity[tied] = (ra * ra).reshape(-1, 9, 9).sum(axis=-1)
+            w[tied] = thermal.boltzmann_weights(dense.values, self.temperatures[tied])
+        conc = np.sqrt(np.maximum(2.0 * (1.0 - purity), 0.0))
         # summed level by level in order, skipping the levels ub_mixture skips
         return np.cumsum(np.where(w > entanglement.RANK_CUTOFF, w * conc, 0.0), axis=1)[:, -1]
 
@@ -282,6 +304,20 @@ def _params_of(point: np.ndarray) -> str:
     return f"(J={j}, K={k}, B1={b1}, B2={b2})"
 
 
+def _eig_naming_rows(solve, h: np.ndarray, points: np.ndarray) -> Spectrum:
+    """solve(h) for a stack h of the Hamiltonians of the (J, K, B1, B2, ...) rows of
+    `points`.  Where eigh does not converge, ValueError names the first row it fails on."""
+    try:
+        return solve(h)
+    except np.linalg.LinAlgError:
+        for point, hi in zip(points, h):  # one row at a time, only to name the first that fails
+            try:
+                solve(hi[None])
+            except np.linalg.LinAlgError:
+                raise ValueError(f"Eigenvalues did not converge at {_params_of(point)}") from None
+        raise
+
+
 def _solve(points: np.ndarray) -> tuple[np.ndarray, Spectrum]:
     """H of each (J, K, B1, B2, ...) row of `points` as one stack, and its spectrum solved
     per total-Sz sector.  ValueError names the first row eigh fails on, else the first
@@ -289,15 +325,7 @@ def _solve(points: np.ndarray) -> tuple[np.ndarray, Spectrum]:
     h = hamiltonian_qutrit(QutritChainParams(*points[:, :4].T))
     finite = np.isfinite(h).all(axis=(1, 2))
     h[~finite] = 0.0  # solvable; such a row raises below
-    try:
-        sectors = block_eig(h, SZ_SECTORS)
-    except np.linalg.LinAlgError:
-        for point, hi in zip(points, h):  # one row at a time, only to name the first that fails
-            try:
-                block_eig(hi[None], SZ_SECTORS)
-            except np.linalg.LinAlgError:
-                raise ValueError(f"Eigenvalues did not converge at {_params_of(point)}") from None
-        raise
+    sectors = _eig_naming_rows(lambda a: block_eig(a, SZ_SECTORS), h, points)
     with np.errstate(over="ignore", invalid="ignore"):
         ok = finite & np.isfinite(sectors.values.max(axis=1) - sectors.values.min(axis=1))
     if not ok.all():
@@ -305,15 +333,16 @@ def _solve(points: np.ndarray) -> tuple[np.ndarray, Spectrum]:
     return h, sectors
 
 
-def _evaluate(h: np.ndarray, sectors: Spectrum, rows: Optional[np.ndarray],
+def _evaluate(points: np.ndarray, h: np.ndarray, sectors: Spectrum, rows: Optional[np.ndarray],
               temperatures: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     """Measures `names`, one column each, of the Gibbs states of h[rows] at `temperatures`,
-    built from the sector spectrum of h in batches of CHUNK_POINTS states.  A row may
-    appear any number of times; rows None takes each row once, in order, without a copy."""
+    built from the sector spectrum of h, the stack _solve(points) gives, in batches of
+    CHUNK_POINTS states.  A row may appear any number of times; rows None takes each row
+    once, in order, without a copy."""
     parts = []
     for i in range(0, len(temperatures), CHUNK_POINTS):
         r = slice(i, i + CHUNK_POINTS) if rows is None else rows[i:i + CHUNK_POINTS]
-        batch = _Batch(h[r], Spectrum(sectors.values[r], sectors.vectors[r]),
+        batch = _Batch(points[r], h[r], Spectrum(sectors.values[r], sectors.vectors[r]),
                        temperatures[i:i + CHUNK_POINTS])
         parts.append(np.column_stack([_MEASURES[name](batch) for name in names]))
     return np.concatenate(parts) if parts else np.empty((0, len(names)))
@@ -328,7 +357,7 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
         # the last group's h and sectors are freed only after this solve, so malloc does not
         # trim the heap between groups and fault it back in
         h, sectors = _solve(group)
-        parts.append(_evaluate(h, sectors, None, group[:, 4], names))
+        parts.append(_evaluate(group, h, sectors, None, group[:, 4], names))
     return np.concatenate(parts)
 
 
@@ -402,7 +431,8 @@ def run_threshold(cfg: SweepConfig) -> str:
     """Sweep one axis, emitting measure-vanishing temperatures and tstar.
 
     Axis values run in groups of CHUNK_POINTS rows, each solved once by _solve.
-    tstar reads each row's sector levels in ascending order; above it every
+    thermal.tstar_rows reads the group's sector levels in ascending order, all
+    rows in lockstep; above a row's tstar every
     measure is 0.  So a row scans thermal.TS_SCAN up to its tstar and at one
     witness point, the next (TS_SCAN[0] if tstar is None), and the rest only if
     a measure exceeds TS_TOL there.  All rows' scan pairs go through _evaluate
@@ -424,25 +454,23 @@ def run_threshold(cfg: SweepConfig) -> str:
     columns = np.arange(thermal.TS_GRID)
     for start in range(0, len(points), CHUNK_POINTS):
         group = table[start:start + CHUNK_POINTS]
-        h, sectors = _solve(points[start:start + CHUNK_POINTS])
-        for row, values, vectors in zip(group, sectors.values, sectors.vectors):
-            order = np.argsort(values)
-            t_ball = thermal.tstar(Spectrum(values[order], vectors[:, order]), QUTRIT_SPLIT)
-            row[-1] = np.nan if t_ball is None else t_ball
+        chunk = points[start:start + CHUNK_POINTS]
+        h, sectors = _solve(chunk)
+        group[:, -1] = thermal.tstar_rows(np.sort(sectors.values, axis=1), QUTRIT_SPLIT)
         # each row's first scan point above its T*, TS_SCAN[0] where T* is None
         witness = np.searchsorted(thermal.TS_SCAN, np.nan_to_num(group[:, -1]), side="right")
-        scan = np.zeros((len(h), thermal.TS_GRID, len(requested)))  # 0 where not scanned
+        scan = np.zeros((len(chunk), thermal.TS_GRID, len(requested)))  # 0 where not scanned
         r, c = np.nonzero(columns <= witness[:, None])
-        scan[r, c] = _evaluate(h, sectors, r, thermal.TS_SCAN[c], requested)
+        scan[r, c] = _evaluate(chunk, h, sectors, r, thermal.TS_SCAN[c], requested)
         # a row with a measure above TS_TOL at its witness point scans in full
-        at = scan[np.arange(len(h)), np.minimum(witness, thermal.TS_GRID - 1)]
+        at = scan[np.arange(len(chunk)), np.minimum(witness, thermal.TS_GRID - 1)]
         r, c = np.nonzero((columns > witness[:, None]) & (at > thermal.TS_TOL).any(axis=1)[:, None])
-        scan[r, c] = _evaluate(h, sectors, r, thermal.TS_SCAN[c], requested)
+        scan[r, c] = _evaluate(chunk, h, sectors, r, thermal.TS_SCAN[c], requested)
         for i, name in enumerate(requested):
             # NaN where the measure never exceeds TS_TOL, which _csv prints as an empty cell
             group[:, i + 1] = thermal.vanishing_point(
                 scan[:, :, i],
-                lambda rows, temperatures: _evaluate(h, sectors, rows, temperatures, (name,))[:, 0])
+                lambda rows, t: _evaluate(chunk, h, sectors, rows, t, (name,))[:, 0])
         beyond = group[:, 1:-1] > group[:, -1:] + 1e-6  # False where either cell is NaN
         if beyond.any():
             r, i = np.argwhere(beyond)[0]
@@ -458,8 +486,9 @@ def run_spectrum(cfg: SweepConfig) -> str:
     """Emit closed-form energy labels E1..E9 plus the residual against sym_eig,
     in stacks of CHUNK_POINTS points: one H assembly, one eigvalsh of the
     central blocks and one sym_eig per stack.  A row whose H is not finite gets
-    NaN levels.  The first row, in axis order, whose residual fails
-    SPECTRUM_RESIDUAL_TOL (a NaN fails) raises ConsistencyError naming it."""
+    NaN levels.  The first row, in axis order, that sym_eig fails on raises
+    ValueError naming it, and the first whose residual fails
+    SPECTRUM_RESIDUAL_TOL (a NaN fails) ConsistencyError."""
     axis = _single_axis(cfg, "spectrum")
     _, points = _grid(cfg, (axis,) if axis else ())
 
@@ -472,7 +501,7 @@ def run_spectrum(cfg: SweepConfig) -> str:
         bad = ~np.isfinite(h).all(axis=(1, 2))
         h[bad] = 0.0  # solvable; such a row gets NaN levels
         inner = np.linalg.eigvalsh(central_block_of(h))
-        numerical = sym_eig(h).values
+        numerical = _eig_naming_rows(sym_eig, h, rows).values
         inner[bad] = numerical[bad] = np.nan
         with np.errstate(over="ignore", invalid="ignore"):
             cf = closed_form_energies(params)

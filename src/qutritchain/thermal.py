@@ -102,10 +102,43 @@ def purity_beta_derivative(spectrum: Spectrum, temperature: float) -> float:
     return float(2.0 * np.sum(np.outer(w * w, w) * (e[None, :] - e[:, None])))
 
 
-def _gibbs_purity(energies: np.ndarray, beta: float) -> float:
-    w = np.exp(-beta * (energies - energies.min()))
-    w /= w.sum()
-    return float(np.sum(w * w))
+def _gibbs_purity(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    w = np.exp(-beta[:, None] * (levels - levels.min(axis=1, keepdims=True)))
+    w /= w.sum(axis=1, keepdims=True)
+    return (w * w).sum(axis=1)
+
+
+def tstar_rows(levels: np.ndarray, dims: MultipartiteDims) -> np.ndarray:
+    """tstar of each row of `levels`, shape (rows, dims.d), NaN where it is None.
+    All rows bracket and bisect in lockstep, each stopping by its own tests, so
+    a row's result does not depend on the other rows."""
+    e = np.asarray(levels, dtype=float)
+    if e.shape[-1] != dims.d:
+        raise ValueError(f"spectrum has {e.shape[-1]} levels but dims product is {dims.d}")
+    theta = dims.purity_threshold
+    g = np.count_nonzero(e <= e.min(axis=1, keepdims=True) + GROUND_WINDOW, axis=1)
+    result = np.full(len(e), np.nan)
+    rows = np.nonzero((np.ptp(e, axis=1) > 1e-12) & (1.0 / g > theta))[0]
+    hi = np.ones(len(rows))
+    inside = np.arange(len(rows))  # rows whose purity at hi is still inside the ball
+    while inside.size:
+        inside = inside[_gibbs_purity(e[rows[inside]], hi[inside]) <= theta]
+        hi[inside] *= 2.0
+        inside = inside[hi[inside] <= 1e12]
+    # beyond 1e12 the splittings are too small to resolve: within reach the state stays in the ball
+    rows, hi = rows[hi <= 1e12], hi[hi <= 1e12]
+    lo = np.zeros(len(rows))
+    wide = np.arange(len(rows))
+    for _ in range(500):
+        if not wide.size:
+            break
+        mid = 0.5 * (lo[wide] + hi[wide])
+        up = _gibbs_purity(e[rows[wide]], mid) <= theta
+        lo[wide[up]] = mid[up]
+        hi[wide[~up]] = mid[~up]
+        wide = wide[hi[wide] - lo[wide] > 1e-11 * hi[wide]]
+    result[rows] = 2.0 / (lo + hi)
+    return result
 
 
 def tstar(spectrum: Spectrum, dims: MultipartiteDims) -> Optional[float]:
@@ -113,36 +146,13 @@ def tstar(spectrum: Spectrum, dims: MultipartiteDims) -> Optional[float]:
 
     Purity is monotone in beta, so the crossing with the ball threshold is
     unique when it exists; it is found by bracketing and bisection in beta to
-    relative width 1e-11.  Returns None when the purity never leaves the ball
-    (a flat spectrum, or a ground multiplet big enough that even the T -> 0
-    purity 1/g stays at or below the threshold), meaning the criterion
-    certifies separability at every temperature.
+    relative width 1e-11 (tstar_rows on one row).  Returns None when the
+    purity never leaves the ball (a flat spectrum, or a ground multiplet big
+    enough that even the T -> 0 purity 1/g stays at or below the threshold),
+    meaning the criterion certifies separability at every temperature.
     """
-    e = np.asarray(spectrum.values, dtype=float)
-    if len(e) != dims.d:
-        raise ValueError(f"spectrum has {len(e)} levels but dims product is {dims.d}")
-    theta = dims.purity_threshold
-    if float(e.max() - e.min()) <= 1e-12:
-        return None
-    g = int(np.count_nonzero(e <= e.min() + GROUND_WINDOW))
-    if 1.0 / g <= theta:
-        return None
-
-    lo, hi = 0.0, 1.0
-    while _gibbs_purity(e, hi) <= theta:
-        hi *= 2.0
-        if hi > 1e12:
-            # splittings too small to resolve; within reach the state stays in the ball
-            return None
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        if _gibbs_purity(e, mid) <= theta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-11 * hi:
-            break
-    return 2.0 / (lo + hi)
+    t = tstar_rows(np.asarray(spectrum.values, dtype=float)[None], dims)[0]
+    return None if np.isnan(t) else float(t)
 
 
 def vanishing_point(

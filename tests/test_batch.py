@@ -126,9 +126,9 @@ def test_threshold_bisects_rows_in_lockstep(monkeypatch):
     sizes = []
 
     class Counted(sweeps._Batch):
-        def __init__(self, h, sectors, temperatures):
+        def __init__(self, points, h, sectors, temperatures):
             sizes.append(len(temperatures))
-            super().__init__(h, sectors, temperatures)
+            super().__init__(points, h, sectors, temperatures)
 
     monkeypatch.setattr(sweeps, "_Batch", Counted)
     cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
@@ -151,9 +151,9 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
     sizes = []
 
     class Counted(sweeps._Batch):
-        def __init__(self, h, sectors, temperatures):
+        def __init__(self, points, h, sectors, temperatures):
             sizes.append(len(temperatures))
-            super().__init__(h, sectors, temperatures)
+            super().__init__(points, h, sectors, temperatures)
 
     monkeypatch.setattr(sweeps, "_Batch", Counted)
     want = run_threshold(_THRESHOLD_K)
@@ -167,17 +167,21 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
 
 def test_threshold_row_entangled_at_its_witness_scans_in_full(monkeypatch):
     want = run_threshold(_THRESHOLD_K).split("\n")
-    tstar, scanned = thermal.tstar, []
-    calls = iter(range(21))
-    # row 5 gets no T*: its witness is TS_SCAN[0], where it is entangled
-    monkeypatch.setattr(thermal, "tstar", lambda spectrum, dims: (
-        None if next(calls) == 5 else tstar(spectrum, dims)))
+    tstar_rows, scanned = thermal.tstar_rows, []
+
+    def without_row_5(levels, dims):
+        # row 5 gets no T*: its witness is TS_SCAN[0], where it is entangled
+        t = tstar_rows(levels, dims)
+        t[5] = np.nan
+        return t
+
+    monkeypatch.setattr(thermal, "tstar_rows", without_row_5)
     evaluate = sweeps._evaluate
 
-    def recorded(h, sectors, rows, temperatures, names):
+    def recorded(points, h, sectors, rows, temperatures, names):
         if len(names) == 2:  # a scan call; a bisection call takes one measure
             scanned.extend(rows.tolist())
-        return evaluate(h, sectors, rows, temperatures, names)
+        return evaluate(points, h, sectors, rows, temperatures, names)
 
     monkeypatch.setattr(sweeps, "_evaluate", recorded)
     got = run_threshold(_THRESHOLD_K).split("\n")
@@ -260,6 +264,36 @@ def test_ub_takes_the_eigenvectors_of_the_reference():
     points = np.array([(-1.0, -1.7, 0.0, 0.0, 1.0), (-1.0, -0.2, -2.4, -2.4, 0.5),
                        (-1.0, -1.7, 1.3, -1.3, 1.0)])
     assert np.array_equal(_measure_table(points, ("ub",)), reference_table(points, ("ub",)))
+    # near-degenerate levels, on either side of thermal.GROUND_WINDOW: B2 = -B1 + d, and
+    # B1 = d at zero B2
+    near = np.array([(-1.0, -1.7, b1, b2, t) for d in (1e-5, 1e-7, 1e-9, 1e-11, 0.0)
+                     for b1, b2 in ((1.3, -1.3 + d), (d, 0.0)) for t in (0.05, 1.0)])
+    got, want = _measure_table(near, ("ub",)), reference_table(near, ("ub",))
+    assert np.max(np.abs(got - want)) <= MAX_ABS_DIFF
+
+
+def test_ub_solves_only_rows_with_degenerate_levels(monkeypatch):
+    solved = []
+
+    def dense(h):
+        solved.append(h)
+        return sym_eig(h)
+
+    monkeypatch.setattr(sweeps, "sym_eig", dense)
+    # generic fields: no two levels of a row closer than 6e-4
+    generic = {"b1": AxisRange(-5.93, 6.07, 31), "b2": AxisRange(-6.011, 5.837, 31)}
+    run_sweep(SweepConfig(K=-1.7, ranges=generic, measures=("ub",)))
+    assert solved == []
+    # the c13 plane: its 101 points with B1 = -B2 (to within linspace rounding) and 8 crossings
+    plane = {"b1": AxisRange(-6.0, 6.0, 101), "b2": AxisRange(-6.0, 6.0, 101)}
+    cfg = SweepConfig(K=-1.7, ranges=plane, measures=("ub",))
+    run_sweep(cfg)
+    h = hamiltonian_qutrit(QutritChainParams(*sweeps._grid(cfg, ("b1", "b2"))[1][:, :4].T))
+    levels = np.linalg.eigvalsh(h)
+    window = thermal.GROUND_WINDOW * np.maximum(1.0, np.abs(levels).max(axis=1))
+    tied = (np.diff(levels, axis=1) <= window[:, None]).any(axis=1)
+    assert tied.sum() == 109
+    assert np.array_equal(np.concatenate(solved), h[tied])
 
 
 def test_spectrum_matches_scalar_rows_bit_for_bit(monkeypatch):

@@ -171,6 +171,9 @@ def test_eigensolver_failure_names_its_first_row(capsys):
         (["threshold", "--K=0", "--J=1", "--range-b1=1e225:1e231:7"], f"{later_row}, B2=0.0"),
         (["sweep", "--mode", "line-b1eqnegb2", "--K=0", "--J=1", "--range-b1=1e225:1e231:7"],
          f"{later_row}, B2=-1.666675e+230"),
+        # spectrum solves H whole, not by sectors
+        (["spectrum", "--J=-1", "--K=0", "--B1=1.1759767626280935e+240"],
+         "J=-1.0, K=0.0, B1=1.1759767626280935e+240, B2=0.0"),
     ):
         assert main(argv) == 3, argv
         captured = capsys.readouterr()

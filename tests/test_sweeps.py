@@ -160,14 +160,16 @@ def test_threshold_names_the_first_row_beyond_tstar(monkeypatch):
     monkeypatch.setattr(sweeps, "_csv", lambda header, table: tables.append(table) or "")
     run_threshold(cfg)
     [table] = tables
-    tstar, calls = thermal.tstar, []
+    tstar_rows, done = thermal.tstar_rows, []
 
-    def shrunk(spectrum, dims):
-        # tstar runs once per row in axis order; from the fourth row on it is 20 times too low
-        calls.append(None)
-        return tstar(spectrum, dims) * (0.05 if len(calls) > 3 else 1.0)
+    def shrunk(levels, dims):
+        # tstar_rows runs once per group of rows in axis order; from the fourth row on
+        # T* is 20 times too low
+        rows = np.arange(len(done), len(done) + len(levels))
+        done.extend(rows)
+        return tstar_rows(levels, dims) * np.where(rows >= 3, 0.05, 1.0)
 
-    monkeypatch.setattr(thermal, "tstar", shrunk)
+    monkeypatch.setattr(thermal, "tstar_rows", shrunk)
     # in groups of two rows, the first row to break the check (3, for both measures) is
     # the second of the second group; rows 4 to 6 break it too
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", 2)

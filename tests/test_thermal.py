@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qutritchain.numkernel import Spectrum, maxabs, sym_eig
+from qutritchain.numkernel import Spectrum, block_eig, maxabs, sym_eig
 from qutritchain.qstate import BipartiteDims, purity_of
-from qutritchain.spinmodels import QutritChainParams, hamiltonian_qutrit
+from qutritchain.spinmodels import SZ_SECTORS, QutritChainParams, hamiltonian_qutrit
 from qutritchain.thermal import (
     TS_SCAN, TS_TOL, MultipartiteDims, boltzmann_weights, estimate_ts, gibbs,
-    ground_state, purity, purity_beta_derivative, tstar, vn_entropy,
+    ground_state, purity, purity_beta_derivative, tstar, tstar_rows, vn_entropy,
 )
 from qutritchain.entanglement import negativity
 
@@ -147,6 +147,30 @@ def test_tstar_purity_crossing():
         assert abs(purity_of(gibbs(spec, t, DIMS33).mat) - 1.0 / 8) < 1e-9
         assert purity_of(gibbs(spec, t / 2.0, DIMS33).mat) > 1.0 / 8
         assert purity_of(gibbs(spec, 2.0 * t, DIMS33).mat) < 1.0 / 8
+
+
+def test_tstar_rows_match_tstar_row_by_row():
+    rng = np.random.default_rng(45)
+    n = 3000
+    j, k = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 1.0, n)
+    b1, b2 = rng.uniform(-6.0, 6.0, (2, n))
+    b1[:300] = b2[:300] = 0.0  # zero field
+    b2[300:600] = -b1[300:600]  # equal and opposite fields
+    b2[600:900] = b1[600:900]
+    scale = np.ones(n)
+    scale[900:1400] = 10.0 ** rng.uniform(-15.0, -9.0, 500)  # tiny splittings
+    scale[1400:1410] = 0.0  # a flat spectrum
+    h = hamiltonian_qutrit(QutritChainParams(scale * j, scale * k, scale * b1, scale * b2))
+    levels = np.sort(block_eig(h, SZ_SECTORS).values, axis=1)
+    levels[1410:1420] = np.r_[np.zeros(8), 1.0]  # 1/g at the ball threshold
+    got = tstar_rows(levels, SPLIT33)
+    want = [tstar(Spectrum(e, np.eye(9)), SPLIT33) for e in levels]
+    assert [None if np.isnan(t) else t for t in got.tolist()] == want
+    # every way to get None: a flat spectrum, a big ground multiplet, and splittings
+    # too small to bracket
+    spread = levels[:, -1] - levels[:, 0]
+    assert np.isnan(got[1400:1420]).all() and not np.isnan(got[:900]).any()
+    assert np.isnan(got[spread > 1e-12]).sum() > 10 and np.isnan(got[spread <= 1e-12]).all()
 
 
 def test_gibbs_separable_above_tstar():
