@@ -2,7 +2,9 @@
 
 Every operator handled here is real in its computational basis, so the
 symmetric eigensolver is the single spectral workhorse: block_eig holds the
-one np.linalg.eigh call, and sym_eig is block_eig with one block.  Complex
+one np.linalg.eigh call, for blocks of 3x3 and up, and sym_eig is block_eig
+with one block.  Blocks of 1x1 and 2x2 are solved in closed form (eigh2),
+where LAPACK's cost per matrix would dominate.  Complex
 arithmetic is only needed for plain matrix products (unitary conjugations in
 the dense-coding routines) and never for an eigenproblem.
 """
@@ -70,6 +72,27 @@ def sym_eig(a: np.ndarray) -> Spectrum:
     return block_eig(a, (tuple(range(np.shape(a)[-1])),))
 
 
+def eigh2(m: np.ndarray, vectors: bool = True) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh, or eigvalsh without `vectors`, of each symmetric 2x2 matrix of a stack,
+    in closed form and reading the lower triangle.  The level of larger magnitude is
+    mid +- root / 2; the other is the determinant over it, formed as LAPACK dlae2 forms it,
+    so it keeps its relative accuracy where mid - root / 2 loses every digit.  Entries past
+    the float range give non-finite levels, without a warning."""
+    a, b, c = m[..., 0, 0], m[..., 1, 0], m[..., 1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = 0.5 * (a + c + np.copysign(np.hypot(a - c, 2.0 * b), a + c))
+        swap = np.abs(a) > np.abs(c)
+        safe = np.where(big != 0.0, big, 1.0)  # big is 0 only on a zero matrix
+        other = np.where(swap, a, c) / safe * np.where(swap, c, a) - b / safe * b
+        values = np.stack([np.minimum(big, other), np.maximum(big, other)], axis=-1)
+        if not vectors:
+            return values
+        t = 0.5 * np.arctan2(2.0 * b, a - c)  # the upper level's vector is (cos t, sin t)
+    cos, sin = np.cos(t), np.sin(t)
+    # columns (-sin t, cos t) and (cos t, sin t): the matrix is symmetric, so also its rows
+    return values, np.stack([-sin, cos, cos, sin], axis=-1).reshape(t.shape + (2, 2))
+
+
 def block_eig(a: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> Spectrum:
     """Eigendecomposition of a real symmetric matrix, or of each in a stack,
     that is block diagonal on the index sets `blocks`, solved block by block.
@@ -77,10 +100,11 @@ def block_eig(a: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> Spectrum:
     Levels are numbered block by block in the order of `blocks`, ascending
     within each block, and each eigenvector is zero outside its block, also
     where levels of two blocks are degenerate.  Entries outside the blocks are
-    taken to be zero and are not read.  The input must pass require_symmetric,
-    and each block goes to np.linalg.eigh as given, which reads only its lower
-    triangle: the package passes matrices symmetric bit for bit, as
-    hamiltonian_qutrit assembles them.
+    taken to be zero and are not read.  The input must pass require_symmetric.
+    A 1x1 block is its own level, a 2x2 block goes to eigh2 and a larger one to
+    np.linalg.eigh, as given: both read only the lower triangle, and the
+    package passes matrices symmetric bit for bit, as hamiltonian_qutrit
+    assembles them.
     """
     a = require_symmetric(a)
     values = np.empty(a.shape[:-1])
@@ -89,8 +113,12 @@ def block_eig(a: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> Spectrum:
     for block in blocks:
         idx = np.array(block)
         levels = np.arange(start, start + len(block))
-        values[..., levels], vectors[..., idx[:, None], levels] = np.linalg.eigh(
-            a[..., idx[:, None], idx])
+        sub = a[..., idx[:, None], idx]
+        if len(block) == 1:
+            values[..., start], vectors[..., block[0], start] = sub[..., 0, 0], 1.0
+        else:
+            solve = eigh2 if len(block) == 2 else np.linalg.eigh
+            values[..., levels], vectors[..., idx[:, None], levels] = solve(sub)
         start += len(block)
     return Spectrum(values=values, vectors=vectors)
 

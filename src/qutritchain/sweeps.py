@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import densecode, entanglement, thermal
-from .numkernel import Spectrum, block_eig, entropy_bits, sym_eig
+from .numkernel import Spectrum, block_eig, eigh2, entropy_bits, sym_eig
 from .qstate import BipartiteDims, DensityMatrix, check_density, partial_transpose_of
 from .spinmodels import (
     SZ_DIFFERENCE_BLOCKS, SZ_SECTORS, QutritChainParams, central_block_of, closed_form_energies,
@@ -131,60 +131,21 @@ def _antisym_basis33() -> entanglement.AntisymBasis:
 
 
 @cache
-def _tau_blocks() -> list[tuple[np.ndarray, ...]]:
-    """Where the tau matrices of a total-Sz sector spectrum are nonzero.
-
-    Levels are numbered sector by sector, as block_eig numbers them.  chi_a
-    has a total-Sz charge q_a and couples sector s only to sector s' = q_a - s,
-    so tau_a is a direct sum of the blocks Y_s^T C_a[S_s, S_s'] Y_s', each of at
-    most 3x3, with S_s the basis states of sector s and Y_s its eigenvectors on
-    them; a block off the diagonal appears with its transpose, so its singular
-    values count twice; a block (s, s) is symmetric, as tau_a is.  The blocks
-    are grouped by shape, each taken with no more rows than columns: per group,
-    the chi index of each block, its row levels and states, its column levels
-    and states, C_a on those states and its multiplicity.
-    """
-    levels = np.split(np.arange(9), np.cumsum([len(s) for s in SZ_SECTORS])[:-1])
-    groups: dict[tuple[int, int], list] = {}
-    for a, chi in enumerate(_antisym_basis33().vectors.reshape(-1, 9, 9)):
-        for i, si in enumerate(SZ_SECTORS):
-            for j in range(i, len(SZ_SECTORS)):
-                if chi[np.ix_(si, SZ_SECTORS[j])].any():
-                    (rows, r), (cols, c) = sorted(((levels[i], si), (levels[j], SZ_SECTORS[j])),
-                                                  key=lambda x: len(x[0]))
-                    groups.setdefault((len(rows), len(cols)), []).append(
-                        (a, rows, r, cols, c, chi[np.ix_(r, c)], 1.0 if i == j else 2.0))
-    return [tuple(np.array(x) for x in zip(*g)) for g in groups.values()]
-
-
-def _rotation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """hypot(x, y), and the cosine and sine of the rotation taking (x, y) to (hypot, 0)."""
-    r = np.hypot(x, y)
-    safe = np.where(r > 0.0, r, 1.0)
-    return r, np.where(r > 0.0, x / safe, 1.0), y / safe
-
-
-def _top_and_sum(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The largest singular value and the sum of the singular values of each block
-    of a stack (..., rows, columns), for the shapes of _tau_blocks: 1xN, 2x2, 2x3
-    and symmetric 3x3.  Both agree with np.linalg.svd to a few eps times the
-    largest singular value, without an SVD."""
-    if blocks.shape[-2] == 1:  # a row: its norm is its one singular value
-        z = np.linalg.norm(blocks, axis=(-2, -1))
-        return z, z
-    if blocks.shape[-2] == 3:  # symmetric: the singular values are the |eigenvalues|
-        z = np.abs(np.linalg.eigvalsh(blocks))
-        return z.max(axis=-1), z.sum(axis=-1)
-    (a, b, *e), (c, d, *f) = np.moveaxis(blocks, (-2, -1), (0, 1))
-    if e:  # 2x3: rotate columns so that the first row is (a, 0, 0), then the third column to 0
-        b, cos, sin = _rotation(b, e[0])
-        d, f = cos * d + sin * f[0], cos * f[0] - sin * d
-        a, cos, sin = _rotation(a, b)
-        c, d = cos * c + sin * d, cos * d - sin * c
-        b, d = np.zeros_like(a), np.hypot(d, f)
-    # [[a, b], [c, d]] has singular values (p + q) / 2 and |p - q| / 2
-    p, q = np.hypot(a + d, c - b), np.hypot(a - d, c + b)
-    return 0.5 * (p + q), np.maximum(p, q)
+def _alb_pairs() -> tuple[np.ndarray, ...]:
+    """Where each chi_a, as a 9x9 matrix C_a, is nonzero: C_a = t^A_jk (x) t^B_lm is +1 at
+    (p, q) and (q, p) and -1 at (r, s) and (s, r), with p = (j, l), q = (k, m), r = (j, m)
+    and s = (k, l).  Returns p, q, r and s, one entry per chi vector, after checking that
+    pattern and that neither p nor q shares a total-Sz sector with r or s."""
+    sector = {i: n for n, states in enumerate(SZ_SECTORS) for i in states}
+    pairs = []
+    for chi in _antisym_basis33().vectors.reshape(-1, 9, 9):
+        (p, q), (r, s) = (divmod(int(f(np.triu(chi))), 9) for f in (np.argmax, np.argmin))
+        want = np.zeros((9, 9))
+        want[[p, q], [q, p]], want[[r, s], [s, r]] = 1.0, -1.0
+        if not np.array_equal(chi, want) or {sector[p], sector[q]} & {sector[r], sector[s]}:
+            raise RuntimeError("chi vector does not split into two pairs of disjoint sectors")
+        pairs.append((p, q, r, s))
+    return tuple(np.array(pairs).T)
 
 
 class _Batch:
@@ -194,10 +155,11 @@ class _Batch:
     row of `points`) solved per total-Sz sector, whose eigenvectors stay
     inside one sector even at degeneracies.  So rho's eigenvalues are the
     weights, the reduced states of rho and of each eigenvector are diagonal,
-    and the partial transpose and tau matrices split into blocks of at most
-    3x3: no measure solves an eigenproblem of rho.  Every measure agrees with
-    the single-state reference (_sweep_worker) to 1e-12, and its bits do not
-    depend on how points are batched.
+    the partial transpose splits into blocks of at most 3x3 (the 2x2 ones
+    solved by eigh2), and alb reads entries of the state: no measure solves
+    an eigenproblem of rho.  Every measure agrees with the single-state
+    reference (_sweep_worker) to 1e-12, and its bits do not depend on how
+    points are batched.
     """
 
     def __init__(self, points: np.ndarray, h: np.ndarray, sectors: Spectrum,
@@ -217,7 +179,8 @@ class _Batch:
         for block in SZ_DIFFERENCE_BLOCKS:
             if len(block) > 1:  # a 1x1 block is a diagonal entry of rho, never negative
                 idx = np.array(block)
-                mu = np.linalg.eigvalsh(pt[:, idx[:, None], idx])
+                sub = pt[:, idx[:, None], idx]
+                mu = eigh2(sub, vectors=False) if len(block) == 2 else np.linalg.eigvalsh(sub)
                 total -= np.where(mu < 0.0, mu, 0.0).sum(axis=-1)
         return total
 
@@ -236,21 +199,25 @@ class _Batch:
         return self.reduced_entropy("A")
 
     def alb(self) -> np.ndarray:
-        """entanglement.alb_mixture over the sector eigenvectors, by _top_and_sum per tau block."""
+        """entanglement.alb_mixture over the sector eigenvectors, from entries of
+        G = Y Y^T with Y = V sqrt(W) and W the weights above RANK_CUTOFF.
+
+        Row i of Y lies in the levels of the sector of basis state i, so with
+        (p, q, r, s) of _alb_pairs, tau_a = Y^T C_a Y is the direct sum of
+        y_p y_q^T + y_q y_p^T and -(y_r y_s^T + y_s y_r^T), whose singular values
+        are n_p n_q +- |G_pq| and n_r n_s +- |G_rs|, with n_i = sqrt(G_ii).  So
+        z1 - (z2 + z3 + ...) = 2 max(|G_pq| - n_r n_s, |G_rs| - n_p n_q).
+        """
         w = self.weights
-        y = self.sectors.vectors * np.sqrt(np.where(w > entanglement.RANK_CUTOFF, w, 0.0))[:, None, :]
-        chis = len(_antisym_basis33().vectors)
-        top = np.zeros((chis, len(w)))  # largest singular value of each tau matrix
-        total = np.zeros((chis, len(w)))  # sum of its singular values
-        for a, rows, r, cols, c, core, multiplicity in _tau_blocks():
-            # Y_rows^T C_a[r, c] Y_cols for each block, shape (points, blocks, rows, columns)
-            blocks = (y[:, r[:, None, :], rows[:, :, None]] @ core
-                      @ y[:, c[:, :, None], cols[:, None, :]])
-            largest, summed = _top_and_sum(blocks)
-            np.maximum.at(top, a, largest.T)
-            np.add.at(total, a, multiplicity[:, None] * summed.T)
-        # z1 - (z2 + z3 + ...) for each tau matrix, the best of them, and 0
-        return np.maximum((2.0 * top - total).max(axis=0), 0.0)
+        kept = w > entanglement.RANK_CUTOFF
+        # rho itself, where the stack has no weight to drop
+        g = self.rho if kept.all() else thermal.mixture(self.sectors, np.where(kept, w, 0.0))
+        n = np.sqrt(np.diagonal(g, axis1=1, axis2=2))
+        p, q, r, s = _alb_pairs()
+        gap = np.maximum(np.abs(g[:, p, q]) - n[:, r] * n[:, s],
+                         np.abs(g[:, r, s]) - n[:, p] * n[:, q])
+        # the best of the tau matrices, and 0
+        return np.maximum(2.0 * gap.max(axis=1), 0.0)
 
     def ub(self) -> np.ndarray:
         """entanglement.ub_mixture over the thermal eigenensemble of each point.
@@ -386,8 +353,10 @@ def _csv(header: list[str], table: np.ndarray) -> str:
     """The header, then one line per row of `table` with every cell printed to
     12 significant digits; -0.0 prints as 0 and NaN as an empty cell."""
     template = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    # row by row: a list of every row at once raises peak memory on long tables
-    body = "".join([template % tuple(row.tolist()) for row in table + 0.0])
+    # CHUNK_POINTS rows at a time: a list of every cell at once raises peak memory on long tables
+    table = table + 0.0
+    body = "".join([(template * len(c)) % tuple(c.ravel().tolist())
+                    for c in np.split(table, range(CHUNK_POINTS, len(table), CHUNK_POINTS))])
     # %g spells NaN "nan", which no other cell text contains
     return ",".join(header) + "\n" + body.replace("nan", "")
 

@@ -192,28 +192,6 @@ def test_threshold_row_entangled_at_its_witness_scans_in_full(monkeypatch):
     assert got[:6] + got[7:] == want[:6] + want[7:]
 
 
-def test_top_and_sum_match_svd():
-    rng = np.random.default_rng(11)
-    eps = np.finfo(float).eps
-    for rows, cols in ((2, 2), (2, 3), (3, 3)):
-        blocks = rng.standard_normal((3000, rows, cols))
-        blocks[:50] = 0.0
-        u, v = rng.standard_normal((100, rows, 1)), rng.standard_normal((100, cols, 1))
-        blocks[50:150] = u * (u if rows == 3 else v).swapaxes(1, 2)  # rank 1
-        blocks[150:250] = np.eye(rows, cols) * rng.standard_normal((100, 1, 1))  # equal values
-        if rows == 3:
-            blocks += blocks.swapaxes(1, 2)  # the 3x3 tau blocks are symmetric
-        for scale in (1.0, 1e-200, 1e150):
-            z = np.linalg.svd(scale * blocks, compute_uv=False)
-            top, total = sweeps._top_and_sum(scale * blocks)
-            # 8 eps of the largest singular value; 16 on 3x3 blocks, where eigvalsh and svd
-            # each err by up to 6 eps (against 40-digit values), so the sums differ by up to
-            # 12.5 eps on 200,000 random blocks
-            tol = 8.0 * eps * (rows - 1) * z[:, 0]
-            assert np.all(np.abs(top - z[:, 0]) <= tol), (rows, cols, scale)
-            assert np.all(np.abs(total - z.sum(axis=-1)) <= tol), (rows, cols, scale)
-
-
 def test_threshold_solves_each_hamiltonian_once(monkeypatch):
     cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
                       measures=("negativity", "alb"))
@@ -257,6 +235,83 @@ def test_alb_matches_high_precision_values_at_low_temperature():
         weights = thermal.boltzmann_weights(spectrum.values, point[4])
         got = entanglement.alb_mixture(spectrum, weights, sweeps._antisym_basis33())
         assert abs(got - value) <= 1e-14
+
+
+def test_alb_matches_alb_mixture_across_temperatures():
+    rng = np.random.default_rng(14)
+    n = 400
+    rows = []
+    # 0.001 to 0.02 drop levels below RANK_CUTOFF; 50 leaves every level
+    for t in (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 50.0):
+        j = rng.uniform(-2.0, 2.0, n)
+        k = rng.uniform(-2.0, 1.0, n)
+        b1 = rng.uniform(-6.0, 6.0, n)
+        b2 = rng.uniform(-6.0, 6.0, n)
+        b1[:50] = b2[:50] = 0.0  # zero field
+        b2[50:100] = b1[50:100]  # equal fields
+        b2[100:150] = -b1[100:150]  # opposite fields
+        j[150:200] = 0.0
+        k[200:250] = j[200:250]
+        rows.append(np.column_stack([j, k, b1, b2, np.full(n, t)]))
+    points = np.concatenate(rows)
+    got = _measure_table(points, ("alb",))
+    assert np.max(np.abs(got - reference_table(points, ("alb",)))) <= MAX_ABS_DIFF
+    assert 0 < np.count_nonzero(got) < len(points)
+
+
+def test_batch_alb_reads_the_state_without_linalg(monkeypatch):
+    points = np.array([(-1.0, -1.7, b1, b2, t) for b1 in (-6.0, 0.0, 1.3) for b2 in (-1.3, 0.0, 5.4)
+                       for t in (0.02, 0.2, 1.0)])
+    h, sectors = sweeps._solve(points)
+    batch = sweeps._Batch(points, h, sectors, points[:, 4])
+    want = reference_table(points, ("alb",))[:, 0]
+
+    def banned(*args, **kwargs):
+        raise AssertionError("alb calls np.linalg")
+
+    for name in ("eigvalsh", "eigh", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, banned)
+    assert np.max(np.abs(batch.alb() - want)) <= MAX_ABS_DIFF
+
+
+def test_alb_pairs_check_each_chi_vector(monkeypatch):
+    good = np.zeros((9, 9))
+    good[[0, 4], [4, 0]], good[[1, 3], [3, 1]] = 1.0, -1.0
+    sharing = np.zeros((9, 9))  # r = 2 and s = 6 lie in the sector of q = 4
+    sharing[[0, 4], [4, 0]], sharing[[2, 6], [6, 2]] = 1.0, -1.0
+    extra = good.copy()
+    extra[8, 8] = 0.5
+    for chis, fails in (([good], False), ([good, sharing], True), ([extra], True)):
+        basis = entanglement.AntisymBasis(QUTRIT_DIMS, np.array(chis).reshape(len(chis), -1))
+        monkeypatch.setattr(sweeps, "_antisym_basis33", lambda: basis)
+        if fails:
+            with pytest.raises(RuntimeError, match="disjoint sectors"):
+                sweeps._alb_pairs.__wrapped__()
+        else:
+            assert [x.tolist() for x in sweeps._alb_pairs.__wrapped__()] == [[0], [4], [1], [3]]
+
+
+def test_linalg_calls_per_stack(monkeypatch):
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def counted(a, solve=getattr(np.linalg, name), name=name):
+            counts[name] += 1
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = SweepConfig(K=-1.7, T=0.2, measures=("negativity", "alb"),
+                      ranges={"b1": AxisRange(-5.93, 6.07, 31), "b2": AxisRange(-6.011, 5.837, 31)})
+    run_sweep(cfg)
+    # 961 points in 4 stacks: eigh for the 3x3 sector, eigvalsh for the 3x3 partial-transpose
+    # block; the 1x1 and 2x2 blocks take no LAPACK call
+    assert counts == {"eigh": 4, "eigvalsh": 4}
+
+
+def test_negativity_keeps_the_relative_accuracy_of_tiny_values():
+    # the negative level of a 2x2 partial-transpose block, 4.80235869656e-31: a 60-digit
+    # mpmath value, and what eigvalsh gives; mid - hypot/2 gives 1.12e-44
+    got = _measure_table(np.array([(-1.0, -1.7, -6.0, -6.0, 0.2)]), ("negativity",))[0, 0]
+    assert abs(got - 4.80235869656e-31) <= 1e-9 * 4.80235869656e-31
 
 
 def test_ub_takes_the_eigenvectors_of_the_reference():

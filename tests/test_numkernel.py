@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qutritchain.numkernel import block_eig, entropy_bits, maxabs, require_symmetric, sym_eig
+from qutritchain.numkernel import (
+    block_eig, eigh2, entropy_bits, maxabs, require_symmetric, sym_eig,
+)
 
 
 def random_symmetric(rng, n):
@@ -110,3 +112,28 @@ def test_block_eig_solves_each_block():
             outside = np.setdiff1d(np.arange(6), block)
             assert not vectors[outside, levels].any()
             start += len(block)
+
+
+def test_eigh2_matches_eigh():
+    rng = np.random.default_rng(18)
+    eps = np.finfo(float).eps
+    m = rng.standard_normal((20000, 2, 2))
+    m += m.swapaxes(1, 2)
+    m[:500, 0, 1] = m[:500, 1, 0] = 0.0  # b = 0
+    m[500:1000, 1, 1] = m[500:1000, 0, 0]  # a = c
+    m[1000:1500, 0, 0] = -m[1000:1500, 1, 1]  # a + c = 0
+    m[1500:1600] = 0.0
+    m[1600:1700] = -0.0
+    m[1700:1800, 0, 1] = m[1700:1800, 1, 0] = -0.0
+    m[1800:1900, 0, 0] = m[1800:1900, 1, 1] = -0.0
+    for scale in (1.0, 1e-200, 1e150):
+        a = scale * m
+        values, vectors = eigh2(a)
+        assert np.array_equal(eigh2(a, vectors=False), values)
+        top = np.abs(np.linalg.eigvalsh(a)).max(axis=1)
+        size = np.where(top > 0.0, top, 1.0)[:, None, None]
+        # 4 eps of max |level|, where 20,000 random blocks reach 2.9 eps
+        assert np.all(np.abs(values - np.linalg.eigvalsh(a)) <= 4.0 * eps * size[:, :, 0])
+        assert np.all(np.diff(values, axis=1) >= 0.0)
+        assert np.all(np.abs(a @ vectors - vectors * values[:, None, :]) <= 4.0 * eps * size)
+        assert np.all(np.abs(vectors.swapaxes(1, 2) @ vectors - np.eye(2)) <= 2.0 * eps)

@@ -260,6 +260,18 @@ def test_output_format():
         f"{name}={format(float(v) + 0.0, '.12g')}\n" for name, v in zip(MEASURE_NAMES, values))
 
 
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
+def test_csv_formats_stacks_like_single_rows(rows):
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-20, 20, (rows, 4))
+    cells = table.reshape(-1)
+    cells[rng.choice(cells.size, min(cells.size, 8), replace=False)] = [
+        np.nan, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 0.0, np.nan][:min(cells.size, 8)]
+    template = "%.12g,%.12g,%.12g,%.12g\n"
+    want = "".join(template % tuple(row.tolist()) for row in table + 0.0).replace("nan", "")
+    assert _csv(["a", "b", "c", "d"], table) == "a,b,c,d\n" + want
+
+
 def test_consistency_error_is_exported():
     assert issubclass(ConsistencyError, Exception)
     assert not issubclass(ConsistencyError, ConfigError)
