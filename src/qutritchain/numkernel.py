@@ -31,11 +31,12 @@ def require_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.abs(a).max(axis=(-2, -1))
+    scale = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))  # max |a|, with no |a| copy
     if not np.isfinite(scale).all():
         raise ValueError("matrix has non-finite entries")
     tol = SYMMETRY_RTOL * np.maximum(1.0, scale)
-    dev = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    diff = a - a.swapaxes(-1, -2)
+    dev = np.maximum(diff.max(axis=(-2, -1)), -diff.min(axis=(-2, -1)))
     if not (dev <= tol).all():
         i = np.argmax(dev - tol)
         raise ValueError(

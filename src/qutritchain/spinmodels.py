@@ -91,11 +91,12 @@ def _blocks(charge: np.ndarray) -> tuple[tuple[int, ...], ...]:
                  for q in sorted(set(charge.tolist()), reverse=True))
 
 
-# H conserves total Sz, so it is block diagonal on these composite index sets
-# (Sz = 2, 1, 0, -1, -2).  So is a Gibbs state, whose partial transpose on
-# site 2 then conserves S1z - S2z instead: it is block diagonal on
-# SZ_DIFFERENCE_BLOCKS (S1z - S2z = 2, 1, 0, -1, -2).
-SZ_SECTORS = _blocks(np.diag(_SZ_I + _I_SZ))
+# H conserves total Sz (SZ_TOTAL, per composite index), so it is block diagonal
+# on these composite index sets (Sz = 2, 1, 0, -1, -2).  So is a Gibbs state, whose
+# partial transpose on site 2 then conserves S1z - S2z instead: it is block
+# diagonal on SZ_DIFFERENCE_BLOCKS (S1z - S2z = 2, 1, 0, -1, -2).
+SZ_TOTAL = np.diag(_SZ_I + _I_SZ)
+SZ_SECTORS = _blocks(SZ_TOTAL)
 SZ_DIFFERENCE_BLOCKS = _blocks(np.diag(_SZ_I - _I_SZ))
 
 

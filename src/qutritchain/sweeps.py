@@ -1,13 +1,11 @@
 """Parameter sweeps over the spin-1 pair model, emitted as deterministic CSV.
 
-Output format: one header row, comma separators, newline line endings, every
-float printed with 12 significant digits.  Row order is the lexicographic
-product of the axis grids.  Grid points, and the scan and bisection states of
-a threshold run, are evaluated in batches of at most CHUNK_POINTS, each one
-stack of Gibbs states built per total-Sz sector and read by every requested
-measure.  The same configuration gives byte-identical files on every rerun
-and for every batch size; each measure agrees with its single-state library
-function (_sweep_worker) to 1e-12, not bit for bit.
+Output: a header row, then one row per grid point in lexicographic axis order,
+comma separated, each float to 12 significant digits, byte-identical on reruns
+and for every batch size.  States are built per total-Sz sector in batches of
+CHUNK_POINTS, read by every measure, each within 1e-12 of _sweep_worker.  A
+sweep visits its grid sorted by (J, K, (B1 - B2)/2) and solves each such H once
+per batch: plane-neg 173k -> 224k points/s (BENCH_field_shift.json), 1741 lines.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ from . import densecode, entanglement, thermal
 from .numkernel import Spectrum, block_eig, eigh2, entropy_bits, sym_eig
 from .qstate import BipartiteDims, DensityMatrix, check_density, partial_transpose_of
 from .spinmodels import (
-    SZ_DIFFERENCE_BLOCKS, SZ_SECTORS, QutritChainParams, central_block_of, closed_form_energies,
-    hamiltonian_qutrit,
+    SZ_DIFFERENCE_BLOCKS, SZ_SECTORS, SZ_TOTAL, QutritChainParams, central_block_of,
+    closed_form_energies, hamiltonian_qutrit,
 )
 from .thermal import MultipartiteDims
 
@@ -151,8 +149,8 @@ def _alb_pairs() -> tuple[np.ndarray, ...]:
 class _Batch:
     """Gibbs states of a stack of Hamiltonians at their temperatures, plus what measures share.
 
-    Each state is built from `sectors`, the spectrum of its H (in `h`, of its
-    row of `points`) solved per total-Sz sector, whose eigenvectors stay
+    Each state is built from `sectors`, the spectrum of the H of its row of
+    `points` solved per total-Sz sector, whose eigenvectors stay
     inside one sector even at degeneracies.  So rho's eigenvalues are the
     weights, the reduced states of rho and of each eigenvector are diagonal,
     the partial transpose splits into blocks of at most 3x3 (the 2x2 ones
@@ -162,10 +160,8 @@ class _Batch:
     points are batched.
     """
 
-    def __init__(self, points: np.ndarray, h: np.ndarray, sectors: Spectrum,
-                 temperatures: np.ndarray) -> None:
+    def __init__(self, points: np.ndarray, sectors: Spectrum, temperatures: np.ndarray) -> None:
         self.points = points
-        self.h = h
         self.temperatures = temperatures
         self.sectors = sectors
         self.weights = thermal.boltzmann_weights(self.sectors.values, temperatures)
@@ -240,7 +236,8 @@ class _Batch:
         window = thermal.GROUND_WINDOW * np.maximum(1.0, np.abs(levels).max(axis=1))
         tied = np.nonzero((np.diff(levels, axis=1) <= window[:, None]).any(axis=1))[0]
         if tied.size:
-            dense = _eig_naming_rows(sym_eig, self.h[tied], self.points[tied])
+            h = hamiltonian_qutrit(QutritChainParams(*self.points[tied, :4].T))
+            dense = _eig_naming_rows(sym_eig, h, self.points[tied])
             m = dense.vectors.swapaxes(1, 2).reshape(-1, 9, 3, 3)
             ra = m @ m.swapaxes(-1, -2)
             purity[tied] = (ra * ra).reshape(-1, 9, 9).sum(axis=-1)
@@ -285,47 +282,68 @@ def _eig_naming_rows(solve, h: np.ndarray, points: np.ndarray) -> Spectrum:
         raise
 
 
-def _solve(points: np.ndarray) -> tuple[np.ndarray, Spectrum]:
-    """H of each (J, K, B1, B2, ...) row of `points` as one stack, and its spectrum solved
-    per total-Sz sector.  ValueError names the first row eigh fails on, else the first
-    whose H is not finite or whose levels span more than the float range."""
-    h = hamiltonian_qutrit(QutritChainParams(*points[:, :4].T))
+def _half_difference(points: np.ndarray) -> np.ndarray:
+    """d = (B1 - B2)/2 of each (J, K, B1, B2, ...) row of `points`, from halved fields, so
+    that it does not overflow."""
+    return 0.5 * points[:, 2] - 0.5 * points[:, 3]
+
+
+def _solve(points: np.ndarray) -> Spectrum:
+    """The spectrum per total-Sz sector of the H of each (J, K, B1, B2, ...) row of `points`.
+    H = H(J, K, d, -d) + s Sz with s = (B1 + B2)/2: H(J, K, d, -d) is solved once per run of
+    rows with one (J, K, d), and each level moves by s times its Sz.  ValueError names the
+    first row eigh fails on, else the first whose H or level spread is not finite."""
+    # the outputs first, before arrays whose sizes vary by group: a sweep's heap then settles
+    values, vectors = np.empty((len(points), 9)), np.empty((len(points), 9, 9))
+    d, s = _half_difference(points), 0.5 * points[:, 2] + 0.5 * points[:, 3]
+    keys = np.column_stack([points[:, :2], d])
+    head = np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])  # where a run starts
+    h = hamiltonian_qutrit(QutritChainParams(*keys[head].T, -d[head]))
     finite = np.isfinite(h).all(axis=(1, 2))
     h[~finite] = 0.0  # solvable; such a row raises below
-    sectors = _eig_naming_rows(lambda a: block_eig(a, SZ_SECTORS), h, points)
+    solved = _eig_naming_rows(lambda a: block_eig(a, SZ_SECTORS), h, points[head])
+    run = np.cumsum(head) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = finite & np.isfinite(sectors.values.max(axis=1) - sectors.values.min(axis=1))
+        np.add(solved.values[run], s[:, None] * SZ_TOTAL[np.concatenate(SZ_SECTORS)], out=values)
+        ok = finite[run] & np.isfinite(values.max(axis=1) - values.min(axis=1))
     if not ok.all():
         raise ValueError(f"Hamiltonian overflows at {_params_of(points[np.argmin(ok)])}")
-    return h, sectors
+    return Spectrum(values, np.take(solved.vectors, run, axis=0, out=vectors))
 
 
-def _evaluate(points: np.ndarray, h: np.ndarray, sectors: Spectrum, rows: Optional[np.ndarray],
-              temperatures: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-    """Measures `names`, one column each, of the Gibbs states of h[rows] at `temperatures`,
-    built from the sector spectrum of h, the stack _solve(points) gives, in batches of
-    CHUNK_POINTS states.  A row may appear any number of times; rows None takes each row
-    once, in order, without a copy."""
+def _evaluate(points: np.ndarray, sectors: Spectrum, rows: np.ndarray, temperatures: np.ndarray,
+              names: tuple[str, ...]) -> np.ndarray:
+    """Measures `names`, one column each, of the Gibbs states of points[rows] at `temperatures`,
+    from sectors = _solve(points), in batches of CHUNK_POINTS; a row may appear many times."""
     parts = []
     for i in range(0, len(temperatures), CHUNK_POINTS):
-        r = slice(i, i + CHUNK_POINTS) if rows is None else rows[i:i + CHUNK_POINTS]
-        batch = _Batch(points[r], h[r], Spectrum(sectors.values[r], sectors.vectors[r]),
+        r = rows[i:i + CHUNK_POINTS]
+        batch = _Batch(points[r], Spectrum(sectors.values[r], sectors.vectors[r]),
                        temperatures[i:i + CHUNK_POINTS])
         parts.append(np.column_stack([_MEASURES[name](batch) for name in names]))
     return np.concatenate(parts) if parts else np.empty((0, len(names)))
 
 
 def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-    """Measures `names` at each (J, K, B1, B2, T) row of `points`, one column
-    per name, solved and evaluated in groups of CHUNK_POINTS rows."""
-    parts = []
-    for start in range(0, len(points), CHUNK_POINTS):
-        group = points[start:start + CHUNK_POINTS]
-        # the last group's h and sectors are freed only after this solve, so malloc does not
-        # trim the heap between groups and fault it back in
-        h, sectors = _solve(group)
-        parts.append(_evaluate(group, h, sectors, None, group[:, 4], names))
-    return np.concatenate(parts)
+    """Measures `names` at each (J, K, B1, B2, T) row of `points`, one column each, in groups
+    of CHUNK_POINTS rows sorted by (J, K, _half_difference), so that _solve finds long runs
+    of one key; after a ValueError, in axis order again, to name the first row that fails."""
+    table = np.empty((len(points), len(names)))
+
+    def visit(order: np.ndarray) -> np.ndarray:
+        for start in range(0, len(points), CHUNK_POINTS):
+            rows = order[start:start + CHUNK_POINTS]
+            group = points[rows]
+            # the last batch lives until this one is built, so malloc keeps its heap untrimmed
+            batch = _Batch(group, _solve(group), group[:, 4])
+            table[rows] = np.column_stack([_MEASURES[name](batch) for name in names])
+        return table
+
+    try:
+        return visit(np.lexsort((_half_difference(points), points[:, 1], points[:, 0])))
+    except ValueError:
+        visit(np.arange(len(points)))  # raises at the first failing row in axis order
+        raise
 
 
 def _sweep_worker(point: tuple[float, ...], names: tuple[str, ...]) -> tuple[float, ...]:
@@ -424,22 +442,22 @@ def run_threshold(cfg: SweepConfig) -> str:
     for start in range(0, len(points), CHUNK_POINTS):
         group = table[start:start + CHUNK_POINTS]
         chunk = points[start:start + CHUNK_POINTS]
-        h, sectors = _solve(chunk)
+        sectors = _solve(chunk)
         group[:, -1] = thermal.tstar_rows(np.sort(sectors.values, axis=1), QUTRIT_SPLIT)
         # each row's first scan point above its T*, TS_SCAN[0] where T* is None
         witness = np.searchsorted(thermal.TS_SCAN, np.nan_to_num(group[:, -1]), side="right")
         scan = np.zeros((len(chunk), thermal.TS_GRID, len(requested)))  # 0 where not scanned
         r, c = np.nonzero(columns <= witness[:, None])
-        scan[r, c] = _evaluate(chunk, h, sectors, r, thermal.TS_SCAN[c], requested)
+        scan[r, c] = _evaluate(chunk, sectors, r, thermal.TS_SCAN[c], requested)
         # a row with a measure above TS_TOL at its witness point scans in full
         at = scan[np.arange(len(chunk)), np.minimum(witness, thermal.TS_GRID - 1)]
         r, c = np.nonzero((columns > witness[:, None]) & (at > thermal.TS_TOL).any(axis=1)[:, None])
-        scan[r, c] = _evaluate(chunk, h, sectors, r, thermal.TS_SCAN[c], requested)
+        scan[r, c] = _evaluate(chunk, sectors, r, thermal.TS_SCAN[c], requested)
         for i, name in enumerate(requested):
             # NaN where the measure never exceeds TS_TOL, which _csv prints as an empty cell
             group[:, i + 1] = thermal.vanishing_point(
                 scan[:, :, i],
-                lambda rows, t: _evaluate(chunk, h, sectors, rows, t, (name,))[:, 0])
+                lambda rows, t: _evaluate(chunk, sectors, rows, t, (name,))[:, 0])
         beyond = group[:, 1:-1] > group[:, -1:] + 1e-6  # False where either cell is NaN
         if beyond.any():
             r, i = np.argwhere(beyond)[0]

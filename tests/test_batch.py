@@ -126,9 +126,9 @@ def test_threshold_bisects_rows_in_lockstep(monkeypatch):
     sizes = []
 
     class Counted(sweeps._Batch):
-        def __init__(self, points, h, sectors, temperatures):
+        def __init__(self, points, sectors, temperatures):
             sizes.append(len(temperatures))
-            super().__init__(points, h, sectors, temperatures)
+            super().__init__(points, sectors, temperatures)
 
     monkeypatch.setattr(sweeps, "_Batch", Counted)
     cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
@@ -151,9 +151,9 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
     sizes = []
 
     class Counted(sweeps._Batch):
-        def __init__(self, points, h, sectors, temperatures):
+        def __init__(self, points, sectors, temperatures):
             sizes.append(len(temperatures))
-            super().__init__(points, h, sectors, temperatures)
+            super().__init__(points, sectors, temperatures)
 
     monkeypatch.setattr(sweeps, "_Batch", Counted)
     want = run_threshold(_THRESHOLD_K)
@@ -178,10 +178,10 @@ def test_threshold_row_entangled_at_its_witness_scans_in_full(monkeypatch):
     monkeypatch.setattr(thermal, "tstar_rows", without_row_5)
     evaluate = sweeps._evaluate
 
-    def recorded(points, h, sectors, rows, temperatures, names):
+    def recorded(points, sectors, rows, temperatures, names):
         if len(names) == 2:  # a scan call; a bisection call takes one measure
             scanned.extend(rows.tolist())
-        return evaluate(points, h, sectors, rows, temperatures, names)
+        return evaluate(points, sectors, rows, temperatures, names)
 
     monkeypatch.setattr(sweeps, "_evaluate", recorded)
     got = run_threshold(_THRESHOLD_K).split("\n")
@@ -262,8 +262,7 @@ def test_alb_matches_alb_mixture_across_temperatures():
 def test_batch_alb_reads_the_state_without_linalg(monkeypatch):
     points = np.array([(-1.0, -1.7, b1, b2, t) for b1 in (-6.0, 0.0, 1.3) for b2 in (-1.3, 0.0, 5.4)
                        for t in (0.02, 0.2, 1.0)])
-    h, sectors = sweeps._solve(points)
-    batch = sweeps._Batch(points, h, sectors, points[:, 4])
+    batch = sweeps._Batch(points, sweeps._solve(points), points[:, 4])
     want = reference_table(points, ("alb",))[:, 0]
 
     def banned(*args, **kwargs):
@@ -307,6 +306,27 @@ def test_linalg_calls_per_stack(monkeypatch):
     assert counts == {"eigh": 4, "eigvalsh": 4}
 
 
+# Negativity at points (J, K, B1, B2, T): H assembled from the same doubles, then
+# diagonalized, weighted, partially transposed and solved again in 60-digit arithmetic
+# (mpmath eigsy).  The first two are tiny; at the first, a relative change of 1e-14 in rho
+# moves the negative level of the 3x3 S1z = S2z block from -1.83e-39 to -8.8e-25.
+NEGATIVITY_ORACLE = [
+    ((-1.0, -1.7, 5.4, 5.4, 0.2), 3.8913915568535214002294118771e-27),
+    ((-1.0, -1.7, -6.0, -6.0, 0.2), 4.80235869656499056685788338377e-31),
+    ((-1.0, -1.7, -0.24, 5.4, 0.2), 0.278137511846010379361659433292),
+    ((-1.0, -1.7, 2.0, 1.0, 0.5), 0.0895983818111007680806886484608),
+    ((-1.2, 0.4, -0.7, 2.9, 0.8), 0.0000757549687375102725329134583441),
+]
+
+
+def test_negativity_is_accurate_to_round_off_of_the_largest_entry():
+    # eigvalsh is accurate to about eps times the largest entry of a block, and the largest
+    # entry of rho is at most 1: a cell below about 1e-15 is round-off
+    points = np.array([p for p, _ in NEGATIVITY_ORACLE])
+    want = np.array([v for _, v in NEGATIVITY_ORACLE])
+    assert np.max(np.abs(_measure_table(points, ("negativity",))[:, 0] - want)) <= 1e-15
+
+
 def test_negativity_keeps_the_relative_accuracy_of_tiny_values():
     # the negative level of a 2x2 partial-transpose block, 4.80235869656e-31: a 60-digit
     # mpmath value, and what eigvalsh gives; mid - hypot/2 gives 1.12e-44
@@ -348,7 +368,12 @@ def test_ub_solves_only_rows_with_degenerate_levels(monkeypatch):
     window = thermal.GROUND_WINDOW * np.maximum(1.0, np.abs(levels).max(axis=1))
     tied = (np.diff(levels, axis=1) <= window[:, None]).any(axis=1)
     assert tied.sum() == 109
-    assert np.array_equal(np.concatenate(solved), h[tied])
+
+    def in_order(stack):  # the rows arrive sorted by (J, K, B1 - B2), not in grid order
+        flat = stack.reshape(len(stack), -1)
+        return flat[np.lexsort(flat.T[::-1])]
+
+    assert np.array_equal(in_order(np.concatenate(solved)), in_order(h[tied]))
 
 
 def test_spectrum_matches_scalar_rows_bit_for_bit(monkeypatch):
@@ -382,13 +407,83 @@ def test_csv_independent_of_batch_size(monkeypatch):
                               measures=("negativity", "alb")) for b1 in (0.35, 0.0)]
     # 25 B2 values through the closed forms, the central blocks and sym_eig
     spectrum = SweepConfig(K=-1.7, B1=3.0, ranges={"b2": AxisRange(-6.0, 6.0, 25)})
-    want = run_sweep(cfg), [run_threshold(t) for t in thresholds], run_spectrum(spectrum)
+    # 5 K values with 6 temperatures each: groups of 7 rows cut across the rows of one H
+    kt = SweepConfig(mode="grid-kt", B1=0.6, B2=-0.4, measures=MEASURE_NAMES,
+                     ranges={"k": AxisRange(-2.0, 0.0, 5), "t": AxisRange(0.05, 2.0, 6)})
+    grids = [cfg, kt]
+    want = ([run_sweep(c) for c in grids], [run_threshold(t) for t in thresholds],
+            run_spectrum(spectrum))
     cells = {cell for text in want[1] for line in text.split()[1:] for cell in line.split(",")[1:3]}
     assert {"", "10"} < cells
     for size in (1, 7):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
-        assert (run_sweep(cfg), [run_threshold(t) for t in thresholds],
+        assert ([run_sweep(c) for c in grids], [run_threshold(t) for t in thresholds],
                 run_spectrum(spectrum)) == want
+
+
+def test_rows_sharing_a_field_difference_match_reference(monkeypatch):
+    # H(J, K, B1, B2) = H(J, K, d, -d) + s Sz, d = (B1 - B2)/2 and s = (B1 + B2)/2: rows with
+    # one (J, K, d) share one sector solve and differ in the shift s of its levels
+    fields = [(b, b) for b in (-4.2, -0.3, 0.0, 1.3, 5.4)]  # d = 0
+    fields += [(b, -b) for b in (-4.2, 0.3, 1.3, 5.4)]  # s = 0
+    fields += [(0.75 + s, -0.75 + s) for s in (-3.0, -0.25, 0.5, 2.5)]  # d = 0.75, exactly
+    fields += [(x, y) for x in (1e150, -1e150) for y in (1e150, -1e150)]
+    fields += [(x, y) for x in (1e-300, -1e-300) for y in (1e-300, -1e-300)]
+    points = np.array([(-1.0, k, b1, b2, t) for k in (-1.7, 0.4) for b1, b2 in fields
+                       for t in (0.05, 0.2, 1.0)])
+    solved = []
+
+    def counted(h, blocks):
+        solved.append(len(h))
+        return block_eig(h, blocks)
+
+    monkeypatch.setattr(sweeps, "block_eig", counted)
+    got = _measure_table(points, MEASURE_NAMES)
+    # one group; per K the keys d = 0, 0.75, +-1e150, +-1e-300 and the four of s = 0
+    assert solved == [2 * 10]
+    assert np.max(np.abs(got - reference_table(points, MEASURE_NAMES))) <= MAX_ABS_DIFF
+
+
+@pytest.mark.parametrize("mode, axis", [("grid-kt", "k"), ("grid-b2t", "b2")])
+def test_rows_of_one_k_or_b2_share_one_solve(mode, axis, monkeypatch):
+    calls, solved = [], []
+
+    def recorded(points, names):
+        values = _measure_table(points, names)
+        calls.append((points, names, values))
+        return values
+
+    def counted(h, blocks):
+        solved.append(len(h))
+        return block_eig(h, blocks)
+
+    monkeypatch.setattr(sweeps, "_measure_table", recorded)
+    monkeypatch.setattr(sweeps, "block_eig", counted)
+    cfg = SweepConfig(mode=mode, K=-1.7, B1=0.6, B2=-0.4, measures=MEASURE_NAMES,
+                      ranges={axis: AxisRange(-3.0, 0.5, 4), "t": AxisRange(0.05, 3.0, 5)})
+    run_sweep(cfg)
+    [(points, names, values)] = calls
+    assert solved == [4]  # one solve per axis value for its 5 temperatures
+    assert np.max(np.abs(values - reference_table(points, names))) <= MAX_ABS_DIFF
+
+
+def test_sweeps_solve_each_field_difference_once(monkeypatch):
+    solved = []
+
+    def counted(h, blocks):
+        solved.append(len(h))
+        return block_eig(h, blocks)
+
+    monkeypatch.setattr(sweeps, "block_eig", counted)
+    # the c13 plane has 629 distinct (J, K, (B1 - B2)/2), and each group of CHUNK_POINTS
+    # sorted rows starts one more run: 668 solves, not 10,201
+    plane = {"b1": AxisRange(-6.0, 6.0, 101), "b2": AxisRange(-6.0, 6.0, 101)}
+    run_sweep(SweepConfig(K=-1.7, ranges=plane))
+    assert sum(solved) <= 700
+    solved.clear()
+    # 101 K values over 40 groups
+    run_sweep(SweepConfig(mode="grid-kt"))
+    assert sum(solved) <= 101 + 40
 
 
 def test_batch_rejects_nonpositive_temperature():

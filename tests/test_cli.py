@@ -182,6 +182,17 @@ def test_eigensolver_failure_names_its_first_row(capsys):
             f"numerical consistency failure: Eigenvalues did not converge at ({row})\n"), argv
 
 
+def test_sweep_names_its_first_failing_row_in_axis_order(capsys):
+    # eigh fails wherever |B1 - B2| is 5e230 or 1e231.  Rows are solved in order of
+    # (J, K, (B1 - B2)/2), where (B1, B2) = (0, 1e231) comes first; in axis order (0, 5e230)
+    argv = ["sweep", "--K=0", "--J=1", "--range-b1=0:1e231:3", "--range-b2=0:1e231:3"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical consistency failure: Eigenvalues did not converge at "
+                            "(J=1.0, K=0.0, B1=0.0, B2=5e+230)\n")
+
+
 @pytest.mark.filterwarnings("error")
 def test_tiny_temperatures_give_zero_weights_without_a_warning(capsys):
     # exp of an exponent far below the float range is a Boltzmann weight of 0
