@@ -134,12 +134,8 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
         if not math.isfinite(floats[key]):
             raise ConfigError(f"{key} must be finite, got {raw!r}")
-    if floats["T"] <= 0.0:
-        raise ConfigError(f"temperature must be positive, got T={floats['T']}")
 
     ranges = {key[6:]: _parse_range(given[key]) for key in _RANGE_KEYS if key in given}
-    if "t" in ranges and ranges["t"].start <= 0.0:
-        raise ConfigError(f"temperatures must be positive, got range-t from {ranges['t'].start}")
 
     measures = tuple(name.strip() for name in given.get("measures", "").split(",") if name.strip())
 

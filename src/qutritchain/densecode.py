@@ -28,15 +28,16 @@ def heisenberg_weyl(d: int) -> np.ndarray:
     """
     if d < 2:
         raise ValueError(f"local dimension must be at least 2, got {d}")
+    x, y, j = np.ix_(np.arange(d), np.arange(d), np.arange(d))
     u = np.zeros((d, d, d, d), dtype=complex)
-    j = np.arange(d)
-    for x in range(d):
-        phases = np.exp(2.0j * math.pi * x * j / d)
-        for y in range(d):
-            m = np.zeros((d, d), dtype=complex)
-            m[(j + y) % d, j] = phases
-            u[x, y] = m
+    u[x, y, (j + y) % d, j] = np.exp(2.0j * math.pi * x * j / d)
     return u
+
+
+def _conjugates(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
+    """(U x I) rho (U x I)^dagger for each side-A unitary U of the stack `unitaries`."""
+    full = np.kron(unitaries.reshape(-1, rho.dims.da, rho.dims.da), np.eye(rho.dims.db))
+    return full @ rho.mat @ full.conj().swapaxes(-1, -2)
 
 
 def _matrix_entropy(mat: np.ndarray) -> float:
@@ -86,16 +87,8 @@ def holevo_chi(e: Ensemble) -> float:
 
 def weyl_ensemble(rho: DensityMatrix) -> Ensemble:
     """Uniform ensemble of (U_{x,y} x I) rho (U_{x,y} x I)^dagger over all x, y."""
-    da, db = rho.dims.da, rho.dims.db
-    u = heisenberg_weyl(da)
-    eye_b = np.eye(db)
-    states = []
-    for x in range(da):
-        for y in range(da):
-            full = np.kron(u[x, y], eye_b)
-            states.append(full @ rho.mat @ full.conj().T)
-    n = da * da
-    return Ensemble(probabilities=np.full(n, 1.0 / n), states=tuple(states))
+    states = _conjugates(rho, heisenberg_weyl(rho.dims.da))
+    return Ensemble(probabilities=np.full(len(states), 1.0 / len(states)), states=tuple(states))
 
 
 def average_state(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
@@ -104,17 +97,11 @@ def average_state(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
     For the full Heisenberg-Weyl set this equals I_A/d_A x rho_B: the signal
     average carries no information about side A.
     """
-    da, db = rho.dims.da, rho.dims.db
+    da = rho.dims.da
     u = np.asarray(unitaries, dtype=complex)
     if u.ndim != 4 or u.shape[2] != da or u.shape[3] != da:
         raise ValueError(f"unitary array shape {u.shape} does not act on side A (d={da})")
-    eye_b = np.eye(db)
-    acc = np.zeros((da * db, da * db), dtype=complex)
-    for x in range(u.shape[0]):
-        for y in range(u.shape[1]):
-            full = np.kron(u[x, y], eye_b)
-            acc += full @ rho.mat @ full.conj().T
-    return acc / (u.shape[0] * u.shape[1])
+    return _conjugates(rho, u).mean(axis=0)
 
 
 def cdc(rho: DensityMatrix) -> float:

@@ -5,7 +5,7 @@ comma separated, each float to 12 significant digits, byte-identical on reruns
 and for every batch size.  States are built per total-Sz sector in batches of
 CHUNK_POINTS, read by every measure, each within 1e-12 of _sweep_worker.  A
 sweep visits its grid sorted by (J, K, (B1 - B2)/2) and solves each such H once
-per batch: plane-neg 173k -> 224k points/s (BENCH_field_shift.json), 1741 lines.
+per batch.  _grid checks every run's ranges and temperatures.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ _DEFAULT_MEASURES = {
 }
 
 _AXIS_LABEL = {"b1": "B1", "b2": "B2", "k": "K", "t": "T"}
+
+# A threshold or spectrum run sweeps the first of these with a range; _grid refuses the rest.
+_LINE_AXES = ("k", "b1", "b2")
 
 _DEFAULT_RANGES = {
     "b1": (-6.0, 6.0, 101),
@@ -107,19 +110,11 @@ class SweepConfig:
     out: Optional[str] = None
 
 
-def _single_axis(cfg: SweepConfig, run: str) -> Optional[str]:
-    """The one axis among k, b1 and b2 that has a range in `cfg`, or None."""
-    axes = [a for a in ("k", "b1", "b2") if a in cfg.ranges]
-    if len(axes) > 1:
-        raise ConfigError(f"{run} runs sweep one axis, got ranges for {axes}")
-    return axes[0] if axes else None
-
-
-def _check_measures(names: Iterable[str]) -> tuple[str, ...]:
+def _check_measures(names: Iterable[str], allowed: tuple[str, ...]) -> tuple[str, ...]:
     names = tuple(names)
     for name in names:
-        if name not in MEASURE_NAMES:
-            raise ConfigError(f"unknown measure {name!r}; choose from {', '.join(MEASURE_NAMES)}")
+        if name not in allowed:
+            raise ConfigError(f"unknown measure {name!r}; choose from {', '.join(allowed)}")
     return names
 
 
@@ -382,7 +377,12 @@ def _csv(header: list[str], table: np.ndarray) -> str:
 def _grid(cfg: SweepConfig, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The product grid over `axes`, outermost first: its axis coordinates, one
     column per axis, and its (J, K, B1, B2, T) rows.  No axes gives the one
-    fixed point of `cfg`."""
+    fixed point of `cfg`.  ConfigError if `cfg` has a range for another axis,
+    or if a temperature on the grid is not positive."""
+    unused = [a for a in cfg.ranges if a not in axes]
+    if unused:
+        raise ConfigError(f"this run sweeps {' and '.join(axes) or 'no axis'}, "
+                          f"so it takes no range for {' or '.join(unused)}")
     ranges = [cfg.ranges.get(a) or AxisRange(*_DEFAULT_RANGES[a]) for a in axes]
     if math.prod(r.count for r in ranges) > MAX_GRID_POINTS:
         raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
@@ -391,6 +391,8 @@ def _grid(cfg: SweepConfig, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarr
     if cfg.mode == "line-b1eqnegb2":
         columns["b2"] = -columns["b1"]
     points = np.stack(np.broadcast_arrays(*columns.values()), axis=-1).reshape(-1, 5)
+    if not (points[:, 4] > 0.0).all():
+        raise ConfigError(f"temperatures must be positive, got T={float(points[:, 4].min())}")
     return points[:, [list(columns).index(a) for a in axes]], points
 
 
@@ -399,7 +401,8 @@ def run_sweep(cfg: SweepConfig) -> str:
     if cfg.mode not in SWEEP_MODES:
         raise ConfigError(f"unknown sweep mode {cfg.mode!r}; choose from {', '.join(SWEEP_MODES)}")
     axes = _MODE_AXES[cfg.mode]
-    measures = _check_measures(cfg.measures or _DEFAULT_MEASURES.get(cfg.mode, ("negativity",)))
+    measures = _check_measures(cfg.measures or _DEFAULT_MEASURES.get(cfg.mode, ("negativity",)),
+                               MEASURE_NAMES)
     coords, points = _grid(cfg, axes)
     values = _measure_table(points, measures)
 
@@ -427,13 +430,8 @@ def run_threshold(cfg: SweepConfig) -> str:
     measure in lockstep, one _evaluate call per step.  The first row whose ts
     lies beyond its tstar, in axis order, raises ConsistencyError.
     """
-    requested = cfg.measures or ("negativity",)
-    for name in requested:
-        if name not in _TS_MEASURES:
-            raise ConfigError(
-                f"threshold runs support measures {', '.join(_TS_MEASURES)}, got {name!r}"
-            )
-    axis = _single_axis(cfg, "threshold") or "k"
+    requested = _check_measures(cfg.measures or ("negativity",), _TS_MEASURES)
+    axis = next((a for a in _LINE_AXES if a in cfg.ranges), "k")
     coords, points = _grid(cfg, (axis,))
 
     table = np.empty((len(points), len(requested) + 2))
@@ -476,8 +474,7 @@ def run_spectrum(cfg: SweepConfig) -> str:
     NaN levels.  The first row, in axis order, that sym_eig fails on raises
     ValueError naming it, and the first whose residual fails
     SPECTRUM_RESIDUAL_TOL (a NaN fails) ConsistencyError."""
-    axis = _single_axis(cfg, "spectrum")
-    _, points = _grid(cfg, (axis,) if axis else ())
+    _, points = _grid(cfg, tuple(a for a in _LINE_AXES if a in cfg.ranges)[:1])
 
     table = np.empty((len(points), 14))
     table[:, :4] = points[:, :4]

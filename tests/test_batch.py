@@ -61,8 +61,8 @@ def test_every_mode_matches_reference(mode, monkeypatch):
         return values
 
     monkeypatch.setattr(sweeps, "_measure_table", recorded)
-    cfg = SweepConfig(mode=mode, K=-1.7, B1=0.6, B2=-0.4, T=0.2,
-                      ranges=_SMALL_RANGES, measures=MEASURE_NAMES)
+    cfg = SweepConfig(mode=mode, K=-1.7, B1=0.6, B2=-0.4, T=0.2, measures=MEASURE_NAMES,
+                      ranges={axis: _SMALL_RANGES[axis] for axis in sweeps._MODE_AXES[mode]})
     text = run_sweep(cfg)
     [(points, names, values)] = calls
     assert len(text.strip().split("\n")) == len(points) + 1

@@ -123,6 +123,27 @@ def test_known_defects_return_config_error(argv, capsys):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_sweep_refuses_a_range_for_an_axis_it_does_not_sweep(mode, capsys):
+    # each such range was dropped without a word, and the grid printed without it
+    for axis in {"b1", "b2", "k", "t"} - set(sweeps._MODE_AXES[mode]):
+        assert main(["sweep", "--mode", mode, f"--range-{axis}=0.5:1:2"]) == 2, axis
+        captured = capsys.readouterr()
+        assert captured.out == "", axis
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, axis
+        assert f"range for {axis}" in captured.err, axis
+
+
+@pytest.mark.parametrize("head", ["threshold", "spectrum"])
+def test_line_runs_refuse_a_second_range(head, capsys):
+    for first, second in (("k", "b1"), ("k", "b2"), ("b1", "b2")):
+        argv = [head, f"--range-{second}=0:1:2", f"--range-{first}=-1:0:2"]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert f"sweeps {first}," in captured.err and f"range for {second}" in captured.err, argv
+
+
 def test_out_of_range_inputs_return_config_error(tmp_path, capsys):
     assert main(["sweep", "--range-b1=-1e308:1e308:3"]) == 2
     assert main(["sweep", "--range-b2=0:inf:3"]) == 2

@@ -42,6 +42,27 @@ def test_unknown_mode_and_measure():
         run_sweep(SweepConfig(measures=("bogus",)))
 
 
+def test_nonpositive_temperatures_are_config_errors():
+    # boltzmann_weights raised ValueError for these, which the CLI reports as exit 3
+    for t in (0.0, -1.0, -5e-324):
+        with pytest.raises(ConfigError, match="temperatures must be positive"):
+            single_point_report(SweepConfig(T=t))
+        with pytest.raises(ConfigError, match="temperatures must be positive"):
+            run_sweep(SweepConfig(mode="grid-b1b2", T=t))
+    with pytest.raises(ConfigError, match="temperatures must be positive"):
+        run_sweep(SweepConfig(mode="grid-kt", ranges={"t": AxisRange(-1.0, 1.0, 3)}))
+
+
+def test_runs_refuse_ranges_they_do_not_read():
+    t_range = {"t": AxisRange(0.5, 1.0, 2)}
+    for run in (run_threshold, run_spectrum, single_point_report):
+        with pytest.raises(ConfigError, match="range for t"):
+            run(SweepConfig(ranges=t_range))
+    with pytest.raises(ConfigError, match="sweeps b1, so it takes no range for b2"):
+        run_sweep(SweepConfig(mode="line-b1eqnegb2", ranges={"b1": AxisRange(0.0, 1.0, 2),
+                                                             "b2": AxisRange(5.0, 6.0, 3)}))
+
+
 def test_sweep_deterministic():
     cfg = dict(mode="grid-b1b2", K=-1.7, T=0.5,
                ranges={"b1": AxisRange(-2.0, 2.0, 5), "b2": AxisRange(-2.0, 2.0, 5)})
