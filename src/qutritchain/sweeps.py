@@ -1,11 +1,12 @@
 """Parameter sweeps over the spin-1 pair model, emitted as deterministic CSV.
 
-Output: a header row, then one row per grid point in lexicographic axis order,
-comma separated, each float to 12 significant digits, byte-identical on reruns
-and for every batch size.  States are built per total-Sz sector in batches of
-CHUNK_POINTS, read by every measure, each within 1e-12 of _sweep_worker.  A
-sweep visits its grid sorted by (J, K, (B1 - B2)/2) and solves each such H once
-per batch.  _grid checks every run's ranges and temperatures.
+Output: a header row, then one row per grid point in lexicographic axis order, comma
+separated, each float to 12 significant digits, byte-identical on reruns and for every
+batch size.  States are built per total-Sz sector in batches of CHUNK_POINTS and read by
+every measure, within 1e-12 of _sweep_worker except ub near a crossing inside one sector
+(_Batch.ub).  A sweep reads a point with B1 < B2 from its mirror, B1 and B2 swapped,
+visits the other distinct points sorted by (J, K, (B1 - B2)/2) and solves each such H
+once per batch.  _grid checks every run's ranges and temperatures.
 """
 
 from __future__ import annotations
@@ -144,15 +145,13 @@ def _alb_pairs() -> tuple[np.ndarray, ...]:
 class _Batch:
     """Gibbs states of a stack of Hamiltonians at their temperatures, plus what measures share.
 
-    Each state is built from `sectors`, the spectrum of the H of its row of
-    `points` solved per total-Sz sector, whose eigenvectors stay
-    inside one sector even at degeneracies.  So rho's eigenvalues are the
-    weights, the reduced states of rho and of each eigenvector are diagonal,
-    the partial transpose splits into blocks of at most 3x3 (the 2x2 ones
-    solved by eigh2), and alb reads entries of the state: no measure solves
-    an eigenproblem of rho.  Every measure agrees with the single-state
-    reference (_sweep_worker) to 1e-12, and its bits do not depend on how
-    points are batched.
+    Each state is built from `sectors`, the spectrum of the H of its row of `points` solved
+    per total-Sz sector, whose eigenvectors stay inside one sector even at degeneracies.  So
+    rho's eigenvalues are the weights, the reduced states of rho and of each eigenvector are
+    diagonal, the partial transpose splits into blocks of at most 3x3 (the 2x2 ones solved
+    by eigh2), and alb reads entries of the state: no measure solves an eigenproblem of rho.
+    Every measure agrees with the single-state reference (_sweep_worker) to 1e-12, except ub
+    near a crossing inside one sector (see ub), and its bits do not depend on batching.
     """
 
     def __init__(self, points: np.ndarray, sectors: Spectrum, temperatures: np.ndarray) -> None:
@@ -179,15 +178,18 @@ class _Batch:
     def entropy(self) -> np.ndarray:
         return entropy_bits(self.weights)
 
-    def reduced_entropy(self, traced: str) -> np.ndarray:
-        """Entropy of the reduced state after tracing out site `traced`: rho
-        conserves total Sz, so both reduced states are diagonal."""
+    @cached_property
+    def site_entropy(self) -> tuple[np.ndarray, np.ndarray]:
+        """S(rho_A) and S(rho_B): rho conserves total Sz, so both reduced states are diagonal."""
         diagonal = np.diagonal(self.rho, axis1=1, axis2=2).reshape(-1, 3, 3)
-        return entropy_bits(diagonal.sum(axis=1 if traced == "A" else 2))
+        return entropy_bits(diagonal.sum(axis=2)), entropy_bits(diagonal.sum(axis=1))
 
     @cached_property
-    def entropy_b(self) -> np.ndarray:
-        return self.reduced_entropy("A")
+    def tied(self) -> np.ndarray:
+        """Whether two levels of a row lie within thermal.GROUND_WINDOW x max(1, largest |E|)."""
+        levels = np.sort(self.sectors.values, axis=1)
+        window = thermal.GROUND_WINDOW * np.maximum(1.0, np.abs(levels).max(axis=1))
+        return (np.diff(levels, axis=1) <= window[:, None]).any(axis=1)
 
     def alb(self) -> np.ndarray:
         """entanglement.alb_mixture over the sector eigenvectors, from entries of
@@ -211,35 +213,37 @@ class _Batch:
         return np.maximum(2.0 * gap.max(axis=1), 0.0)
 
     def ub(self) -> np.ndarray:
-        """entanglement.ub_mixture over the thermal eigenensemble of each point.
+        """entanglement.ub_mixture over the thermal eigenensemble of each point, by _ub.
 
-        Levels are summed in ascending order.  A sector eigenvector has a diagonal
-        reduced state, so Tr rho_A^2 is the sum of its components to the fourth
-        power.  Where no two levels
-        lie within thermal.GROUND_WINDOW times max(1, largest |E|), each one is
-        unique up to sign, as sym_eig's.  ub depends on the basis chosen inside
-        degenerate levels, so the other rows take the eigenvectors of sym_eig,
-        as the single-state reference does.  Just outside the window, near a
-        crossing inside one sector, both solvers' eigenvectors are off by about
-        eps |E| / gap, and ub can differ from the reference by more than 1e-12.
+        A sector eigenvector has a diagonal reduced state, so Tr rho_A^2 is the sum of its
+        components to the fourth power.  In a row that is not `tied`, each eigenvector is
+        unique up to sign, as sym_eig's.  ub depends on the basis chosen inside degenerate
+        levels, so tied rows take _dense_levels, as the single-state reference does.  Just
+        outside the window, near a crossing inside one sector, both solvers' eigenvectors
+        are off by about eps |E| / gap, and ub can differ from the reference by up to 2.4e-9.
         """
         order = np.argsort(self.sectors.values, axis=1)
-        levels = np.take_along_axis(self.sectors.values, order, axis=1)
         squares = self.sectors.vectors * self.sectors.vectors
         purity = np.take_along_axis((squares * squares).sum(axis=1), order, axis=1)  # Tr rho_A^2
         w = np.take_along_axis(self.weights, order, axis=1)
-        window = thermal.GROUND_WINDOW * np.maximum(1.0, np.abs(levels).max(axis=1))
-        tied = np.nonzero((np.diff(levels, axis=1) <= window[:, None]).any(axis=1))[0]
+        tied = np.flatnonzero(self.tied)
         if tied.size:
-            h = hamiltonian_qutrit(QutritChainParams(*self.points[tied, :4].T))
-            dense = _eig_naming_rows(sym_eig, h, self.points[tied])
-            m = dense.vectors.swapaxes(1, 2).reshape(-1, 9, 3, 3)
-            ra = m @ m.swapaxes(-1, -2)
-            purity[tied] = (ra * ra).reshape(-1, 9, 9).sum(axis=-1)
-            w[tied] = thermal.boltzmann_weights(dense.values, self.temperatures[tied])
-        conc = np.sqrt(np.maximum(2.0 * (1.0 - purity), 0.0))
-        # summed level by level in order, skipping the levels ub_mixture skips
-        return np.cumsum(np.where(w > entanglement.RANK_CUTOFF, w * conc, 0.0), axis=1)[:, -1]
+            purity[tied], w[tied] = _dense_levels(self.points[tied], self.temperatures[tied])
+        return _ub(purity, w)
+
+
+def _dense_levels(points: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tr rho_A^2 and weight at `t` of each level of sym_eig at each (J, K, B1, B2, ...) row."""
+    dense = _eig_naming_rows(sym_eig, hamiltonian_qutrit(QutritChainParams(*points.T[:4])), points)
+    m = dense.vectors.swapaxes(1, 2).reshape(-1, 9, 3, 3)
+    ra = m @ m.swapaxes(-1, -2)  # the reduced state of each eigenvector
+    return (ra * ra).reshape(-1, 9, 9).sum(axis=-1), thermal.boltzmann_weights(dense.values, t)
+
+
+def _ub(purity: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """entanglement.ub_mixture from Tr rho_A^2 and weight w of each level, summed in order."""
+    conc = np.sqrt(np.maximum(2.0 * (1.0 - purity), 0.0))
+    return np.cumsum(np.where(w > entanglement.RANK_CUTOFF, w * conc, 0.0), axis=1)[:, -1]
 
 
 # One batch measure per name in MEASURE_NAMES, each an array over the batch.
@@ -250,9 +254,9 @@ _MEASURES = {
     "ub": _Batch.ub,
     "purity": lambda b: (b.weights * b.weights).sum(axis=-1),
     "entropy": lambda b: b.entropy,
-    "cdc": lambda b: np.maximum(math.log2(QUTRIT_DIMS.da) + b.entropy_b - b.entropy, 0.0),
-    "udc_12": lambda b: np.maximum(b.entropy_b - b.entropy, 0.0),
-    "udc_21": lambda b: np.maximum(b.reduced_entropy("B") - b.entropy, 0.0),
+    "cdc": lambda b: np.maximum(math.log2(QUTRIT_DIMS.da) + b.site_entropy[1] - b.entropy, 0.0),
+    "udc_12": lambda b: np.maximum(b.site_entropy[1] - b.entropy, 0.0),
+    "udc_21": lambda b: np.maximum(b.site_entropy[0] - b.entropy, 0.0),
 }
 MEASURE_NAMES = tuple(_MEASURES)
 
@@ -320,24 +324,50 @@ def _evaluate(points: np.ndarray, sectors: Spectrum, rows: np.ndarray, temperatu
 
 
 def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-    """Measures `names` at each (J, K, B1, B2, T) row of `points`, one column each, in groups
-    of CHUNK_POINTS rows sorted by (J, K, _half_difference), so that _solve finds long runs
-    of one key; after a ValueError, in axis order again, to name the first row that fails."""
-    table = np.empty((len(points), len(names)))
+    """Measures `names` at each (J, K, B1, B2, T) row of `points`, one column each.
 
-    def visit(order: np.ndarray) -> np.ndarray:
-        for start in range(0, len(points), CHUNK_POINTS):
-            rows = order[start:start + CHUNK_POINTS]
-            group = points[rows]
+    Swapping the sites keeps every measure but swaps udc_12 with udc_21 and S(rho_B) in cdc
+    with S(rho_A), so a row with B1 < B2 reads its mirror, B1 and B2 swapped, but for ub at
+    `tied` levels.  Each distinct row left is evaluated once, in groups of CHUNK_POINTS sorted
+    by (J, K, _half_difference) for _solve.  After a ValueError, every row in axis order."""
+    mirrored = points[:, 2] < points[:, 3]
+    canonical = points.copy()
+    canonical[mirrored, 2:4] = points[mirrored, 3:1:-1]
+    # sorted by J, K, d, B1, B2, T (lexsort's last key first), then each distinct row once
+    order = np.lexsort([*canonical.T[:1:-1], _half_difference(canonical), *canonical.T[1::-1]])
+    canonical = canonical[order].view(np.int64)  # 0.0 and -0.0 differ, as entries of H may
+    head = np.concatenate([[True], (canonical[1:] != canonical[:-1]).any(axis=1)])
+    canonical = canonical[head].view(np.float64)
+    source = np.empty(len(points), dtype=int)
+    source[order] = np.cumsum(head) - 1  # each row's distinct canonical row
+    site_columns = [i for i, name in enumerate(names) if name in ("cdc", "udc_12", "udc_21")]
+    ub_columns = [i for i, name in enumerate(names) if name == "ub"]
+
+    def visit(at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        direct, mirror = np.empty((2, len(at), len(names)))  # as read at a row and its mirror
+        tied = np.empty(len(at), dtype=bool)
+        for start in range(0, len(at), CHUNK_POINTS):
+            rows, group = slice(start, start + CHUNK_POINTS), at[start:start + CHUNK_POINTS]
             # the last batch lives until this one is built, so malloc keeps its heap untrimmed
             batch = _Batch(group, _solve(group), group[:, 4])
-            table[rows] = np.column_stack([_MEASURES[name](batch) for name in names])
-        return table
+            direct[rows] = mirror[rows] = np.column_stack([_MEASURES[n](batch) for n in names])
+            batch.site_entropy = batch.site_entropy[::-1]  # the sites trade places
+            for i in site_columns:
+                mirror[rows, i] = _MEASURES[names[i]](batch)
+            tied[rows] = batch.tied
+        return direct, mirror, tied
 
     try:
-        return visit(np.lexsort((_half_difference(points), points[:, 1], points[:, 0])))
+        direct, mirror, tied = visit(canonical)
+        table = direct[source]
+        table[mirrored] = mirror[source[mirrored]]
+        own = np.flatnonzero(mirrored & tied[source]) if ub_columns else ()
+        for start in range(0, len(own), CHUNK_POINTS):
+            r = own[start:start + CHUNK_POINTS]
+            table[np.ix_(r, ub_columns)] = _ub(*_dense_levels(points[r], points[r, 4]))[:, None]
+        return table
     except ValueError:
-        visit(np.arange(len(points)))  # raises at the first failing row in axis order
+        visit(points)  # raises at the first failing row in axis order
         raise
 
 

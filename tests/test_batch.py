@@ -13,7 +13,7 @@ from qutritchain.spinmodels import (
 )
 from qutritchain.sweeps import (
     MEASURE_NAMES, QUTRIT_DIMS, QUTRIT_SPLIT, SWEEP_MODES, AxisRange, SweepConfig, _measure_table,
-    _sweep_worker, run_spectrum, run_sweep, run_threshold,
+    _sweep_worker, run_spectrum, run_sweep, run_threshold, single_point_report,
 )
 
 # Largest allowed gap between a batched measure and its single-state value.
@@ -439,8 +439,9 @@ def test_rows_sharing_a_field_difference_match_reference(monkeypatch):
 
     monkeypatch.setattr(sweeps, "block_eig", counted)
     got = _measure_table(points, MEASURE_NAMES)
-    # one group; per K the keys d = 0, 0.75, +-1e150, +-1e-300 and the four of s = 0
-    assert solved == [2 * 10]
+    # one group; per K the keys d = 0, 0.75, 1e150, 1e-300 and the four of s = 0: a row with
+    # B1 < B2 reads the row with B1 and B2 swapped, so +-d share one key
+    assert solved == [2 * 8]
     assert np.max(np.abs(got - reference_table(points, MEASURE_NAMES))) <= MAX_ABS_DIFF
 
 
@@ -475,15 +476,73 @@ def test_sweeps_solve_each_field_difference_once(monkeypatch):
         return block_eig(h, blocks)
 
     monkeypatch.setattr(sweeps, "block_eig", counted)
-    # the c13 plane has 629 distinct (J, K, (B1 - B2)/2), and each group of CHUNK_POINTS
-    # sorted rows starts one more run: 668 solves, not 10,201
+    # the c13 plane has 5,151 rows with B1 >= B2 and 315 distinct (J, K, (B1 - B2)/2) among
+    # them, and each group of CHUNK_POINTS sorted rows starts one more run: 334 solves, not
+    # 10,201
     plane = {"b1": AxisRange(-6.0, 6.0, 101), "b2": AxisRange(-6.0, 6.0, 101)}
     run_sweep(SweepConfig(K=-1.7, ranges=plane))
-    assert sum(solved) <= 700
+    assert sum(solved) <= 340
     solved.clear()
     # 101 K values over 40 groups
     run_sweep(SweepConfig(mode="grid-kt"))
     assert sum(solved) <= 101 + 40
+
+
+def test_mirrored_rows_match_reference(monkeypatch):
+    # a row with B1 < B2 reads the row with B1 and B2 swapped: udc_12 and udc_21 trade places
+    # and cdc reads S(rho_A); where levels tie, ub is solved again at the row's own point
+    calls = []
+
+    def recorded(points, names):
+        values = _measure_table(points, names)
+        calls.append((points, names, values))
+        return values
+
+    monkeypatch.setattr(sweeps, "_measure_table", recorded)
+    for t in (0.05, 1.0):
+        # lo != -hi, as at benchmark seeds 1-9; both axes share one range, so each mirror is a row
+        window = {axis: AxisRange(-5.83, 6.11, 9) for axis in ("b1", "b2")}
+        run_sweep(SweepConfig(K=-1.7, T=t, ranges=window, measures=MEASURE_NAMES))
+        # B2 = -B1: every row has tied levels
+        run_sweep(SweepConfig(mode="line-b1eqnegb2", K=-1.7, T=t, measures=MEASURE_NAMES,
+                              ranges={"b1": AxisRange(-3.0, 3.0, 13)}))
+        single_point_report(SweepConfig(K=-1.7, B1=-0.7, B2=2.9, T=t))
+        # d = 0, s = 0 and both, a mirror pair with both fields nonzero, and one without its mirror
+        fields = [(1.3, 1.3), (-2.4, -2.4), (1.3, -1.3), (-1.3, 1.3), (0.0, 0.0), (0.75, -0.25),
+                  (-0.25, 0.75), (-4.2, 0.9)]
+        recorded(np.array([(-1.0, k, b1, b2, t) for k in (-1.7, 0.4) for b1, b2 in fields]),
+                 MEASURE_NAMES)
+    assert len(calls) == 8
+    for points, names, values in calls:
+        assert names == MEASURE_NAMES and (points[:, 2] < points[:, 3]).any()
+        assert np.max(np.abs(values - reference_table(points, names))) <= MAX_ABS_DIFF
+
+
+def test_plane_builds_each_mirror_pair_once(monkeypatch):
+    sizes, dense = [], []
+
+    class Counted(sweeps._Batch):
+        def __init__(self, points, sectors, temperatures):
+            sizes.append(len(temperatures))
+            super().__init__(points, sectors, temperatures)
+
+    def counted(h):
+        dense.append(len(h))
+        return sym_eig(h)
+
+    monkeypatch.setattr(sweeps, "_Batch", Counted)
+    monkeypatch.setattr(sweeps, "sym_eig", counted)
+    plane = {"b1": AxisRange(-6.0, 6.0, 101), "b2": AxisRange(-6.0, 6.0, 101)}
+    run_sweep(SweepConfig(K=-1.7, ranges=plane, measures=MEASURE_NAMES))
+    # the c13 plane: 5,151 states, one per row with B1 >= B2, not 10,201.  Of its 109 rows with
+    # tied levels, the 55 with B1 >= B2 solve H again for ub in their batches, and the 54 with
+    # B1 < B2 at their own points, with no state built
+    assert sum(sizes) == 5151
+    assert sum(dense) == 109
+    sizes.clear()
+    dense.clear()
+    run_sweep(SweepConfig(K=-1.7, T=0.2, ranges=plane))
+    assert (sum(sizes), dense) == (5151, [])
 
 
 def test_batch_rejects_nonpositive_temperature():
