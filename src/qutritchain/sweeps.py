@@ -145,22 +145,19 @@ def _alb_pairs() -> tuple[np.ndarray, ...]:
 class _Batch:
     """Gibbs states of a stack of Hamiltonians at their temperatures, plus what measures share.
 
-    Each state is built from `sectors`, the spectrum of the H of its row of `points` solved
-    per total-Sz sector, whose eigenvectors stay inside one sector even at degeneracies.  So
-    rho's eigenvalues are the weights, the reduced states of rho and of each eigenvector are
-    diagonal, the partial transpose splits into blocks of at most 3x3 (the 2x2 ones solved
-    by eigh2), and alb reads entries of the state: no measure solves an eigenproblem of rho.
+    Each state is built from `sectors`, the spectrum of its H solved per total-Sz sector,
+    whose eigenvectors stay inside one sector even at degeneracies.  So rho's eigenvalues are
+    the weights, the reduced states of rho and of each eigenvector are diagonal, the partial
+    transpose splits into blocks of at most 3x3 (the 2x2 ones solved by eigh2), and alb
+    reads entries of the state: no measure solves an eigenproblem of rho.
     Every measure agrees with the single-state reference (_sweep_worker) to 1e-12, except ub
-    near a crossing inside one sector (see ub), and its bits do not depend on batching.
+    at or near degenerate levels (see ub), and its bits do not depend on batching.
     """
 
-    def __init__(self, points: np.ndarray, sectors: Spectrum, temperatures: np.ndarray) -> None:
-        self.points = points
-        self.temperatures = temperatures
+    def __init__(self, sectors: Spectrum, temperatures: np.ndarray) -> None:
         self.sectors = sectors
-        self.weights = thermal.boltzmann_weights(self.sectors.values, temperatures)
-        self.rho = check_density(
-            thermal.mixture(self.sectors, self.weights), QUTRIT_DIMS, self.weights)
+        self.weights = thermal.boltzmann_weights(sectors.values, temperatures)
+        self.rho = check_density(thermal.mixture(sectors, self.weights), QUTRIT_DIMS, self.weights)
 
     @cached_property
     def negativity(self) -> np.ndarray:
@@ -184,13 +181,6 @@ class _Batch:
         diagonal = np.diagonal(self.rho, axis1=1, axis2=2).reshape(-1, 3, 3)
         return entropy_bits(diagonal.sum(axis=2)), entropy_bits(diagonal.sum(axis=1))
 
-    @cached_property
-    def tied(self) -> np.ndarray:
-        """Whether two levels of a row lie within thermal.GROUND_WINDOW x max(1, largest |E|)."""
-        levels = np.sort(self.sectors.values, axis=1)
-        window = thermal.GROUND_WINDOW * np.maximum(1.0, np.abs(levels).max(axis=1))
-        return (np.diff(levels, axis=1) <= window[:, None]).any(axis=1)
-
     def alb(self) -> np.ndarray:
         """entanglement.alb_mixture over the sector eigenvectors, from entries of
         G = Y Y^T with Y = V sqrt(W) and W the weights above RANK_CUTOFF.
@@ -213,31 +203,34 @@ class _Batch:
         return np.maximum(2.0 * gap.max(axis=1), 0.0)
 
     def ub(self) -> np.ndarray:
-        """entanglement.ub_mixture over the thermal eigenensemble of each point, by _ub.
+        """entanglement.ub_mixture over the sector eigenvectors of each point, by _ub.
 
         A sector eigenvector has a diagonal reduced state, so Tr rho_A^2 is the sum of its
-        components to the fourth power.  In a row that is not `tied`, each eigenvector is
-        unique up to sign, as sym_eig's.  ub depends on the basis chosen inside degenerate
-        levels, so tied rows take _dense_levels, as the single-state reference does.  Just
+        components to the fourth power.  In a row that is not _tied, each eigenvector is
+        unique up to sign, as sym_eig's; _measure_table owns the tied rows (_dense_ub).  Just
         outside the window, near a crossing inside one sector, both solvers' eigenvectors
         are off by about eps |E| / gap, and ub can differ from the reference by up to 2.4e-9.
         """
         order = np.argsort(self.sectors.values, axis=1)
         squares = self.sectors.vectors * self.sectors.vectors
         purity = np.take_along_axis((squares * squares).sum(axis=1), order, axis=1)  # Tr rho_A^2
-        w = np.take_along_axis(self.weights, order, axis=1)
-        tied = np.flatnonzero(self.tied)
-        if tied.size:
-            purity[tied], w[tied] = _dense_levels(self.points[tied], self.temperatures[tied])
-        return _ub(purity, w)
+        return _ub(purity, np.take_along_axis(self.weights, order, axis=1))
 
 
-def _dense_levels(points: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tr rho_A^2 and weight at `t` of each level of sym_eig at each (J, K, B1, B2, ...) row."""
+def _tied(levels: np.ndarray) -> np.ndarray:
+    """Whether two levels of a row lie within thermal.GROUND_WINDOW x max(1, largest |E|)."""
+    levels = np.sort(levels, axis=1)
+    window = thermal.GROUND_WINDOW * np.maximum(1.0, np.abs(levels).max(axis=1))
+    return (np.diff(levels, axis=1) <= window[:, None]).any(axis=1)
+
+
+def _dense_ub(points: np.ndarray) -> np.ndarray:
+    """ub from the levels and eigenvectors of sym_eig at each (J, K, B1, B2, T) row."""
     dense = _eig_naming_rows(sym_eig, hamiltonian_qutrit(QutritChainParams(*points.T[:4])), points)
     m = dense.vectors.swapaxes(1, 2).reshape(-1, 9, 3, 3)
     ra = m @ m.swapaxes(-1, -2)  # the reduced state of each eigenvector
-    return (ra * ra).reshape(-1, 9, 9).sum(axis=-1), thermal.boltzmann_weights(dense.values, t)
+    return _ub((ra * ra).reshape(-1, 9, 9).sum(axis=-1),  # Tr rho_A^2
+               thermal.boltzmann_weights(dense.values, points[:, 4]))
 
 
 def _ub(purity: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -310,14 +303,14 @@ def _solve(points: np.ndarray) -> Spectrum:
     return Spectrum(values, np.take(solved.vectors, run, axis=0, out=vectors))
 
 
-def _evaluate(points: np.ndarray, sectors: Spectrum, rows: np.ndarray, temperatures: np.ndarray,
+def _evaluate(sectors: Spectrum, rows: np.ndarray, temperatures: np.ndarray,
               names: tuple[str, ...]) -> np.ndarray:
-    """Measures `names`, one column each, of the Gibbs states of points[rows] at `temperatures`,
-    from sectors = _solve(points), in batches of CHUNK_POINTS; a row may appear many times."""
+    """Measures `names`, one column each, of the Gibbs states of the rows `rows` of `sectors`
+    at `temperatures`, in batches of CHUNK_POINTS; a row may appear many times."""
     parts = []
     for i in range(0, len(temperatures), CHUNK_POINTS):
         r = rows[i:i + CHUNK_POINTS]
-        batch = _Batch(points[r], Spectrum(sectors.values[r], sectors.vectors[r]),
+        batch = _Batch(Spectrum(sectors.values[r], sectors.vectors[r]),
                        temperatures[i:i + CHUNK_POINTS])
         parts.append(np.column_stack([_MEASURES[name](batch) for name in names]))
     return np.concatenate(parts) if parts else np.empty((0, len(names)))
@@ -327,9 +320,11 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     """Measures `names` at each (J, K, B1, B2, T) row of `points`, one column each.
 
     Swapping the sites keeps every measure but swaps udc_12 with udc_21 and S(rho_B) in cdc
-    with S(rho_A), so a row with B1 < B2 reads its mirror, B1 and B2 swapped, but for ub at
-    `tied` levels.  Each distinct row left is evaluated once, in groups of CHUNK_POINTS sorted
-    by (J, K, _half_difference) for _solve.  After a ValueError, every row in axis order."""
+    with S(rho_A), so a row with B1 < B2 reads its mirror, B1 and B2 swapped.  Each distinct
+    row left is evaluated once, in groups of CHUNK_POINTS sorted by (J, K, _half_difference)
+    for _solve.  ub depends on the basis chosen inside degenerate levels, so every row at
+    _tied levels takes _dense_ub at its own point, as the single-state reference does, in
+    axis order.  After a ValueError, _solve goes over every row in axis order."""
     mirrored = points[:, 2] < points[:, 3]
     canonical = points.copy()
     canonical[mirrored, 2:4] = points[mirrored, 3:1:-1]
@@ -342,32 +337,28 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     source[order] = np.cumsum(head) - 1  # each row's distinct canonical row
     site_columns = [i for i, name in enumerate(names) if name in ("cdc", "udc_12", "udc_21")]
     ub_columns = [i for i, name in enumerate(names) if name == "ub"]
-
-    def visit(at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        direct, mirror = np.empty((2, len(at), len(names)))  # as read at a row and its mirror
-        tied = np.empty(len(at), dtype=bool)
-        for start in range(0, len(at), CHUNK_POINTS):
-            rows, group = slice(start, start + CHUNK_POINTS), at[start:start + CHUNK_POINTS]
+    direct, mirror = np.empty((2, len(canonical), len(names)))  # as read at a row and its mirror
+    tied = np.empty(len(canonical), dtype=bool)
+    try:
+        for start in range(0, len(canonical), CHUNK_POINTS):
+            rows, group = slice(start, start + CHUNK_POINTS), canonical[start:start + CHUNK_POINTS]
             # the last batch lives until this one is built, so malloc keeps its heap untrimmed
-            batch = _Batch(group, _solve(group), group[:, 4])
+            batch = _Batch(_solve(group), group[:, 4])
             direct[rows] = mirror[rows] = np.column_stack([_MEASURES[n](batch) for n in names])
             batch.site_entropy = batch.site_entropy[::-1]  # the sites trade places
             for i in site_columns:
                 mirror[rows, i] = _MEASURES[names[i]](batch)
-            tied[rows] = batch.tied
-        return direct, mirror, tied
-
-    try:
-        direct, mirror, tied = visit(canonical)
+            tied[rows] = _tied(batch.sectors.values)
         table = direct[source]
         table[mirrored] = mirror[source[mirrored]]
-        own = np.flatnonzero(mirrored & tied[source]) if ub_columns else ()
+        own = np.flatnonzero(tied[source]) if ub_columns else ()
         for start in range(0, len(own), CHUNK_POINTS):
             r = own[start:start + CHUNK_POINTS]
-            table[np.ix_(r, ub_columns)] = _ub(*_dense_levels(points[r], points[r, 4]))[:, None]
+            table[np.ix_(r, ub_columns)] = _dense_ub(points[r])[:, None]
         return table
     except ValueError:
-        visit(points)  # raises at the first failing row in axis order
+        for start in range(0, len(points), CHUNK_POINTS):
+            _solve(points[start:start + CHUNK_POINTS])  # raises at the first failing row
         raise
 
 
@@ -469,23 +460,22 @@ def run_threshold(cfg: SweepConfig) -> str:
     columns = np.arange(thermal.TS_GRID)
     for start in range(0, len(points), CHUNK_POINTS):
         group = table[start:start + CHUNK_POINTS]
-        chunk = points[start:start + CHUNK_POINTS]
-        sectors = _solve(chunk)
+        sectors = _solve(points[start:start + CHUNK_POINTS])
         group[:, -1] = thermal.tstar_rows(np.sort(sectors.values, axis=1), QUTRIT_SPLIT)
         # each row's first scan point above its T*, TS_SCAN[0] where T* is None
         witness = np.searchsorted(thermal.TS_SCAN, np.nan_to_num(group[:, -1]), side="right")
-        scan = np.zeros((len(chunk), thermal.TS_GRID, len(requested)))  # 0 where not scanned
+        scan = np.zeros((len(group), thermal.TS_GRID, len(requested)))  # 0 where not scanned
         r, c = np.nonzero(columns <= witness[:, None])
-        scan[r, c] = _evaluate(chunk, sectors, r, thermal.TS_SCAN[c], requested)
+        scan[r, c] = _evaluate(sectors, r, thermal.TS_SCAN[c], requested)
         # a row with a measure above TS_TOL at its witness point scans in full
-        at = scan[np.arange(len(chunk)), np.minimum(witness, thermal.TS_GRID - 1)]
+        at = scan[np.arange(len(group)), np.minimum(witness, thermal.TS_GRID - 1)]
         r, c = np.nonzero((columns > witness[:, None]) & (at > thermal.TS_TOL).any(axis=1)[:, None])
-        scan[r, c] = _evaluate(chunk, sectors, r, thermal.TS_SCAN[c], requested)
+        scan[r, c] = _evaluate(sectors, r, thermal.TS_SCAN[c], requested)
         for i, name in enumerate(requested):
             # NaN where the measure never exceeds TS_TOL, which _csv prints as an empty cell
             group[:, i + 1] = thermal.vanishing_point(
                 scan[:, :, i],
-                lambda rows, t: _evaluate(chunk, sectors, rows, t, (name,))[:, 0])
+                lambda rows, t: _evaluate(sectors, rows, t, (name,))[:, 0])
         beyond = group[:, 1:-1] > group[:, -1:] + 1e-6  # False where either cell is NaN
         if beyond.any():
             r, i = np.argwhere(beyond)[0]

@@ -126,9 +126,9 @@ def test_threshold_bisects_rows_in_lockstep(monkeypatch):
     sizes = []
 
     class Counted(sweeps._Batch):
-        def __init__(self, points, sectors, temperatures):
+        def __init__(self, sectors, temperatures):
             sizes.append(len(temperatures))
-            super().__init__(points, sectors, temperatures)
+            super().__init__(sectors, temperatures)
 
     monkeypatch.setattr(sweeps, "_Batch", Counted)
     cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
@@ -151,9 +151,9 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
     sizes = []
 
     class Counted(sweeps._Batch):
-        def __init__(self, points, sectors, temperatures):
+        def __init__(self, sectors, temperatures):
             sizes.append(len(temperatures))
-            super().__init__(points, sectors, temperatures)
+            super().__init__(sectors, temperatures)
 
     monkeypatch.setattr(sweeps, "_Batch", Counted)
     want = run_threshold(_THRESHOLD_K)
@@ -178,10 +178,10 @@ def test_threshold_row_entangled_at_its_witness_scans_in_full(monkeypatch):
     monkeypatch.setattr(thermal, "tstar_rows", without_row_5)
     evaluate = sweeps._evaluate
 
-    def recorded(points, sectors, rows, temperatures, names):
+    def recorded(sectors, rows, temperatures, names):
         if len(names) == 2:  # a scan call; a bisection call takes one measure
             scanned.extend(rows.tolist())
-        return evaluate(points, sectors, rows, temperatures, names)
+        return evaluate(sectors, rows, temperatures, names)
 
     monkeypatch.setattr(sweeps, "_evaluate", recorded)
     got = run_threshold(_THRESHOLD_K).split("\n")
@@ -262,7 +262,7 @@ def test_alb_matches_alb_mixture_across_temperatures():
 def test_batch_alb_reads_the_state_without_linalg(monkeypatch):
     points = np.array([(-1.0, -1.7, b1, b2, t) for b1 in (-6.0, 0.0, 1.3) for b2 in (-1.3, 0.0, 5.4)
                        for t in (0.02, 0.2, 1.0)])
-    batch = sweeps._Batch(points, sweeps._solve(points), points[:, 4])
+    batch = sweeps._Batch(sweeps._solve(points), points[:, 4])
     want = reference_table(points, ("alb",))[:, 0]
 
     def banned(*args, **kwargs):
@@ -508,8 +508,9 @@ def test_mirrored_rows_match_reference(monkeypatch):
                               ranges={"b1": AxisRange(-3.0, 3.0, 13)}))
         single_point_report(SweepConfig(K=-1.7, B1=-0.7, B2=2.9, T=t))
         # d = 0, s = 0 and both, a mirror pair with both fields nonzero, and one without its mirror
+        # and repeated rows on both sides of the mirror: a tied pair twice, and zero field twice
         fields = [(1.3, 1.3), (-2.4, -2.4), (1.3, -1.3), (-1.3, 1.3), (0.0, 0.0), (0.75, -0.25),
-                  (-0.25, 0.75), (-4.2, 0.9)]
+                  (-0.25, 0.75), (-4.2, 0.9), (-1.3, 1.3), (0.0, 0.0), (-1.3, 1.3), (0.0, 0.0)]
         recorded(np.array([(-1.0, k, b1, b2, t) for k in (-1.7, 0.4) for b1, b2 in fields]),
                  MEASURE_NAMES)
     assert len(calls) == 8
@@ -522,9 +523,9 @@ def test_plane_builds_each_mirror_pair_once(monkeypatch):
     sizes, dense = [], []
 
     class Counted(sweeps._Batch):
-        def __init__(self, points, sectors, temperatures):
+        def __init__(self, sectors, temperatures):
             sizes.append(len(temperatures))
-            super().__init__(points, sectors, temperatures)
+            super().__init__(sectors, temperatures)
 
     def counted(h):
         dense.append(len(h))
@@ -534,9 +535,9 @@ def test_plane_builds_each_mirror_pair_once(monkeypatch):
     monkeypatch.setattr(sweeps, "sym_eig", counted)
     plane = {"b1": AxisRange(-6.0, 6.0, 101), "b2": AxisRange(-6.0, 6.0, 101)}
     run_sweep(SweepConfig(K=-1.7, ranges=plane, measures=MEASURE_NAMES))
-    # the c13 plane: 5,151 states, one per row with B1 >= B2, not 10,201.  Of its 109 rows with
-    # tied levels, the 55 with B1 >= B2 solve H again for ub in their batches, and the 54 with
-    # B1 < B2 at their own points, with no state built
+    # the c13 plane: 5,151 states, one per row with B1 >= B2, not 10,201.  Its 109 rows with
+    # tied levels, 55 with B1 >= B2 and 54 with B1 < B2, solve H again for ub at their own
+    # points, with no state built
     assert sum(sizes) == 5151
     assert sum(dense) == 109
     sizes.clear()

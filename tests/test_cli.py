@@ -203,15 +203,20 @@ def test_eigensolver_failure_names_its_first_row(capsys):
             f"numerical consistency failure: Eigenvalues did not converge at ({row})\n"), argv
 
 
-def test_sweep_names_its_first_failing_row_in_axis_order(capsys):
+@pytest.mark.parametrize("size", [256, 7, 1])
+def test_sweep_names_its_first_failing_row_in_axis_order(size, monkeypatch, capsys):
     # eigh fails wherever |B1 - B2| is 5e230 or 1e231.  Rows are solved in order of
-    # (J, K, (B1 - B2)/2), where (B1, B2) = (0, 1e231) comes first; in axis order (0, 5e230)
+    # (J, K, (B1 - B2)/2), where (B1, B2) = (0, 1e231) comes first; in axis order (0, 5e230).
+    # In stacks of one point, the failing stack comes after three were built and measured, and
+    # the solve in axis order passes a stack boundary before it reaches the failing row
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
     argv = ["sweep", "--K=0", "--J=1", "--range-b1=0:1e231:3", "--range-b2=0:1e231:3"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("numerical consistency failure: Eigenvalues did not converge at "
-                            "(J=1.0, K=0.0, B1=0.0, B2=5e+230)\n")
+    for extra in ([], ["--measures", "negativity,ub,cdc"]):
+        assert main(argv + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical consistency failure: Eigenvalues did not converge at "
+                                "(J=1.0, K=0.0, B1=0.0, B2=5e+230)\n")
 
 
 @pytest.mark.filterwarnings("error")
