@@ -5,8 +5,8 @@ separated, each float to 12 significant digits, byte-identical on reruns and for
 batch size.  States are built per total-Sz sector in batches of CHUNK_POINTS and read by
 every measure, within 1e-12 of _sweep_worker except ub near a crossing inside one sector
 (_Batch.ub).  A sweep reads a point with B1 < B2 from its mirror, B1 and B2 swapped,
-visits the other distinct points sorted by (J, K, (B1 - B2)/2) and solves each such H
-once per batch.  _grid checks every run's ranges and temperatures.
+visits the other distinct points sorted by (J, K, (B1 - B2)/2) and solves each such key
+once per window of up to CHUNK_POINTS keys.  _grid checks every run's ranges and temperatures.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ _DEFAULT_RANGES = {
 # Residual ceiling for closed-form vs numerical spectra, times max(1, largest |E| of the row).
 SPECTRUM_RESIDUAL_TOL = 1e-9
 
-# Grid points evaluated as one stack.  Larger batches save little time and
-# raise peak memory: 1024 points peak about 7 MB above 256 on a full sweep.
+# Grid points evaluated as one stack, and keys (J, K, d) solved as one window.  1024 points
+# raise the peak RSS of a 101x101 negativity plane by about 3 MB (33.3 to 36.5 MB, with
+# Python 3.11 and numpy 2.4) and slow a 2001-point spectrum run by 5 to 8%.
 CHUNK_POINTS = 256
 
 # Largest grid a run accepts, per axis and in total.
@@ -280,27 +281,47 @@ def _half_difference(points: np.ndarray) -> np.ndarray:
     return 0.5 * points[:, 2] - 0.5 * points[:, 3]
 
 
+def _key_heads(points: np.ndarray) -> np.ndarray:
+    """Whether each row of `points` starts a run of one key (J, K, _half_difference)."""
+    keys = np.column_stack([points[:, :2], _half_difference(points)])
+    return np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])
+
+
+def _solve_keys(heads: np.ndarray) -> Spectrum:
+    """The spectrum per total-Sz sector of H(J, K, d, -d), d = _half_difference, of the key
+    of each (J, K, B1, B2, ...) row of `heads`, with NaN levels where that H is not finite.
+    ValueError names the first row eigh fails on."""
+    d = _half_difference(heads)
+    h = hamiltonian_qutrit(QutritChainParams(*heads[:, :2].T, d, -d))
+    finite = np.isfinite(h).all(axis=(1, 2))
+    h[~finite] = 0.0  # solvable; its NaN levels make its rows raise in _shift
+    solved = _eig_naming_rows(lambda a: block_eig(a, SZ_SECTORS), h, heads)
+    solved.values[~finite] = np.nan
+    return solved
+
+
+def _shift(solved: Spectrum, key: np.ndarray, points: np.ndarray) -> Spectrum:
+    """The spectrum per total-Sz sector of the H of each (J, K, B1, B2, ...) row of `points`:
+    its key's row `key` of _solve_keys' `solved`, each level moved by s = (B1 + B2)/2 times
+    its Sz.  ValueError names the first row whose H or level spread is not finite."""
+    # the outputs first, before arrays whose sizes vary by group: a sweep's heap then settles
+    values, vectors = np.empty((len(points), 9)), np.empty((len(points), 9, 9))
+    s = 0.5 * points[:, 2] + 0.5 * points[:, 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(solved.values[key], s[:, None] * SZ_TOTAL[np.concatenate(SZ_SECTORS)], out=values)
+        ok = np.isfinite(values.max(axis=1) - values.min(axis=1))
+    if not ok.all():
+        raise ValueError(f"Hamiltonian overflows at {_params_of(points[np.argmin(ok)])}")
+    return Spectrum(values, np.take(solved.vectors, key, axis=0, out=vectors))
+
+
 def _solve(points: np.ndarray) -> Spectrum:
     """The spectrum per total-Sz sector of the H of each (J, K, B1, B2, ...) row of `points`.
     H = H(J, K, d, -d) + s Sz with s = (B1 + B2)/2: H(J, K, d, -d) is solved once per run of
-    rows with one (J, K, d), and each level moves by s times its Sz.  ValueError names the
-    first row eigh fails on, else the first whose H or level spread is not finite."""
-    # the outputs first, before arrays whose sizes vary by group: a sweep's heap then settles
-    values, vectors = np.empty((len(points), 9)), np.empty((len(points), 9, 9))
-    d, s = _half_difference(points), 0.5 * points[:, 2] + 0.5 * points[:, 3]
-    keys = np.column_stack([points[:, :2], d])
-    head = np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])  # where a run starts
-    h = hamiltonian_qutrit(QutritChainParams(*keys[head].T, -d[head]))
-    finite = np.isfinite(h).all(axis=(1, 2))
-    h[~finite] = 0.0  # solvable; such a row raises below
-    solved = _eig_naming_rows(lambda a: block_eig(a, SZ_SECTORS), h, points[head])
-    run = np.cumsum(head) - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add(solved.values[run], s[:, None] * SZ_TOTAL[np.concatenate(SZ_SECTORS)], out=values)
-        ok = finite[run] & np.isfinite(values.max(axis=1) - values.min(axis=1))
-    if not ok.all():
-        raise ValueError(f"Hamiltonian overflows at {_params_of(points[np.argmin(ok)])}")
-    return Spectrum(values, np.take(solved.vectors, run, axis=0, out=vectors))
+    rows with one key (_solve_keys), and _shift moves its levels to each row.  ValueError
+    names the first row eigh fails on, else the first whose H or level spread is not finite."""
+    head = _key_heads(points)
+    return _shift(_solve_keys(points[head]), np.cumsum(head) - 1, points)
 
 
 def _evaluate(sectors: Spectrum, rows: np.ndarray, temperatures: np.ndarray,
@@ -321,10 +342,12 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
 
     Swapping the sites keeps every measure but swaps udc_12 with udc_21 and S(rho_B) in cdc
     with S(rho_A), so a row with B1 < B2 reads its mirror, B1 and B2 swapped.  Each distinct
-    row left is evaluated once, in groups of CHUNK_POINTS sorted by (J, K, _half_difference)
-    for _solve.  ub depends on the basis chosen inside degenerate levels, so every row at
-    _tied levels takes _dense_ub at its own point, as the single-state reference does, in
-    axis order.  After a ValueError, _solve goes over every row in axis order."""
+    row left is evaluated once, in groups of CHUNK_POINTS sorted by (J, K, _half_difference).
+    Their keys are solved once per window of up to CHUNK_POINTS keys (_solve_keys), a new
+    window starting at a group's first key when its last lies past the window; a group spans
+    at most CHUNK_POINTS keys.  ub depends on the basis chosen inside degenerate levels, so
+    every row at _tied levels takes _dense_ub at its own point, as the single-state reference
+    does, in axis order.  After a ValueError, _solve goes over every row in axis order."""
     mirrored = points[:, 2] < points[:, 3]
     canonical = points.copy()
     canonical[mirrored, 2:4] = points[mirrored, 3:1:-1]
@@ -335,20 +358,28 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     canonical = canonical[head].view(np.float64)
     source = np.empty(len(points), dtype=int)
     source[order] = np.cumsum(head) - 1  # each row's distinct canonical row
+    key_head = _key_heads(canonical)
+    key, heads = np.cumsum(key_head) - 1, canonical[key_head]  # each row's key, each key's row
     site_columns = [i for i, name in enumerate(names) if name in ("cdc", "udc_12", "udc_21")]
     ub_columns = [i for i, name in enumerate(names) if name == "ub"]
     direct, mirror = np.empty((2, len(canonical), len(names)))  # as read at a row and its mirror
     tied = np.empty(len(canonical), dtype=bool)
+    first = end = 0  # the solved window holds keys first to end - 1
     try:
         for start in range(0, len(canonical), CHUNK_POINTS):
             rows, group = slice(start, start + CHUNK_POINTS), canonical[start:start + CHUNK_POINTS]
+            if key[rows][-1] >= end:  # the group's last key lies past the solved window
+                first, end = key[start], key[start] + CHUNK_POINTS
+                window = _solve_keys(heads[first:end])
             # the last batch lives until this one is built, so malloc keeps its heap untrimmed
-            batch = _Batch(_solve(group), group[:, 4])
+            batch = _Batch(_shift(window, key[rows] - first, group), group[:, 4])
             direct[rows] = mirror[rows] = np.column_stack([_MEASURES[n](batch) for n in names])
-            batch.site_entropy = batch.site_entropy[::-1]  # the sites trade places
-            for i in site_columns:
-                mirror[rows, i] = _MEASURES[names[i]](batch)
-            tied[rows] = _tied(batch.sectors.values)
+            if site_columns:
+                batch.site_entropy = batch.site_entropy[::-1]  # the sites trade places
+                for i in site_columns:
+                    mirror[rows, i] = _MEASURES[names[i]](batch)
+            if ub_columns:
+                tied[rows] = _tied(batch.sectors.values)
         table = direct[source]
         table[mirrored] = mirror[source[mirrored]]
         own = np.flatnonzero(tied[source]) if ub_columns else ()

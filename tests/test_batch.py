@@ -410,15 +410,38 @@ def test_csv_independent_of_batch_size(monkeypatch):
     # 5 K values with 6 temperatures each: groups of 7 rows cut across the rows of one H
     kt = SweepConfig(mode="grid-kt", B1=0.6, B2=-0.4, measures=MEASURE_NAMES,
                      ranges={"k": AxisRange(-2.0, 0.0, 5), "t": AxisRange(0.05, 2.0, 6)})
-    grids = [cfg, kt]
+    # lo != -hi, with rows on B1 = B2 and on B1 = -B2: mirrored rows, and rows with tied
+    # levels.  Its 15 keys (J, K, (B1 - B2)/2) have runs of up to 13 distinct rows
+    plane = SweepConfig(K=-1.7, T=0.2, measures=MEASURE_NAMES,
+                        ranges={"b1": AxisRange(-2.5, 3.5, 13), "b2": AxisRange(-3.5, 2.5, 13)})
+    grids = [cfg, kt, plane]
     want = ([run_sweep(c) for c in grids], [run_threshold(t) for t in thresholds],
             run_spectrum(spectrum))
     cells = {cell for text in want[1] for line in text.split()[1:] for cell in line.split(",")[1:3]}
     assert {"", "10"} < cells
-    for size in (1, 7):
+    solved = []
+
+    def counted(h, blocks):
+        solved.append(len(h))
+        return block_eig(h, blocks)
+
+    monkeypatch.setattr(sweeps, "block_eig", counted)
+    for size, keys in ((256, [15]), (7, [7, 7, 4]), (1, [1] * 15)):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
-        assert ([run_sweep(c) for c in grids], [run_threshold(t) for t in thresholds],
-                run_spectrum(spectrum)) == want
+        if size != 256:
+            assert ([run_sweep(c) for c in grids], [run_threshold(t) for t in thresholds],
+                    run_spectrum(spectrum)) == want
+        # a measure printed alone skips what only the others read (the site swap, _tied), and
+        # prints its column of the nine-measure run
+        for name in ("negativity", "ub", "cdc"):
+            solved.clear()
+            i = 2 + MEASURE_NAMES.index(name)
+            assert run_sweep(SweepConfig(K=-1.7, T=0.2, measures=(name,), ranges=plane.ranges)) == (
+                "".join(f"{c[0]},{c[1]},{c[i]}\n"
+                        for c in (line.split(",") for line in want[0][2].splitlines())))
+            # at 7, groups cut through runs of one key, and the second and third windows start
+            # at a key the window before solved too
+            assert solved == keys
 
 
 def test_rows_sharing_a_field_difference_match_reference(monkeypatch):
@@ -477,15 +500,14 @@ def test_sweeps_solve_each_field_difference_once(monkeypatch):
 
     monkeypatch.setattr(sweeps, "block_eig", counted)
     # the c13 plane has 5,151 rows with B1 >= B2 and 315 distinct (J, K, (B1 - B2)/2) among
-    # them, and each group of CHUNK_POINTS sorted rows starts one more run: 334 solves, not
-    # 10,201
+    # them, solved in two windows that share one key: 316 solves, not 10,201
     plane = {"b1": AxisRange(-6.0, 6.0, 101), "b2": AxisRange(-6.0, 6.0, 101)}
     run_sweep(SweepConfig(K=-1.7, ranges=plane))
-    assert sum(solved) <= 340
+    assert sum(solved) == 316
     solved.clear()
-    # 101 K values over 40 groups
+    # 101 K values over 40 groups, in one window
     run_sweep(SweepConfig(mode="grid-kt"))
-    assert sum(solved) <= 101 + 40
+    assert solved == [101]
 
 
 def test_mirrored_rows_match_reference(monkeypatch):
@@ -544,6 +566,37 @@ def test_plane_builds_each_mirror_pair_once(monkeypatch):
     dense.clear()
     run_sweep(SweepConfig(K=-1.7, T=0.2, ranges=plane))
     assert (sum(sizes), dense) == (5151, [])
+
+
+def test_plane_solves_each_key_once_per_window(monkeypatch):
+    solved = []
+
+    def counted(h, blocks):
+        solved.append(len(h))
+        return block_eig(h, blocks)
+
+    monkeypatch.setattr(sweeps, "block_eig", counted)
+    cfg = SweepConfig(K=-1.7, measures=MEASURE_NAMES,
+                      ranges={"b1": AxisRange(-6.0, 6.0, 101), "b2": AxisRange(-6.0, 6.0, 101)})
+    text = run_sweep(cfg)
+    # the c13 plane's 315 keys in two windows: the first 256, then 60 from the first key of
+    # the group that passes them, which the first window solved too
+    assert solved == [256, 60]
+    solved.clear()
+    # one window of every key, and one group of every row: the same bytes
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", 101 * 101)
+    assert run_sweep(cfg) == text
+    assert solved == [315]
+
+
+def test_plane_skips_work_no_requested_measure_reads(monkeypatch):
+    def banned(*args):
+        raise AssertionError("no requested measure reads this")
+
+    monkeypatch.setattr(sweeps, "_tied", banned)
+    monkeypatch.setattr(sweeps._Batch, "site_entropy", property(banned))
+    plane = {"b1": AxisRange(-6.0, 6.0, 101), "b2": AxisRange(-6.0, 6.0, 101)}
+    assert run_sweep(SweepConfig(K=-1.7, T=0.2, ranges=plane)).count("\n") == 1 + 101 * 101
 
 
 def test_batch_rejects_nonpositive_temperature():

@@ -205,18 +205,23 @@ def test_eigensolver_failure_names_its_first_row(capsys):
 
 @pytest.mark.parametrize("size", [256, 7, 1])
 def test_sweep_names_its_first_failing_row_in_axis_order(size, monkeypatch, capsys):
-    # eigh fails wherever |B1 - B2| is 5e230 or 1e231.  Rows are solved in order of
-    # (J, K, (B1 - B2)/2), where (B1, B2) = (0, 1e231) comes first; in axis order (0, 5e230).
-    # In stacks of one point, the failing stack comes after three were built and measured, and
-    # the solve in axis order passes a stack boundary before it reaches the failing row
+    # eigh fails wherever |B1 - B2| is a nonzero multiple of 1e231/6.  Rows are solved in order
+    # of (J, K, (B1 - B2)/2), so the rows with B1 = B2 come first; in axis order the first
+    # failing row is (0, 1e231/(count - 1)).  On 3 x 3 points in stacks of one, the failing
+    # stack comes after three were built and measured, and the solve in axis order passes a
+    # stack boundary before it reaches the failing row.  On 7 x 7 points in stacks of 7, the 7
+    # rows with B1 = B2 form the first group, and its window of 7 keys already holds failing
+    # ones, met before their own group
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
-    argv = ["sweep", "--K=0", "--J=1", "--range-b1=0:1e231:3", "--range-b2=0:1e231:3"]
-    for extra in ([], ["--measures", "negativity,ub,cdc"]):
-        assert main(argv + extra) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("numerical consistency failure: Eigenvalues did not converge at "
-                                "(J=1.0, K=0.0, B1=0.0, B2=5e+230)\n")
+    for count, row in ((3, "B1=0.0, B2=5e+230"), (7, "B1=0.0, B2=1.6666666666666668e+230")):
+        argv = ["sweep", "--K=0", "--J=1", f"--range-b1=0:1e231:{count}",
+                f"--range-b2=0:1e231:{count}"]
+        for extra in ([], ["--measures", "negativity,ub,cdc"]):
+            assert main(argv + extra) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("numerical consistency failure: Eigenvalues did not converge "
+                                    f"at (J=1.0, K=0.0, {row})\n")
 
 
 @pytest.mark.filterwarnings("error")
