@@ -7,6 +7,9 @@ every measure, within 1e-12 of _sweep_worker except ub near a crossing inside on
 (_Batch.ub).  A sweep reads a point with B1 < B2 from its mirror, B1 and B2 swapped,
 visits the other distinct points sorted by (J, K, (B1 - B2)/2) and solves each such key
 once per window of up to CHUNK_POINTS keys.  _grid checks every run's ranges and temperatures.
+A ValueError names its row only through _in_stacks, which goes over a run's rows in stacks of
+CHUNK_POINTS in axis order and runs a failing stack again one row at a time, so the first
+failing row in axis order is named for every input and batch size.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -227,7 +230,7 @@ def _tied(levels: np.ndarray) -> np.ndarray:
 
 def _dense_ub(points: np.ndarray) -> np.ndarray:
     """ub from the levels and eigenvectors of sym_eig at each (J, K, B1, B2, T) row."""
-    dense = _eig_naming_rows(sym_eig, hamiltonian_qutrit(QutritChainParams(*points.T[:4])), points)
+    dense = sym_eig(hamiltonian_qutrit(QutritChainParams(*points.T[:4])))
     m = dense.vectors.swapaxes(1, 2).reshape(-1, 9, 3, 3)
     ra = m @ m.swapaxes(-1, -2)  # the reduced state of each eigenvector
     return _ub((ra * ra).reshape(-1, 9, 9).sum(axis=-1),  # Tr rho_A^2
@@ -261,18 +264,25 @@ def _params_of(point: np.ndarray) -> str:
     return f"(J={j}, K={k}, B1={b1}, B2={b2})"
 
 
-def _eig_naming_rows(solve, h: np.ndarray, points: np.ndarray) -> Spectrum:
-    """solve(h) for a stack h of the Hamiltonians of the (J, K, B1, B2, ...) rows of
-    `points`.  Where eigh does not converge, ValueError names the first row it fails on."""
-    try:
-        return solve(h)
-    except np.linalg.LinAlgError:
-        for point, hi in zip(points, h):  # one row at a time, only to name the first that fails
-            try:
-                solve(hi[None])
-            except np.linalg.LinAlgError:
-                raise ValueError(f"Eigenvalues did not converge at {_params_of(point)}") from None
-        raise
+def _in_stacks(points: np.ndarray, work: Callable[[slice], object]) -> None:
+    """work(rows) for each slice `rows` of CHUNK_POINTS of the (J, K, B1, B2, ...) rows of
+    `points`, in axis order.  A stack that raises ValueError runs again one row at a time, and
+    the first failing row's error is raised as '<error> at (J=..., K=..., B1=..., B2=...)', eigh's
+    LinAlgError as 'Eigenvalues did not converge'; any other error of that row passes as it
+    is.  This is the one place that names a failing row from a ValueError."""
+    for start in range(0, len(points), CHUNK_POINTS):
+        try:
+            # what work returns lives until the next stack is built: malloc keeps its heap
+            kept = work(slice(start, start + CHUNK_POINTS))
+        except ValueError:
+            for i in range(start, min(start + CHUNK_POINTS, len(points))):
+                try:
+                    work(slice(i, i + 1))
+                except ValueError as exc:
+                    error = ("Eigenvalues did not converge"
+                             if isinstance(exc, np.linalg.LinAlgError) else exc)
+                    raise ValueError(f"{error} at {_params_of(points[i])}") from None
+            raise
 
 
 def _half_difference(points: np.ndarray) -> np.ndarray:
@@ -289,29 +299,26 @@ def _key_heads(points: np.ndarray) -> np.ndarray:
 
 def _solve_keys(heads: np.ndarray) -> Spectrum:
     """The spectrum per total-Sz sector of H(J, K, d, -d), d = _half_difference, of the key
-    of each (J, K, B1, B2, ...) row of `heads`, with NaN levels where that H is not finite.
-    ValueError names the first row eigh fails on."""
+    of each (J, K, B1, B2, ...) row of `heads`.  ValueError if one such H is not finite or
+    eigh fails on it; it names no row (_in_stacks does)."""
     d = _half_difference(heads)
     h = hamiltonian_qutrit(QutritChainParams(*heads[:, :2].T, d, -d))
-    finite = np.isfinite(h).all(axis=(1, 2))
-    h[~finite] = 0.0  # solvable; its NaN levels make its rows raise in _shift
-    solved = _eig_naming_rows(lambda a: block_eig(a, SZ_SECTORS), h, heads)
-    solved.values[~finite] = np.nan
-    return solved
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian overflows")
+    return block_eig(h, SZ_SECTORS)
 
 
 def _shift(solved: Spectrum, key: np.ndarray, points: np.ndarray) -> Spectrum:
     """The spectrum per total-Sz sector of the H of each (J, K, B1, B2, ...) row of `points`:
     its key's row `key` of _solve_keys' `solved`, each level moved by s = (B1 + B2)/2 times
-    its Sz.  ValueError names the first row whose H or level spread is not finite."""
+    its Sz.  ValueError if a level spread is not finite; it names no row (_in_stacks does)."""
     # the outputs first, before arrays whose sizes vary by group: a sweep's heap then settles
     values, vectors = np.empty((len(points), 9)), np.empty((len(points), 9, 9))
     s = 0.5 * points[:, 2] + 0.5 * points[:, 3]
     with np.errstate(over="ignore", invalid="ignore"):
         np.add(solved.values[key], s[:, None] * SZ_TOTAL[np.concatenate(SZ_SECTORS)], out=values)
-        ok = np.isfinite(values.max(axis=1) - values.min(axis=1))
-    if not ok.all():
-        raise ValueError(f"Hamiltonian overflows at {_params_of(points[np.argmin(ok)])}")
+        if not np.isfinite(values.max(axis=1) - values.min(axis=1)).all():
+            raise ValueError("Hamiltonian overflows")
     return Spectrum(values, np.take(solved.vectors, key, axis=0, out=vectors))
 
 
@@ -319,7 +326,7 @@ def _solve(points: np.ndarray) -> Spectrum:
     """The spectrum per total-Sz sector of the H of each (J, K, B1, B2, ...) row of `points`.
     H = H(J, K, d, -d) + s Sz with s = (B1 + B2)/2: H(J, K, d, -d) is solved once per run of
     rows with one key (_solve_keys), and _shift moves its levels to each row.  ValueError
-    names the first row eigh fails on, else the first whose H or level spread is not finite."""
+    where eigh fails or an H or level spread is not finite, naming no row."""
     head = _key_heads(points)
     return _shift(_solve_keys(points[head]), np.cumsum(head) - 1, points)
 
@@ -347,7 +354,8 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     window starting at a group's first key when its last lies past the window; a group spans
     at most CHUNK_POINTS keys.  ub depends on the basis chosen inside degenerate levels, so
     every row at _tied levels takes _dense_ub at its own point, as the single-state reference
-    does, in axis order.  After a ValueError, _solve goes over every row in axis order."""
+    does, in axis order.  After a ValueError, _solve goes over every row in axis order
+    through _in_stacks, which alone names the first failing row."""
     mirrored = points[:, 2] < points[:, 3]
     canonical = points.copy()
     canonical[mirrored, 2:4] = points[mirrored, 3:1:-1]
@@ -363,7 +371,7 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     site_columns = [i for i, name in enumerate(names) if name in ("cdc", "udc_12", "udc_21")]
     ub_columns = [i for i, name in enumerate(names) if name == "ub"]
     direct, mirror = np.empty((2, len(canonical), len(names)))  # as read at a row and its mirror
-    tied = np.empty(len(canonical), dtype=bool)
+    tied = np.zeros(len(canonical), dtype=bool)
     first = end = 0  # the solved window holds keys first to end - 1
     try:
         for start in range(0, len(canonical), CHUNK_POINTS):
@@ -382,14 +390,15 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
                 tied[rows] = _tied(batch.sectors.values)
         table = direct[source]
         table[mirrored] = mirror[source[mirrored]]
-        own = np.flatnonzero(tied[source]) if ub_columns else ()
-        for start in range(0, len(own), CHUNK_POINTS):
-            r = own[start:start + CHUNK_POINTS]
-            table[np.ix_(r, ub_columns)] = _dense_ub(points[r])[:, None]
+        own = np.flatnonzero(tied[source])
+
+        def dense(rows: slice) -> None:
+            table[np.ix_(own[rows], ub_columns)] = _dense_ub(points[own[rows]])[:, None]
+
+        _in_stacks(points[own], dense)
         return table
     except ValueError:
-        for start in range(0, len(points), CHUNK_POINTS):
-            _solve(points[start:start + CHUNK_POINTS])  # raises at the first failing row
+        _in_stacks(points, lambda rows: _solve(points[rows]))
         raise
 
 
@@ -480,7 +489,8 @@ def run_threshold(cfg: SweepConfig) -> str:
     a measure exceeds TS_TOL there.  All rows' scan pairs go through _evaluate
     as one point list, then thermal.vanishing_point bisects all rows of a
     measure in lockstep, one _evaluate call per step.  The first row whose ts
-    lies beyond its tstar, in axis order, raises ConsistencyError.
+    lies beyond its tstar, in axis order, raises ConsistencyError.  Groups go
+    through _in_stacks, which alone names a row that raises ValueError.
     """
     requested = _check_measures(cfg.measures or ("negativity",), _TS_MEASURES)
     axis = next((a for a in _LINE_AXES if a in cfg.ranges), "k")
@@ -489,9 +499,10 @@ def run_threshold(cfg: SweepConfig) -> str:
     table = np.empty((len(points), len(requested) + 2))
     table[:, 0] = coords[:, 0]
     columns = np.arange(thermal.TS_GRID)
-    for start in range(0, len(points), CHUNK_POINTS):
-        group = table[start:start + CHUNK_POINTS]
-        sectors = _solve(points[start:start + CHUNK_POINTS])
+
+    def group_of(rows: slice) -> tuple[Spectrum, np.ndarray]:
+        group = table[rows]
+        sectors = _solve(points[rows])
         group[:, -1] = thermal.tstar_rows(np.sort(sectors.values, axis=1), QUTRIT_SPLIT)
         # each row's first scan point above its T*, TS_SCAN[0] where T* is None
         witness = np.searchsorted(thermal.TS_SCAN, np.nan_to_num(group[:, -1]), side="right")
@@ -512,8 +523,10 @@ def run_threshold(cfg: SweepConfig) -> str:
             r, i = np.argwhere(beyond)[0]
             raise ConsistencyError(
                 f"{requested[i]} persists to T={group[r, i + 1]:.6f} beyond the separable ball "
-                f"at T*={group[r, -1]:.6f}"
-            )
+                f"at T*={group[r, -1]:.6f}")
+        return sectors, scan
+
+    _in_stacks(points, group_of)
     header = [_AXIS_LABEL[axis]] + [f"ts_{name}" for name in requested] + ["tstar"]
     return _csv(header, table)
 
@@ -522,21 +535,22 @@ def run_spectrum(cfg: SweepConfig) -> str:
     """Emit closed-form energy labels E1..E9 plus the residual against sym_eig,
     in stacks of CHUNK_POINTS points: one H assembly, one eigvalsh of the
     central blocks and one sym_eig per stack.  A row whose H is not finite gets
-    NaN levels.  The first row, in axis order, that sym_eig fails on raises
-    ValueError naming it, and the first whose residual fails
-    SPECTRUM_RESIDUAL_TOL (a NaN fails) ConsistencyError."""
+    NaN levels.  The first row to fail, in axis order, raises: ConsistencyError
+    if its residual fails SPECTRUM_RESIDUAL_TOL (a NaN fails), ValueError,
+    named by _in_stacks, if sym_eig fails on it."""
     _, points = _grid(cfg, tuple(a for a in _LINE_AXES if a in cfg.ranges)[:1])
 
     table = np.empty((len(points), 14))
     table[:, :4] = points[:, :4]
-    for start in range(0, len(points), CHUNK_POINTS):
-        rows = table[start:start + CHUNK_POINTS]
+
+    def stack(r: slice) -> tuple[np.ndarray, np.ndarray]:
+        rows = table[r]
         params = QutritChainParams(*rows[:, :4].T)
         h = hamiltonian_qutrit(params)
         bad = ~np.isfinite(h).all(axis=(1, 2))
         h[bad] = 0.0  # solvable; such a row gets NaN levels
         inner = np.linalg.eigvalsh(central_block_of(h))
-        numerical = _eig_naming_rows(sym_eig, h, rows).values
+        numerical = sym_eig(h).values
         inner[bad] = numerical[bad] = np.nan
         with np.errstate(over="ignore", invalid="ignore"):
             cf = closed_form_energies(params)
@@ -548,6 +562,9 @@ def run_spectrum(cfg: SweepConfig) -> str:
             row = rows[np.argmax(failed)]
             raise ConsistencyError(
                 f"closed-form spectrum residual {row[13]:.3e} at {_params_of(row)}")
+        return h, numerical
+
+    _in_stacks(points, stack)
     header = ["J", "K", "B1", "B2"] + [f"E{i}" for i in range(1, 10)] + ["residual"]
     return _csv(header, table)
 

@@ -158,9 +158,14 @@ def test_out_of_range_inputs_return_config_error(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")  # H is assembled and solved without an overflow warning
-def test_overflowing_hamiltonian_returns_consistency_code(capsys):
-    # H, or the spread of its levels, overflows; each run names its first such row
+@pytest.mark.parametrize("size", [256, 7, 1])
+def test_overflowing_hamiltonian_returns_consistency_code(size, monkeypatch, capsys):
+    # H, or the spread of its levels, overflows; each run names its first such row, also where
+    # a later row of its stack makes eigh fail (K = 0 with the fields near 1e229 |J|)
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
     k_row = "J=-1.0, K=1e+308, B1=0.0, B2=0.0"
+    mixed = ["--J=1", "--B1=1e229", "--B2=-1e229", "--range-k=-1e308:0:2"]
+    mixed_row = "J=1.0, K=-1e+308, B1=1e+229, B2=-1e+229"
     for argv, row in (
         (["sweep", "--K=1e308", "--range-b1=0:1:3", "--range-b2=0:1:3"], k_row),
         (["threshold", "--K=1e308", "--range-b1=0:1:3"], k_row),
@@ -173,6 +178,12 @@ def test_overflowing_hamiltonian_returns_consistency_code(capsys):
          "J=1e+308, K=-1.0, B1=0.0, B2=0.0"),
         (["spectrum", "--K=1e8", "--range-k=1e8:1e308:3"], "J=-1.0, K=5e+307, B1=0.0, B2=0.0"),
         (["spectrum", "--B1=1e308", "--B2=1e308"], "J=-1.0, K=-1.0, B1=1e+308, B2=1e+308"),
+        (["threshold", *mixed], mixed_row),
+        (["sweep", "--mode", "densecode-scan", *mixed], mixed_row),
+        (["sweep", "--mode", "grid-kt", *mixed, "--range-t=0.5:1:2", "--measures",
+          "negativity,ub"], mixed_row),
+        (["spectrum", "--J=-1", "--B1=1.1759767626280935e+240", "--range-k=-1e308:0:2"],
+         "J=-1.0, K=-1e+308, B1=1.1759767626280935e+240, B2=0.0"),
     ):
         assert main(argv) == 3, argv
         err = capsys.readouterr().err
