@@ -153,7 +153,9 @@ class _Batch:
     whose eigenvectors stay inside one sector even at degeneracies.  So rho's eigenvalues are
     the weights, the reduced states of rho and of each eigenvector are diagonal, the partial
     transpose splits into blocks of at most 3x3 (the 2x2 ones solved by eigh2), and alb
-    reads entries of the state: no measure solves an eigenproblem of rho.
+    reads entries of the state: no measure solves an eigenproblem of rho.  The block levels
+    (pt_levels) and the state alb reads (g) are cached, so that negativity and alb share them
+    with their _ROOMS.
     Every measure agrees with the single-state reference (_sweep_worker) to 1e-12, except ub
     at or near degenerate levels (see ub), and its bits do not depend on batching.
     """
@@ -164,15 +166,24 @@ class _Batch:
         self.rho = check_density(thermal.mixture(sectors, self.weights), QUTRIT_DIMS, self.weights)
 
     @cached_property
-    def negativity(self) -> np.ndarray:
+    def pt_levels(self) -> list[np.ndarray]:
+        """The ascending levels of each partial-transpose block of more than one state, one
+        array per block; a 1x1 block is a diagonal entry of rho, never negative."""
         pt = partial_transpose_of(self.rho, QUTRIT_DIMS)
-        total = np.zeros(len(pt))
+        levels = []
         for block in SZ_DIFFERENCE_BLOCKS:
-            if len(block) > 1:  # a 1x1 block is a diagonal entry of rho, never negative
+            if len(block) > 1:
                 idx = np.array(block)
                 sub = pt[:, idx[:, None], idx]
                 mu = eigh2(sub, vectors=False) if len(block) == 2 else np.linalg.eigvalsh(sub)
-                total -= np.where(mu < 0.0, mu, 0.0).sum(axis=-1)
+                levels.append(mu)
+        return levels
+
+    @cached_property
+    def negativity(self) -> np.ndarray:
+        total = np.zeros(len(self.rho))
+        for mu in self.pt_levels:
+            total -= np.where(mu < 0.0, mu, 0.0).sum(axis=-1)
         return total
 
     @cached_property
@@ -185,9 +196,16 @@ class _Batch:
         diagonal = np.diagonal(self.rho, axis1=1, axis2=2).reshape(-1, 3, 3)
         return entropy_bits(diagonal.sum(axis=2)), entropy_bits(diagonal.sum(axis=1))
 
+    @cached_property
+    def g(self) -> np.ndarray:
+        """G = Y Y^T with Y = V sqrt(W), V the sector eigenvectors and W the weights above
+        RANK_CUTOFF: rho itself, where the stack has no weight to drop."""
+        w = self.weights
+        kept = w > entanglement.RANK_CUTOFF
+        return self.rho if kept.all() else thermal.mixture(self.sectors, np.where(kept, w, 0.0))
+
     def alb(self) -> np.ndarray:
-        """entanglement.alb_mixture over the sector eigenvectors, from entries of
-        G = Y Y^T with Y = V sqrt(W) and W the weights above RANK_CUTOFF.
+        """entanglement.alb_mixture over the sector eigenvectors, from entries of G.
 
         Row i of Y lies in the levels of the sector of basis state i, so with
         (p, q, r, s) of _alb_pairs, tau_a = Y^T C_a Y is the direct sum of
@@ -195,10 +213,7 @@ class _Batch:
         are n_p n_q +- |G_pq| and n_r n_s +- |G_rs|, with n_i = sqrt(G_ii).  So
         z1 - (z2 + z3 + ...) = 2 max(|G_pq| - n_r n_s, |G_rs| - n_p n_q).
         """
-        w = self.weights
-        kept = w > entanglement.RANK_CUTOFF
-        # rho itself, where the stack has no weight to drop
-        g = self.rho if kept.all() else thermal.mixture(self.sectors, np.where(kept, w, 0.0))
+        g = self.g
         n = np.sqrt(np.diagonal(g, axis1=1, axis2=2))
         p, q, r, s = _alb_pairs()
         gap = np.maximum(np.abs(g[:, p, q]) - n[:, r] * n[:, s],
@@ -332,16 +347,17 @@ def _solve(points: np.ndarray) -> Spectrum:
 
 
 def _evaluate(sectors: Spectrum, rows: np.ndarray, temperatures: np.ndarray,
-              names: tuple[str, ...]) -> np.ndarray:
-    """Measures `names`, one column each, of the Gibbs states of the rows `rows` of `sectors`
-    at `temperatures`, in batches of CHUNK_POINTS; a row may appear many times."""
+              functions: list[Callable[[_Batch], np.ndarray]]) -> np.ndarray:
+    """`functions` of _MEASURES or _ROOMS, one column each, of the Gibbs states of the rows
+    `rows` of `sectors` at `temperatures`, in batches of CHUNK_POINTS; a row may appear many
+    times."""
     parts = []
     for i in range(0, len(temperatures), CHUNK_POINTS):
         r = rows[i:i + CHUNK_POINTS]
         batch = _Batch(Spectrum(sectors.values[r], sectors.vectors[r]),
                        temperatures[i:i + CHUNK_POINTS])
-        parts.append(np.column_stack([_MEASURES[name](batch) for name in names]))
-    return np.concatenate(parts) if parts else np.empty((0, len(names)))
+        parts.append(np.column_stack([f(batch) for f in functions]))
+    return np.concatenate(parts) if parts else np.empty((0, len(functions)))
 
 
 def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
@@ -475,22 +491,111 @@ def run_sweep(cfg: SweepConfig) -> str:
     return _csv(header, np.hstack([coords, values]))
 
 
-_TS_MEASURES = ("negativity", "alb")
+# A threshold scan skips a point only where its bound holds by this much: it covers round-off,
+# and the weights below entanglement.RANK_CUTOFF that G drops, which move G from rho by < 9e-14.
+MARGIN = 1e-12
+
+
+def _negativity_room(b: _Batch) -> np.ndarray:
+    """The Frobenius distance from rho within which every state keeps each partial-transpose
+    block's lowest level above MARGIN, so has no negativity: the partial transpose keeps the
+    Frobenius norm, so by Weyl no level of a block moves further."""
+    return np.min([mu[:, 0] for mu in b.pt_levels], axis=0) - MARGIN
+
+
+def _alb_room(b: _Batch) -> np.ndarray:
+    """The Frobenius distance from rho within which alb stays at most TS_TOL - MARGIN.
+
+    Within delta, each entry of G moves by at most delta + MARGIN.  A term of _Batch.alb with
+    entries o = G_pq, x = G_rr and y = G_ss (or G_rs, G_pp and G_qq) then stays below
+    |o| + delta - sqrt((x - delta)(y - delta)), which is (TS_TOL - MARGIN)/2 at
+    delta = (x y - u^2)/(x + y + 2 u), u = |o| - (TS_TOL - MARGIN)/2: the delta^2 terms cancel.
+    Where u + min(x, y) <= 0 that root lies past min(x, y), where the square root is 0, and
+    delta = -u."""
+    g = b.g
+    diagonal = np.diagonal(g, axis1=1, axis2=2)
+    p, q, r, s = _alb_pairs()
+
+    def room(o: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        u = np.abs(o) - 0.5 * (thermal.TS_TOL - MARGIN)
+        inside = u + np.minimum(x, y) > 0.0
+        return np.where(inside, (x * y - u * u) / np.where(inside, x + y + 2.0 * u, 1.0), -u)
+
+    return np.minimum(room(g[:, p, q], diagonal[:, r], diagonal[:, s]),
+                      room(g[:, r, s], diagonal[:, p], diagonal[:, q])).min(axis=1) - MARGIN
+
+
+# The measures a threshold run takes, each with its room: the Frobenius distance from rho
+# within which every state keeps the measure at or below thermal.TS_TOL.
+_ROOMS = {"negativity": _negativity_room, "alb": _alb_room}
+_TS_MEASURES = tuple(_ROOMS)
+
+
+def _scan_down(sectors: Spectrum, start: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    """Measures `names` of each row of `sectors` at the thermal.TS_SCAN temperatures, shape
+    (rows, TS_GRID, len(names)), NaN at the points not evaluated.  Each measure's highest
+    point above TS_TOL is that of a full scan up to the row's point `start`, or of the whole
+    grid where a measure exceeds TS_TOL at `start`.
+
+    A row scans down from `start`, and stops once each measure has its highest hit or nothing
+    is left below; a row with a hit at `start` then scans again from the top of the grid.
+    Each step is one _evaluate call, in which every row still scanning takes its next
+    max(1, CHUNK_POINTS // rows) points.  Below the lowest point T_k a row has evaluated,
+    rho(T_j) lies within delta_j = dE sqrt(P(T_j)) (1/T_j - 1/T_k) of rho(T_k) in the
+    Frobenius norm, with dE the row's level spread and P(T_j) the purity, which falls with T.
+    The points whose delta_j is below the _ROOMS at T_k of every measure without a hit are
+    skipped: none exceeds TS_TOL there.
+    """
+    grid, m = thermal.TS_GRID, len(names)
+    functions = [_MEASURES[n] for n in names] + [_ROOMS[n] for n in names]
+    temperatures = thermal.TS_SCAN[:start.max() + 1]  # up to the highest start
+    w = thermal.boltzmann_weights(sectors.values[:, None], temperatures)
+    # dE sqrt(P(T)) of each row at each of those temperatures
+    scale = np.ptp(sectors.values, axis=1)[:, None] * np.sqrt(np.einsum("rtl,rtl->rt", w, w))
+    beta = 1.0 / temperatures
+    scan = np.full((len(start), grid, m), np.nan)
+    hit = np.zeros((len(start), m), dtype=bool)
+    cursor = start.copy()  # each row's highest point neither evaluated nor skipped
+    active = np.arange(len(start))
+    while active.size:
+        counts = np.minimum(cursor[active] + 1, max(1, CHUNK_POINTS // len(active)))
+        last = np.cumsum(counts) - 1  # each row's lowest point in this step
+        first = last - counts + 1
+        r = np.repeat(active, counts)
+        c = np.repeat(cursor[active] + first, counts) - np.arange(len(r))
+        values = _evaluate(sectors, r, thermal.TS_SCAN[c], functions)
+        scan[r, c] = values[:, :m]
+        hit[active] |= np.logical_or.reduceat(values[:, :m] > thermal.TS_TOL, first)
+        low = c[last]
+        room = np.where(hit[active], np.inf, values[last, m:]).min(axis=1)
+        span = max(int(low.max()), 1)  # grid points below the highest of the lowest points
+        with np.errstate(over="ignore"):  # a bound past the float range skips nothing
+            bound = scale[active, :span] * (beta[:span] - beta[low, None])
+        left = (bound >= room[:, None]) & (np.arange(span) < low[:, None])  # not skipped
+        cursor[active] = np.where(left.any(axis=1),
+                                  span - 1 - np.argmax(left[:, ::-1], axis=1), -1)
+        active = active[~hit[active].all(axis=1) & (cursor[active] >= 0)]
+    at_start = scan[np.arange(len(start)), start] > thermal.TS_TOL
+    again = np.flatnonzero((start < grid - 1) & at_start.any(axis=1))
+    if again.size:
+        scan[again] = _scan_down(Spectrum(sectors.values[again], sectors.vectors[again]),
+                                 np.full(len(again), grid - 1), names)
+    return scan
 
 
 def run_threshold(cfg: SweepConfig) -> str:
     """Sweep one axis, emitting measure-vanishing temperatures and tstar.
 
     Axis values run in groups of CHUNK_POINTS rows, each solved once by _solve.
-    thermal.tstar_rows reads the group's sector levels in ascending order, all
-    rows in lockstep; above a row's tstar every
-    measure is 0.  So a row scans thermal.TS_SCAN up to its tstar and at one
-    witness point, the next (TS_SCAN[0] if tstar is None), and the rest only if
-    a measure exceeds TS_TOL there.  All rows' scan pairs go through _evaluate
-    as one point list, then thermal.vanishing_point bisects all rows of a
-    measure in lockstep, one _evaluate call per step.  The first row whose ts
-    lies beyond its tstar, in axis order, raises ConsistencyError.  Groups go
-    through _in_stacks, which alone names a row that raises ValueError.
+    thermal.tstar_rows reads the group's sector levels in ascending order, all rows in
+    lockstep; above a row's tstar every measure is 0.  So a row scans thermal.TS_SCAN down
+    from its witness point, the first above its tstar (TS_SCAN[0] if tstar is None), and
+    from the top of the grid only if a measure exceeds TS_TOL there (_scan_down, which
+    skips the points a bound proves below TS_TOL).  thermal.vanishing_point then bisects
+    every (measure, row) pair of the group in lockstep, one _evaluate call per step, in which
+    the pairs of a row at one midpoint share a state.  The first row whose ts lies beyond its
+    tstar, in axis order, raises ConsistencyError.  Groups go through _in_stacks, which
+    alone names a row that raises ValueError.
     """
     requested = _check_measures(cfg.measures or ("negativity",), _TS_MEASURES)
     axis = next((a for a in _LINE_AXES if a in cfg.ranges), "k")
@@ -498,26 +603,31 @@ def run_threshold(cfg: SweepConfig) -> str:
 
     table = np.empty((len(points), len(requested) + 2))
     table[:, 0] = coords[:, 0]
-    columns = np.arange(thermal.TS_GRID)
+    measures = [_MEASURES[name] for name in requested]
 
     def group_of(rows: slice) -> tuple[Spectrum, np.ndarray]:
         group = table[rows]
+        size = len(group)
         sectors = _solve(points[rows])
         group[:, -1] = thermal.tstar_rows(np.sort(sectors.values, axis=1), QUTRIT_SPLIT)
         # each row's first scan point above its T*, TS_SCAN[0] where T* is None
         witness = np.searchsorted(thermal.TS_SCAN, np.nan_to_num(group[:, -1]), side="right")
-        scan = np.zeros((len(group), thermal.TS_GRID, len(requested)))  # 0 where not scanned
-        r, c = np.nonzero(columns <= witness[:, None])
-        scan[r, c] = _evaluate(sectors, r, thermal.TS_SCAN[c], requested)
-        # a row with a measure above TS_TOL at its witness point scans in full
-        at = scan[np.arange(len(group)), np.minimum(witness, thermal.TS_GRID - 1)]
-        r, c = np.nonzero((columns > witness[:, None]) & (at > thermal.TS_TOL).any(axis=1)[:, None])
-        scan[r, c] = _evaluate(sectors, r, thermal.TS_SCAN[c], requested)
-        for i, name in enumerate(requested):
-            # NaN where the measure never exceeds TS_TOL, which _csv prints as an empty cell
-            group[:, i + 1] = thermal.vanishing_point(
-                scan[:, :, i],
-                lambda rows, t: _evaluate(sectors, rows, t, (name,))[:, 0])
+        scan = _scan_down(sectors, np.minimum(witness, thermal.TS_GRID - 1), requested)
+
+        def bisect_at(pairs: np.ndarray, t: np.ndarray) -> np.ndarray:
+            # pair i is measure i // size at row i % size; the pairs of a row whose brackets
+            # agree, as they often do, share one state
+            order = np.lexsort((t, pairs % size))
+            r, t = pairs[order] % size, t[order]
+            head = np.concatenate([[True], (r[1:] != r[:-1]) | (t[1:] != t[:-1])])
+            state = np.empty(len(pairs), dtype=int)
+            state[order] = np.cumsum(head) - 1
+            return _evaluate(sectors, r[head], t[head], measures)[state, pairs // size]
+
+        # NaN where the measure never exceeds TS_TOL, which _csv prints as an empty cell
+        group[:, 1:-1] = thermal.vanishing_point(
+            scan.transpose(2, 0, 1).reshape(-1, thermal.TS_GRID), bisect_at,
+        ).reshape(len(requested), size).T
         beyond = group[:, 1:-1] > group[:, -1:] + 1e-6  # False where either cell is NaN
         if beyond.any():
             r, i = np.argwhere(beyond)[0]

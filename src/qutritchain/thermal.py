@@ -159,7 +159,9 @@ def vanishing_point(
     scan: np.ndarray, measure_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Largest temperature where a measure exceeds TS_TOL, per row of `scan`,
-    the measure's values at the TS_SCAN temperatures, shape (rows, TS_GRID).
+    the measure's values at the TS_SCAN temperatures, shape (rows, TS_GRID),
+    NaN at a temperature not evaluated.  A row may be any (measure, state)
+    pair: measure_at tells them apart by row index.
 
     The scan locates each row's last excursion above TS_TOL (the measure need
     not be monotone in T), then bisection narrows the vanishing point to a
@@ -170,7 +172,8 @@ def vanishing_point(
     exceeds TS_TOL, and TS_TMAX where it is still above TS_TOL there (the
     estimate is truncated).
     """
-    above = scan > TS_TOL
+    with np.errstate(invalid="ignore"):  # a point not evaluated is not above TS_TOL
+        above = scan > TS_TOL
     hit = above.any(axis=1)
     last = TS_GRID - 1 - np.argmax(above[:, ::-1], axis=1)
     ts = np.where(hit, TS_TMAX, np.nan)

@@ -2,14 +2,18 @@
 `thermal.estimate_ts`."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qutritchain import entanglement, sweeps, thermal
-from qutritchain.numkernel import block_eig, sym_eig
+from qutritchain.numkernel import Spectrum, block_eig, sym_eig
+from qutritchain.qstate import partial_transpose_of
 from qutritchain.spinmodels import (
-    QutritChainParams, central_block, closed_form_energies, hamiltonian_qutrit,
+    SZ_DIFFERENCE_BLOCKS, QutritChainParams, central_block, closed_form_energies,
+    hamiltonian_qutrit,
 )
 from qutritchain.sweeps import (
     MEASURE_NAMES, QUTRIT_DIMS, QUTRIT_SPLIT, SWEEP_MODES, AxisRange, SweepConfig, _measure_table,
@@ -94,9 +98,10 @@ def test_threshold_matches_scalar_estimate_ts(monkeypatch):
     for b1, b2 in ((0.0, 0.0), (0.35, -0.35)):
         cfg = SweepConfig(B1=b1, B2=b2, ranges={"k": AxisRange(-6.0, 0.0, 4)}, measures=names)
         run_threshold(cfg)
-        batched = calls.copy()  # one lockstep call per measure, over every row
+        # one lockstep call over every (measure, row) pair, pair i * 4 + row for measure i
+        [(scan, steps)] = calls
         calls.clear()
-        assert [scan.shape for scan, _ in batched] == [(4, thermal.TS_GRID)] * len(names)
+        assert scan.shape == (len(names) * 4, thermal.TS_GRID)
         for row, (k, *cells, t_ball) in enumerate(written.pop()):
             spectrum = sym_eig(hamiltonian_qutrit(QutritChainParams(J=cfg.J, K=k, B1=b1, B2=b2)))
             v = spectrum.vectors
@@ -106,16 +111,22 @@ def test_threshold_matches_scalar_estimate_ts(monkeypatch):
                 "alb": lambda rho: entanglement.alb_mixture(
                     spectrum, np.diagonal(v.T @ rho.mat @ v), sweeps._antisym_basis33()),
             }
-            for name, cell, (scan, steps) in zip(names, cells, batched):
+            for i, (name, cell) in enumerate(zip(names, cells)):
+                pair = i * 4 + row
                 want = thermal.estimate_ts(spectrum, QUTRIT_DIMS, scalar[name])
                 assert cell == ("" if want is None else want)  # zero difference
                 [(want_scan, [want_steps])] = calls
                 calls.clear()
-                assert np.max(np.abs(scan[row] - want_scan[0])) <= MAX_ABS_DIFF
+                # the scan points evaluated agree; at every point skipped above the lowest
+                # one evaluated, the full scalar scan is at most TS_TOL
+                seen = ~np.isnan(scan[pair])
+                assert np.max(np.abs(scan[pair, seen] - want_scan[0, seen])) <= MAX_ABS_DIFF
+                skipped = ~seen & (np.arange(thermal.TS_GRID) > np.argmax(seen))
+                assert (want_scan[0, skipped] <= thermal.TS_TOL).all()
                 # the same midpoints, with values within MAX_ABS_DIFF
-                assert [t for t, _ in steps[row]] == [t for t, _ in want_steps]
+                assert [t for t, _ in steps[pair]] == [t for t, _ in want_steps]
                 assert all(abs(x - y) <= MAX_ABS_DIFF
-                           for (_, x), (_, y) in zip(steps[row], want_steps))
+                           for (_, x), (_, y) in zip(steps[pair], want_steps))
                 kinds[name].add(want if want in (None, thermal.TS_TMAX) else "inside")
             assert t_ball == thermal.tstar(spectrum, QUTRIT_SPLIT)
     for name in names:
@@ -134,9 +145,9 @@ def test_threshold_bisects_rows_in_lockstep(monkeypatch):
     cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
                       measures=("negativity", "alb"))
     want = run_threshold(cfg)
-    # the scan in stacks of CHUNK_POINTS pairs, then one stack per bisection step
-    # and measure: a one-row-at-a-time bisection would take 630 stacks more
-    assert len(sizes) <= math.ceil(21 * thermal.TS_GRID / sweeps.CHUNK_POINTS) + 2 * 16
+    # 7 scan steps and 15 bisection steps, one stack each: a bisection one measure at a time
+    # would take 15 stacks more, and one (measure, row) pair at a time 630 in all
+    assert len(sizes) <= 25
     sizes.clear()
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", 7)
     assert run_threshold(cfg) == want
@@ -157,9 +168,11 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
 
     monkeypatch.setattr(sweeps, "_Batch", Counted)
     want = run_threshold(_THRESHOLD_K)
-    # a full scan alone builds 21 * 400 = 8400 states; the one up to each T*, its witness
-    # point and the bisection build 3556
-    assert sum(sizes) <= 3600
+    # a full scan alone builds 21 * 400 = 8400 states, the one up to each T* and its witness
+    # point 2926; the scan down from each witness point, which skips what its bound proves
+    # below TS_TOL, and the bisection, whose two measures share a state where their brackets
+    # agree, build 1837
+    assert sum(sizes) <= 1900
     for size in (7, 1):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
         assert run_threshold(_THRESHOLD_K) == want
@@ -167,26 +180,37 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
 
 def test_threshold_row_entangled_at_its_witness_scans_in_full(monkeypatch):
     want = run_threshold(_THRESHOLD_K).split("\n")
-    tstar_rows, scanned = thermal.tstar_rows, []
+    tstar_rows, witness, scanned, bisecting = thermal.tstar_rows, [], [], []
 
     def without_row_5(levels, dims):
         # row 5 gets no T*: its witness is TS_SCAN[0], where it is entangled
         t = tstar_rows(levels, dims)
+        witness.extend(thermal.TS_SCAN[np.searchsorted(thermal.TS_SCAN, t, side="right")])
         t[5] = np.nan
         return t
 
     monkeypatch.setattr(thermal, "tstar_rows", without_row_5)
-    evaluate = sweeps._evaluate
+    evaluate, vanishing_point = sweeps._evaluate, thermal.vanishing_point
 
-    def recorded(sectors, rows, temperatures, names):
-        if len(names) == 2:  # a scan call; a bisection call takes one measure
-            scanned.extend(rows.tolist())
-        return evaluate(sectors, rows, temperatures, names)
+    def recorded(sectors, rows, temperatures, functions):
+        if not bisecting:  # the scan: rows of the group, or of the rows that scan again
+            scanned.append((len(sectors.values), rows, temperatures))
+        return evaluate(sectors, rows, temperatures, functions)
+
+    def bisected(scan, measure_at):
+        bisecting.append(True)
+        return vanishing_point(scan, measure_at)
 
     monkeypatch.setattr(sweeps, "_evaluate", recorded)
+    monkeypatch.setattr(thermal, "vanishing_point", bisected)
     got = run_threshold(_THRESHOLD_K).split("\n")
-    counts = np.bincount(scanned, minlength=21)
-    assert counts[5] == thermal.TS_GRID and max(np.delete(counts, 5)) < thermal.TS_GRID
+    group = [(r, t) for n, rows, ts in scanned if n == 21 for r, t in zip(rows, ts)]
+    again = np.concatenate([ts for n, _, ts in scanned if n == 1])
+    # row 5 scans its witness point, then again down from TS_TMAX; no other row goes above
+    # its witness point
+    assert [t for r, t in group if r == 5] == [thermal.TS_SCAN[0]]
+    assert again[0] == thermal.TS_TMAX and (np.diff(again) < 0).all()
+    assert all(t <= witness[r] for r, t in group if r != 5)
     # the same ts cells as the run with every T*, with an empty tstar cell on row 5
     assert got[6].split(",")[:3] == want[6].split(",")[:3] and got[6].endswith(",")
     assert got[:6] + got[7:] == want[:6] + want[7:]
@@ -603,3 +627,130 @@ def test_batch_rejects_nonpositive_temperature():
     with pytest.raises(ValueError, match="temperature must be positive"):
         _measure_table(np.array([[-1.0, -1.0, 0.0, 0.0, 1.0], [-1.0, -1.0, 0.0, 0.0, 0.0]]),
                        ("negativity",))
+
+
+def _full_scan_threshold(cfg, axis):
+    """run_threshold's CSV and the measures at all TS_GRID temperatures of every row: each
+    row scans the whole grid, then vanishing_point bisects one measure at a time."""
+    coords, points = sweeps._grid(cfg, (axis,))
+    sectors = sweeps._solve(points)
+    tstar = thermal.tstar_rows(np.sort(sectors.values, axis=1), QUTRIT_SPLIT)
+    measures = [sweeps._MEASURES[name] for name in cfg.measures]
+    r, c = np.divmod(np.arange(len(points) * thermal.TS_GRID), thermal.TS_GRID)
+    scan = sweeps._evaluate(sectors, r, thermal.TS_SCAN[c], measures)
+    scan = scan.reshape(len(points), thermal.TS_GRID, len(measures))
+    ts = [thermal.vanishing_point(scan[:, :, i], lambda rows, t, f=f: sweeps._evaluate(
+        sectors, rows, t, [f])[:, 0]) for i, f in enumerate(measures)]
+    header = [sweeps._AXIS_LABEL[axis]] + [f"ts_{name}" for name in cfg.measures] + ["tstar"]
+    return sweeps._csv(header, np.column_stack([coords[:, 0], *ts, tstar])), scan
+
+
+def test_certified_scan_matches_a_full_scan(monkeypatch):
+    rng = np.random.default_rng(4)
+    lines, reentrant = [], 0  # seeded random lines that hold reentrant rows, their full-scan CSV
+    for axis in ("k", "b1", "b2"):
+        for _ in range(6):
+            fixed = rng.uniform([-2.0, -2.0, -4.0, -4.0], [2.0, 1.0, 4.0, 4.0]).tolist()
+            lo, width = rng.uniform([-6.0, 1.0], [0.0, 6.0]).tolist()
+            cfg = SweepConfig(**dict(zip(("J", "K", "B1", "B2"), fixed)),
+                              ranges={axis: AxisRange(lo, lo + width, 3)},
+                              measures=("negativity", "alb"))
+            want, scan = _full_scan_threshold(cfg, axis)
+            # a (row, measure) pair is reentrant where it rises above TS_TOL more than once
+            above = np.pad(scan > thermal.TS_TOL, ((0, 0), (1, 0), (0, 0)))
+            rises = (above[:, 1:] & ~above[:, :-1]).sum(axis=1)
+            if (rises > 1).any():
+                reentrant += (rises > 1).sum(axis=0)
+                swapped = replace(cfg, measures=cfg.measures[::-1])
+                lines += [(axis, cfg, want), (axis, swapped, _full_scan_threshold(swapped, axis)[0])]
+    # 4 lines, with 1 reentrant pair of negativity and 5 of alb
+    assert {axis for axis, _, _ in lines} == {"k", "b1", "b2"} and (reentrant > 0).all()
+    for size in (256, 7, 1):
+        monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
+        for _, cfg, want in lines:
+            assert run_threshold(cfg) == want
+
+
+def _alb_terms(g, delta):
+    """The largest term of _Batch.alb over the tau matrices of the 9x9 state g, each entry of
+    g moved by up to delta against the term, for each delta of an array."""
+    n, (p, q, r, s), delta = np.diagonal(g), sweeps._alb_pairs(), np.asarray(delta)[..., None]
+
+    def term(o, x, y):
+        return abs(o) + delta - np.sqrt(np.maximum(x - delta, 0.0) * np.maximum(y - delta, 0.0))
+
+    return np.maximum(term(g[p, q], n[r], n[s]), term(g[r, s], n[p], n[q])).max(axis=-1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 1.0), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0),
+       st.floats(0.02, 10.0), st.floats(0.02, 10.0))
+def test_scan_certificates_hold(j, k, b1, b2, t_j, t_k):
+    assume(t_j < t_k)
+    sectors = sweeps._solve(np.array([[j, k, b1, b2]] * 2))
+    batch = sweeps._Batch(sectors, np.array([t_j, t_k]))
+    # the bound of the scan on the Frobenius distance of the states at T_j < T_k
+    delta = (np.ptp(sectors.values[0]) * math.sqrt((batch.weights[0] ** 2).sum())
+             * (1.0 / t_j - 1.0 / t_k))
+    assert np.linalg.norm(batch.rho[0] - batch.rho[1]) <= delta * (1.0 + 1e-12) + 1e-15
+    # by Weyl, the lowest level of each partial-transpose block moves by at most delta
+    for mu in batch.pt_levels:
+        assert mu[0, 0] >= mu[1, 0] - delta - 1e-15
+    # the alb terms at T_j stay within those of G(T_k) with each entry moved by up to delta;
+    # G drops the weights below RANK_CUTOFF, which MARGIN covers
+    g = batch.g
+    assert _alb_terms(g[0], 0.0) <= _alb_terms(g[1], delta + sweeps.MARGIN) + 1e-15
+    # the room of alb is where those terms reach (TS_TOL - MARGIN)/2, as a dense search and
+    # bisection find it: the terms grow with delta and reach 1 by delta = 1
+    room = sweeps._alb_room(batch)[1] + sweeps.MARGIN
+    limit = 0.5 * (thermal.TS_TOL - sweeps.MARGIN)
+    below = np.linspace(0.0, 1.0, 1001)
+    below = below[_alb_terms(g[1], below) <= limit]
+    assert (room >= 0.0) == (below.size > 0)
+    if below.size:
+        lo, hi = below[-1], below[-1] + 1e-3
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _alb_terms(g[1], mid) <= limit else (lo, mid)
+        assert abs(room - lo) <= 1e-14
+
+
+def test_scan_skips_only_points_its_certificates_prove(monkeypatch):
+    scans, scan_down = [], sweeps._scan_down
+
+    def recorded(sectors, start, names):
+        scans.append((sectors, names, scan_down(sectors, start, names)))
+        return scans[-1][-1]
+
+    monkeypatch.setattr(sweeps, "_scan_down", recorded)
+    run_threshold(_THRESHOLD_K)
+    run_threshold(replace(_THRESHOLD_K, measures=("negativity",)))
+    run_threshold(SweepConfig(K=-1.7, B1=3.0, ranges={"b2": AxisRange(-6.0, 6.0, 7)},
+                              measures=("alb", "negativity")))
+    limit, skipped = 0.5 * (thermal.TS_TOL - sweeps.MARGIN), 0
+    for sectors, names, scan in scans:
+        for row, levels in enumerate(sectors.values):
+            evaluated = ~np.isnan(scan[row, :, 0])
+            for k in np.flatnonzero(evaluated):
+                # the points skipped right below T_k, for the measures without a hit at or
+                # above T_k: the bound must hold there for each
+                lower = np.flatnonzero(evaluated[:k])
+                j = np.arange(lower[-1] + 1 if lower.size else 0, k)
+                open_ = [name for i, name in enumerate(names)
+                         if not (scan[row, k:, i][evaluated[k:]] > thermal.TS_TOL).any()]
+                if not (j.size and open_):
+                    continue
+                t_j, t_k = thermal.TS_SCAN[j], thermal.TS_SCAN[k]
+                w = thermal.boltzmann_weights(levels, t_j)
+                delta = np.ptp(levels) * np.sqrt((w * w).sum(axis=1)) * (1.0 / t_j - 1.0 / t_k)
+                batch = sweeps._Batch(Spectrum(sectors.values[[row]], sectors.vectors[[row]]),
+                                      np.array([t_k]))
+                if "negativity" in open_:
+                    pt = partial_transpose_of(batch.rho, QUTRIT_DIMS)[0]
+                    lowest = min(np.linalg.eigvalsh(pt[np.ix_(b, b)])[0]
+                                 for b in SZ_DIFFERENCE_BLOCKS if len(b) > 1)
+                    assert (lowest - delta > sweeps.MARGIN).all()
+                if "alb" in open_:
+                    assert (_alb_terms(batch.g[0], delta + sweeps.MARGIN) <= limit).all()
+                skipped += j.size
+    assert skipped > 500
