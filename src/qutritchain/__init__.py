@@ -30,7 +30,6 @@ from .thermal import (
     boltzmann_weights,
     estimate_ts,
     gibbs,
-    ground_state,
     purity,
     purity_beta_derivative,
     tstar,

@@ -357,7 +357,7 @@ def _evaluate(sectors: Spectrum, rows: np.ndarray, temperatures: np.ndarray,
         batch = _Batch(Spectrum(sectors.values[r], sectors.vectors[r]),
                        temperatures[i:i + CHUNK_POINTS])
         parts.append(np.column_stack([f(batch) for f in functions]))
-    return np.concatenate(parts) if parts else np.empty((0, len(functions)))
+    return np.concatenate(parts)
 
 
 def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
@@ -534,26 +534,24 @@ _TS_MEASURES = tuple(_ROOMS)
 def _scan_down(sectors: Spectrum, start: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     """Measures `names` of each row of `sectors` at the thermal.TS_SCAN temperatures, shape
     (rows, TS_GRID, len(names)), NaN at the points not evaluated.  Each measure's highest
-    point above TS_TOL is that of a full scan up to the row's point `start`, or of the whole
-    grid where a measure exceeds TS_TOL at `start`.
+    point above TS_TOL is that of a full scan up to the row's point `start`.
 
-    A row scans down from `start`, and stops once each measure has its highest hit or nothing
-    is left below; a row with a hit at `start` then scans again from the top of the grid.
-    Each step is one _evaluate call, in which every row still scanning takes its next
-    max(1, CHUNK_POINTS // rows) points.  Below the lowest point T_k a row has evaluated,
-    rho(T_j) lies within delta_j = dE sqrt(P(T_j)) (1/T_j - 1/T_k) of rho(T_k) in the
-    Frobenius norm, with dE the row's level spread and P(T_j) the purity, which falls with T.
-    The points whose delta_j is below the _ROOMS at T_k of every measure without a hit are
-    skipped: none exceeds TS_TOL there.
+    A row scans down from `start` once, and stops once each measure has its highest hit or
+    nothing is left below.  Each step is one _evaluate call, in which every row still
+    scanning takes its next max(1, CHUNK_POINTS // rows) points.  Below the lowest point T_k
+    a row has evaluated, rho(T_j) lies within delta_j = dE sqrt(P(T_j)) (1/T_j - 1/T_k) of
+    rho(T_k) in the Frobenius norm, with dE the row's level spread and P(T_j) the purity,
+    which falls with T.  The points whose delta_j is below the _ROOMS at T_k of every measure
+    without a hit are skipped: none exceeds TS_TOL there.
     """
-    grid, m = thermal.TS_GRID, len(names)
+    m = len(names)
     functions = [_MEASURES[n] for n in names] + [_ROOMS[n] for n in names]
     temperatures = thermal.TS_SCAN[:start.max() + 1]  # up to the highest start
     w = thermal.boltzmann_weights(sectors.values[:, None], temperatures)
     # dE sqrt(P(T)) of each row at each of those temperatures
     scale = np.ptp(sectors.values, axis=1)[:, None] * np.sqrt(np.einsum("rtl,rtl->rt", w, w))
     beta = 1.0 / temperatures
-    scan = np.full((len(start), grid, m), np.nan)
+    scan = np.full((len(start), thermal.TS_GRID, m), np.nan)
     hit = np.zeros((len(start), m), dtype=bool)
     cursor = start.copy()  # each row's highest point neither evaluated nor skipped
     active = np.arange(len(start))
@@ -568,18 +566,13 @@ def _scan_down(sectors: Spectrum, start: np.ndarray, names: tuple[str, ...]) -> 
         hit[active] |= np.logical_or.reduceat(values[:, :m] > thermal.TS_TOL, first)
         low = c[last]
         room = np.where(hit[active], np.inf, values[last, m:]).min(axis=1)
-        span = max(int(low.max()), 1)  # grid points below the highest of the lowest points
+        span = int(low.max())  # grid points below the highest of the lowest points
         with np.errstate(over="ignore"):  # a bound past the float range skips nothing
             bound = scale[active, :span] * (beta[:span] - beta[low, None])
-        left = (bound >= room[:, None]) & (np.arange(span) < low[:, None])  # not skipped
-        cursor[active] = np.where(left.any(axis=1),
-                                  span - 1 - np.argmax(left[:, ::-1], axis=1), -1)
+        # the bound grows as T_j falls, so the points below low that it cannot skip are a
+        # prefix of the grid
+        cursor[active] = np.minimum((bound >= room[:, None]).sum(axis=1), low) - 1
         active = active[~hit[active].all(axis=1) & (cursor[active] >= 0)]
-    at_start = scan[np.arange(len(start)), start] > thermal.TS_TOL
-    again = np.flatnonzero((start < grid - 1) & at_start.any(axis=1))
-    if again.size:
-        scan[again] = _scan_down(Spectrum(sectors.values[again], sectors.vectors[again]),
-                                 np.full(len(again), grid - 1), names)
     return scan
 
 
@@ -588,14 +581,15 @@ def run_threshold(cfg: SweepConfig) -> str:
 
     Axis values run in groups of CHUNK_POINTS rows, each solved once by _solve.
     thermal.tstar_rows reads the group's sector levels in ascending order, all rows in
-    lockstep; above a row's tstar every measure is 0.  So a row scans thermal.TS_SCAN down
-    from its witness point, the first above its tstar (TS_SCAN[0] if tstar is None), and
-    from the top of the grid only if a measure exceeds TS_TOL there (_scan_down, which
-    skips the points a bound proves below TS_TOL).  thermal.vanishing_point then bisects
-    every (measure, row) pair of the group in lockstep, one _evaluate call per step, in which
-    the pairs of a row at one midpoint share a state.  The first row whose ts lies beyond its
-    tstar, in axis order, raises ConsistencyError.  Groups go through _in_stacks, which
-    alone names a row that raises ValueError.
+    lockstep; above a row's tstar every measure is 0, and a row without tstar is in the
+    separable ball at every temperature.  So a row scans thermal.TS_SCAN down from its
+    witness point, the first above its tstar (TS_SCAN[0] if tstar is None), once
+    (_scan_down, which skips the points a bound proves below TS_TOL).
+    thermal.vanishing_point then bisects every (measure, row) pair of the group in lockstep,
+    one _evaluate call per step, in which the pairs of a row at one midpoint share a state.
+    The first row, in axis order, with a ts beyond its tstar, or with any ts and no tstar,
+    raises ConsistencyError naming the row.  Groups go through _in_stacks, which alone names
+    a row that raises ValueError.
     """
     requested = _check_measures(cfg.measures or ("negativity",), _TS_MEASURES)
     axis = next((a for a in _LINE_AXES if a in cfg.ranges), "k")
@@ -628,12 +622,13 @@ def run_threshold(cfg: SweepConfig) -> str:
         group[:, 1:-1] = thermal.vanishing_point(
             scan.transpose(2, 0, 1).reshape(-1, thermal.TS_GRID), bisect_at,
         ).reshape(len(requested), size).T
-        beyond = group[:, 1:-1] > group[:, -1:] + 1e-6  # False where either cell is NaN
+        # False where ts is NaN; a row without T* is in the ball at every T > 0
+        beyond = group[:, 1:-1] > np.nan_to_num(group[:, -1:]) + 1e-6
         if beyond.any():
             r, i = np.argwhere(beyond)[0]
             raise ConsistencyError(
-                f"{requested[i]} persists to T={group[r, i + 1]:.6f} beyond the separable ball "
-                f"at T*={group[r, -1]:.6f}")
+                f"{requested[i]} is above TS_TOL at T={group[r, i + 1]:.6f}, beyond the "
+                f"separable ball at T*={group[r, -1]:.6f} at {_params_of(points[rows][r])}")
         return sectors, scan
 
     _in_stacks(points, group_of)

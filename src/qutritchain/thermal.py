@@ -81,15 +81,6 @@ def gibbs(spectrum: Spectrum, temperature: float, dims: BipartiteDims) -> Densit
     return DensityMatrix(mat=mixture(spectrum, w), dims=dims)
 
 
-def ground_state(spectrum: Spectrum, dims: BipartiteDims) -> DensityMatrix:
-    """T -> 0 limit: uniform mixture over the ground multiplet."""
-    e = spectrum.values
-    mask = e <= e[0] + GROUND_WINDOW
-    v = spectrum.vectors[:, mask]
-    g = int(mask.sum())
-    return DensityMatrix(mat=(v @ v.T) / g, dims=dims)
-
-
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2)."""
     return purity_of(rho.mat)

@@ -16,8 +16,9 @@ from qutritchain.spinmodels import (
     hamiltonian_qutrit,
 )
 from qutritchain.sweeps import (
-    MEASURE_NAMES, QUTRIT_DIMS, QUTRIT_SPLIT, SWEEP_MODES, AxisRange, SweepConfig, _measure_table,
-    _sweep_worker, run_spectrum, run_sweep, run_threshold, single_point_report,
+    MEASURE_NAMES, QUTRIT_DIMS, QUTRIT_SPLIT, SWEEP_MODES, AxisRange, ConsistencyError,
+    SweepConfig, _measure_table, _sweep_worker, run_spectrum, run_sweep, run_threshold,
+    single_point_report,
 )
 
 # Largest allowed gap between a batched measure and its single-state value.
@@ -178,23 +179,24 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
         assert run_threshold(_THRESHOLD_K) == want
 
 
-def test_threshold_row_entangled_at_its_witness_scans_in_full(monkeypatch):
-    want = run_threshold(_THRESHOLD_K).split("\n")
+def test_threshold_row_entangled_without_tstar_names_its_row(monkeypatch):
     tstar_rows, witness, scanned, bisecting = thermal.tstar_rows, [], [], []
 
     def without_row_5(levels, dims):
-        # row 5 gets no T*: its witness is TS_SCAN[0], where it is entangled
+        # row 5 gets no T*, so the ball holds at every temperature, yet it is entangled at
+        # its witness TS_SCAN[0]
         t = tstar_rows(levels, dims)
-        witness.extend(thermal.TS_SCAN[np.searchsorted(thermal.TS_SCAN, t, side="right")])
         t[5] = np.nan
+        first = np.searchsorted(thermal.TS_SCAN, np.nan_to_num(t), side="right")
+        witness.extend(thermal.TS_SCAN[np.minimum(first, thermal.TS_GRID - 1)])
         return t
 
     monkeypatch.setattr(thermal, "tstar_rows", without_row_5)
     evaluate, vanishing_point = sweeps._evaluate, thermal.vanishing_point
 
     def recorded(sectors, rows, temperatures, functions):
-        if not bisecting:  # the scan: rows of the group, or of the rows that scan again
-            scanned.append((len(sectors.values), rows, temperatures))
+        if not bisecting:
+            scanned.extend(zip(rows, temperatures))
         return evaluate(sectors, rows, temperatures, functions)
 
     def bisected(scan, measure_at):
@@ -203,17 +205,15 @@ def test_threshold_row_entangled_at_its_witness_scans_in_full(monkeypatch):
 
     monkeypatch.setattr(sweeps, "_evaluate", recorded)
     monkeypatch.setattr(thermal, "vanishing_point", bisected)
-    got = run_threshold(_THRESHOLD_K).split("\n")
-    group = [(r, t) for n, rows, ts in scanned if n == 21 for r, t in zip(rows, ts)]
-    again = np.concatenate([ts for n, _, ts in scanned if n == 1])
-    # row 5 scans its witness point, then again down from TS_TMAX; no other row goes above
-    # its witness point
-    assert [t for r, t in group if r == 5] == [thermal.TS_SCAN[0]]
-    assert again[0] == thermal.TS_TMAX and (np.diff(again) < 0).all()
-    assert all(t <= witness[r] for r, t in group if r != 5)
-    # the same ts cells as the run with every T*, with an empty tstar cell on row 5
-    assert got[6].split(",")[:3] == want[6].split(",")[:3] and got[6].endswith(",")
-    assert got[:6] + got[7:] == want[:6] + want[7:]
+    with pytest.raises(ConsistencyError) as err:
+        run_threshold(_THRESHOLD_K)
+    # each row scans once, down from its witness point: row 5 evaluates TS_SCAN[0] alone
+    assert [t for r, t in scanned if r == 5] == [thermal.TS_SCAN[0]]
+    assert all(t <= witness[r] for r, t in scanned)
+    k = float(_THRESHOLD_K.ranges["k"].values()[5])
+    assert str(err.value).startswith("negativity is above TS_TOL at T=")
+    assert str(err.value).endswith(
+        f", beyond the separable ball at T*=nan at (J=-1.0, K={k}, B1=0.35, B2=-0.35)")
 
 
 def test_threshold_solves_each_hamiltonian_once(monkeypatch):
@@ -732,6 +732,12 @@ def test_scan_skips_only_points_its_certificates_prove(monkeypatch):
         for row, levels in enumerate(sectors.values):
             evaluated = ~np.isnan(scan[row, :, 0])
             for k in np.flatnonzero(evaluated):
+                # the bound at each T_j < T_k falls as T_j rises, so the points it cannot
+                # skip are a prefix of the grid, as _scan_down's cursor takes them to be
+                t_j, t_k = thermal.TS_SCAN[:k], thermal.TS_SCAN[k]
+                w = thermal.boltzmann_weights(levels, t_j)
+                bound = np.ptp(levels) * np.sqrt((w * w).sum(axis=1)) * (1.0 / t_j - 1.0 / t_k)
+                assert (np.diff(bound) <= 0.0).all()
                 # the points skipped right below T_k, for the measures without a hit at or
                 # above T_k: the bound must hold there for each
                 lower = np.flatnonzero(evaluated[:k])
@@ -740,9 +746,7 @@ def test_scan_skips_only_points_its_certificates_prove(monkeypatch):
                          if not (scan[row, k:, i][evaluated[k:]] > thermal.TS_TOL).any()]
                 if not (j.size and open_):
                     continue
-                t_j, t_k = thermal.TS_SCAN[j], thermal.TS_SCAN[k]
-                w = thermal.boltzmann_weights(levels, t_j)
-                delta = np.ptp(levels) * np.sqrt((w * w).sum(axis=1)) * (1.0 / t_j - 1.0 / t_k)
+                delta = bound[j]
                 batch = sweeps._Batch(Spectrum(sectors.values[[row]], sectors.vectors[[row]]),
                                       np.array([t_k]))
                 if "negativity" in open_:

@@ -112,6 +112,19 @@ def test_threshold_subcommand(capsys):
         assert float(row[1]) <= float(row[2])
 
 
+@pytest.mark.parametrize("measures", ["negativity", "alb,negativity"])
+def test_threshold_on_a_flat_spectrum_has_no_ts_and_no_tstar(measures, capsys):
+    # levels within 1e-12 of each other: the state is in the separable ball at every
+    # temperature, so no row has a tstar, no measure exceeds TS_TOL and nothing is raised
+    argv = ["threshold", "--J=1e-13", "--K=0", "--range-b1=-1e-13:1e-13:5", "--measures",
+            measures]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    header, *lines = out.splitlines()
+    assert err == "" and len(lines) == 5
+    assert all(line.split(",")[1:] == [""] * (measures.count(",") + 2) for line in lines)
+
+
 # each of these ended in a traceback with exit code 1
 @pytest.mark.parametrize("argv", [
     ["report", "--T", "0"],

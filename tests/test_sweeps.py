@@ -7,7 +7,7 @@ from qutritchain.qstate import BipartiteDims
 from qutritchain.spinmodels import (
     QutritChainParams, central_block, closed_form_energies, hamiltonian_qutrit,
 )
-from qutritchain.thermal import ground_state
+from qutritchain.thermal import gibbs
 from qutritchain.entanglement import negativity
 from qutritchain.sweeps import (
     MEASURE_NAMES, AxisRange, ConfigError, ConsistencyError, SweepConfig, _csv, _measure_table,
@@ -125,14 +125,14 @@ def test_b2_scan_jump_sits_at_ground_crossing():
 
 
 def test_ground_level_jump_magnitude():
-    # at zero temperature the negativity drops from about 0.64 to zero
-    # across the crossing
+    # near zero temperature the negativity drops from about 0.64 to zero across the
+    # crossing: at T = 1e-5 the levels 3.5e-3 above the ground level weigh exp(-347)
     lo, hi = GROUND_CROSSING_B2 - 0.002, GROUND_CROSSING_B2 + 0.002
     dims = BipartiteDims(3, 3)
     vals = []
     for b2 in (lo, hi):
         spec = sym_eig(hamiltonian_qutrit(QutritChainParams(J=-1.0, K=-1.7, B1=3.0, B2=b2)))
-        vals.append(negativity(ground_state(spec, dims)))
+        vals.append(negativity(gibbs(spec, 1e-5, dims)))
     assert vals[0] > 0.6
     assert vals[1] < 1e-10
 
@@ -194,11 +194,19 @@ def test_threshold_names_the_first_row_beyond_tstar(monkeypatch):
     # in groups of two rows, the first row to break the check (3, for both measures) is
     # the second of the second group; rows 4 to 6 break it too
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", 2)
-    ts, t_ball = table[3, 1], 0.05 * table[3, 3]
+    t_ball, k = 0.05 * table[3, 3], float(cfg.ranges["k"].values()[3])
     with pytest.raises(ConsistencyError) as err:
         run_threshold(cfg)
-    assert str(err.value) == (
-        f"alb persists to T={ts:.6f} beyond the separable ball at T*={t_ball:.6f}")
+    head = "alb is above TS_TOL at T="
+    tail = (f", beyond the separable ball at T*={t_ball:.6f} "
+            f"at (J=-1.0, K={k}, B1=0.35, B2=-0.35)")
+    message = str(err.value)
+    assert message.startswith(head) and message.endswith(tail)
+    # the row scans once, down from its witness point, where alb is above TS_TOL, so its
+    # ts lies in the grid step above that point, printed to 6 decimals
+    witness = np.searchsorted(thermal.TS_SCAN, t_ball, side="right")
+    t = float(message[len(head):-len(tail)])
+    assert thermal.TS_SCAN[witness] - 5e-7 <= t <= thermal.TS_SCAN[witness + 1] + 5e-7
 
 
 @pytest.mark.parametrize("chunk", [2, 5])

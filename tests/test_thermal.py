@@ -8,7 +8,7 @@ from qutritchain.qstate import BipartiteDims, purity_of
 from qutritchain.spinmodels import SZ_SECTORS, QutritChainParams, hamiltonian_qutrit
 from qutritchain.thermal import (
     TS_SCAN, TS_TOL, MultipartiteDims, boltzmann_weights, estimate_ts, gibbs,
-    ground_state, purity, purity_beta_derivative, tstar, tstar_rows, vn_entropy,
+    purity, purity_beta_derivative, tstar, tstar_rows, vn_entropy,
 )
 from qutritchain.entanglement import negativity
 
@@ -71,19 +71,21 @@ def test_gibbs_flat_spectrum_is_maximally_mixed():
 
 
 def test_ground_state_handles_degeneracy():
+    # at T = 1e-3 below a gap of 1 every weight above the ground multiplet is exp(-1000) = 0
     nondeg = sym_eig(np.diag([0.0, 1.0, 2.0, 3.0]))
-    rho = ground_state(nondeg, BipartiteDims(2, 2))
+    rho = gibbs(nondeg, 1e-3, BipartiteDims(2, 2))
     assert abs(purity_of(rho.mat) - 1.0) < 1e-12
     deg = sym_eig(np.diag([0.0, 0.0, 1.0, 2.0]))
-    rho2 = ground_state(deg, BipartiteDims(2, 2))
+    rho2 = gibbs(deg, 1e-3, BipartiteDims(2, 2))
     vals = np.sort(np.linalg.eigvalsh(rho2.mat))
     assert maxabs(vals - np.array([0.0, 0.0, 0.5, 0.5])) < 1e-12
 
 
 def test_ground_state_in_central_block():
-    # at K=-1.7, B1=3, B2=0.1 the ground level lives on span{|00>,|1 -1>,|-1 1>}
+    # at K=-1.7, B1=3, B2=0.1 the ground level lives on span{|00>,|1 -1>,|-1 1>}, 0.244
+    # below the next level, so at T = 1e-3 the next weight is exp(-244)
     spec = chain_spectrum(-1.0, -1.7, 3.0, 0.1)
-    rho = ground_state(spec, DIMS33)
+    rho = gibbs(spec, 1e-3, DIMS33)
     support = np.diag(rho.mat)
     outside = np.delete(support, [2, 4, 6])
     assert maxabs(outside) < 1e-12
@@ -247,8 +249,9 @@ def test_ground_weight_grows_with_exchange_strength():
 
 
 def test_vn_entropy_landmarks():
+    # the ground level lies 2.48 below the next, so at T = 1e-2 the state is pure
     spec = chain_spectrum(-1.0, -1.7, 1.3, -1.3)
-    assert vn_entropy(ground_state(spec, DIMS33)) < 1e-10
+    assert vn_entropy(gibbs(spec, 1e-2, DIMS33)) < 1e-10
     flat = sym_eig(np.zeros((9, 9)))
     assert abs(vn_entropy(gibbs(flat, 1.0, DIMS33)) - math.log2(9.0)) < 1e-12
 
