@@ -1,16 +1,17 @@
 """Command line front end.
 
-Subcommands: sweep, threshold, spectrum, report.  Exit codes: 0 on success,
-2 for configuration problems (also used by argparse itself), 3 when an
-internal numerical cross-check fails.
+Subcommands: sweep, threshold, spectrum, report, each written one stack of rows at a time
+once all its checks pass.  Exit codes: 0 on success, 2 for configuration problems (argparse's
+too) and output that cannot be written, 3 when an internal numerical cross-check fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .sweeps import (
     ConfigError,
@@ -46,7 +47,7 @@ _HELP = {
 
 
 class _Command(NamedTuple):
-    run: Callable[[SweepConfig], str]
+    run: Callable[[SweepConfig], Iterator[str]]
     help: str
     keys: tuple[str, ...]  # read both as --flags and as config-file keys
 
@@ -109,8 +110,7 @@ def _parse_range(text: str) -> AxisRange:
     if len(parts) != 3:
         raise ConfigError(f"range must be START:STOP:COUNT, got {text!r}")
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad range {text!r}: {exc}") from exc
     return AxisRange(start=start, stop=stop, count=count)
@@ -124,14 +124,11 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
 
     floats = {}
     for key, default in _FLOAT_DEFAULTS.items():
-        raw = given.get(key)
-        if raw is None:
-            floats[key] = default
-        else:
-            try:
-                floats[key] = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        raw = given.get(key, default)
+        try:
+            floats[key] = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
         if not math.isfinite(floats[key]):
             raise ConfigError(f"{key} must be finite, got {raw!r}")
 
@@ -148,14 +145,18 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     )
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
+def _write_output(pieces: Iterable[str], out: Optional[str]) -> None:
     try:
+        if out is None:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+            return
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except (OSError, ValueError) as exc:  # ValueError: NUL in the path
+        if out is None:  # stdout now writes to devnull: the flush at exit fails no more
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            out = "stdout"
         raise ConfigError(f"cannot write output to {out}: {exc}") from exc
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -175,8 +175,7 @@ class _Batch:
             if len(block) > 1:
                 idx = np.array(block)
                 sub = pt[:, idx[:, None], idx]
-                mu = eigh2(sub, vectors=False) if len(block) == 2 else np.linalg.eigvalsh(sub)
-                levels.append(mu)
+                levels.append(eigh2(sub, vectors=False) if len(block) == 2 else np.linalg.eigvalsh(sub))
         return levels
 
     @cached_property
@@ -439,16 +438,16 @@ def _sweep_worker(point: tuple[float, ...], names: tuple[str, ...]) -> tuple[flo
     return tuple(scalar[n]() for n in names)
 
 
-def _csv(header: list[str], table: np.ndarray) -> str:
-    """The header, then one line per row of `table` with every cell printed to
-    12 significant digits; -0.0 prints as 0 and NaN as an empty cell."""
-    template = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    # CHUNK_POINTS rows at a time: a list of every cell at once raises peak memory on long tables
-    table = table + 0.0
-    body = "".join([(template * len(c)) % tuple(c.ravel().tolist())
-                    for c in np.split(table, range(CHUNK_POINTS, len(table), CHUNK_POINTS))])
-    # %g spells NaN "nan", which no other cell text contains
-    return ",".join(header) + "\n" + body.replace("nan", "")
+def _csv(header: list[str], *columns: np.ndarray) -> Iterator[str]:
+    """The header line, then the rows of `columns` side by side, one string per stack of
+    CHUNK_POINTS rows, every cell printed to 12 significant digits; -0.0 prints as 0 and NaN
+    as an empty cell.  One stack is formatted at a time: no whole-table or whole-text copy."""
+    yield ",".join(header) + "\n"
+    template = ",".join(["%.12g"] * sum(c.shape[1] for c in columns)) + "\n"
+    for start in range(0, len(columns[0]), CHUNK_POINTS):
+        stack = np.hstack([c[start:start + CHUNK_POINTS] for c in columns]) + 0.0
+        # %g spells NaN "nan", which no other cell text contains
+        yield ((template * len(stack)) % tuple(stack.ravel().tolist())).replace("nan", "")
 
 
 def _grid(cfg: SweepConfig, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -473,8 +472,8 @@ def _grid(cfg: SweepConfig, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarr
     return points[:, [list(columns).index(a) for a in axes]], points
 
 
-def run_sweep(cfg: SweepConfig) -> str:
-    """Evaluate the configured grid and return the CSV text."""
+def run_sweep(cfg: SweepConfig) -> Iterator[str]:
+    """Evaluate the configured grid; once every check passed, return its CSV pieces (_csv)."""
     if cfg.mode not in SWEEP_MODES:
         raise ConfigError(f"unknown sweep mode {cfg.mode!r}; choose from {', '.join(SWEEP_MODES)}")
     axes = _MODE_AXES[cfg.mode]
@@ -488,7 +487,7 @@ def run_sweep(cfg: SweepConfig) -> str:
         raise ConsistencyError(
             f"non-finite measure at axis point {tuple(coords[np.argmin(finite)].tolist())}")
     header = [_AXIS_LABEL[a] for a in axes] + list(measures)
-    return _csv(header, np.hstack([coords, values]))
+    return _csv(header, coords, values)
 
 
 # A threshold scan skips a point only where its bound holds by this much: it covers round-off,
@@ -576,7 +575,7 @@ def _scan_down(sectors: Spectrum, start: np.ndarray, names: tuple[str, ...]) -> 
     return scan
 
 
-def run_threshold(cfg: SweepConfig) -> str:
+def run_threshold(cfg: SweepConfig) -> Iterator[str]:
     """Sweep one axis, emitting measure-vanishing temperatures and tstar.
 
     Axis values run in groups of CHUNK_POINTS rows, each solved once by _solve.
@@ -589,7 +588,7 @@ def run_threshold(cfg: SweepConfig) -> str:
     one _evaluate call per step, in which the pairs of a row at one midpoint share a state.
     The first row, in axis order, with a ts beyond its tstar, or with any ts and no tstar,
     raises ConsistencyError naming the row.  Groups go through _in_stacks, which alone names
-    a row that raises ValueError.
+    a row that raises ValueError.  The CSV comes back in pieces (_csv) once every row passed.
     """
     requested = _check_measures(cfg.measures or ("negativity",), _TS_MEASURES)
     axis = next((a for a in _LINE_AXES if a in cfg.ranges), "k")
@@ -636,13 +635,13 @@ def run_threshold(cfg: SweepConfig) -> str:
     return _csv(header, table)
 
 
-def run_spectrum(cfg: SweepConfig) -> str:
+def run_spectrum(cfg: SweepConfig) -> Iterator[str]:
     """Emit closed-form energy labels E1..E9 plus the residual against sym_eig,
     in stacks of CHUNK_POINTS points: one H assembly, one eigvalsh of the
     central blocks and one sym_eig per stack.  A row whose H is not finite gets
     NaN levels.  The first row to fail, in axis order, raises: ConsistencyError
     if its residual fails SPECTRUM_RESIDUAL_TOL (a NaN fails), ValueError,
-    named by _in_stacks, if sym_eig fails on it."""
+    named by _in_stacks, if sym_eig fails on it; else the CSV comes back in pieces (_csv)."""
     _, points = _grid(cfg, tuple(a for a in _LINE_AXES if a in cfg.ranges)[:1])
 
     table = np.empty((len(points), 14))
@@ -674,7 +673,7 @@ def run_spectrum(cfg: SweepConfig) -> str:
     return _csv(header, table)
 
 
-def single_point_report(cfg: SweepConfig) -> str:
-    """Every measure at the fixed parameter point, as key=value lines."""
+def single_point_report(cfg: SweepConfig) -> Iterator[str]:
+    """Every measure at the fixed parameter point, as key=value lines, one piece each."""
     values = _measure_table(_grid(cfg, ())[1], MEASURE_NAMES)[0] + 0.0
-    return "".join("%s=%.12g\n" % line for line in zip(MEASURE_NAMES, values.tolist()))
+    return ("%s=%.12g\n" % line for line in zip(MEASURE_NAMES, values.tolist()))

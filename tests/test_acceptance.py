@@ -289,7 +289,7 @@ def test_c13_sweep_performance():
                       measures=("negativity", "chen_lb", "alb", "ub", "purity",
                                 "entropy", "cdc", "udc_12", "udc_21"))
     start = time.perf_counter()
-    text = run_sweep(cfg)
+    text = "".join(run_sweep(cfg))
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     assert len(text.strip().split("\n")) == 101 * 101 + 1

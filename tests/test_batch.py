@@ -68,7 +68,7 @@ def test_every_mode_matches_reference(mode, monkeypatch):
     monkeypatch.setattr(sweeps, "_measure_table", recorded)
     cfg = SweepConfig(mode=mode, K=-1.7, B1=0.6, B2=-0.4, T=0.2, measures=MEASURE_NAMES,
                       ranges={axis: _SMALL_RANGES[axis] for axis in sweeps._MODE_AXES[mode]})
-    text = run_sweep(cfg)
+    text = "".join(run_sweep(cfg))
     [(points, names, values)] = calls
     assert len(text.strip().split("\n")) == len(points) + 1
     assert np.max(np.abs(values - reference_table(points, names))) <= MAX_ABS_DIFF
@@ -145,13 +145,13 @@ def test_threshold_bisects_rows_in_lockstep(monkeypatch):
     monkeypatch.setattr(sweeps, "_Batch", Counted)
     cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
                       measures=("negativity", "alb"))
-    want = run_threshold(cfg)
+    want = "".join(run_threshold(cfg))
     # 7 scan steps and 15 bisection steps, one stack each: a bisection one measure at a time
     # would take 15 stacks more, and one (measure, row) pair at a time 630 in all
     assert len(sizes) <= 25
     sizes.clear()
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", 7)
-    assert run_threshold(cfg) == want
+    assert "".join(run_threshold(cfg)) == want
     assert max(sizes) == 7
 
 
@@ -168,7 +168,7 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
             super().__init__(sectors, temperatures)
 
     monkeypatch.setattr(sweeps, "_Batch", Counted)
-    want = run_threshold(_THRESHOLD_K)
+    want = "".join(run_threshold(_THRESHOLD_K))
     # a full scan alone builds 21 * 400 = 8400 states, the one up to each T* and its witness
     # point 2926; the scan down from each witness point, which skips what its bound proves
     # below TS_TOL, and the bisection, whose two measures share a state where their brackets
@@ -176,7 +176,7 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
     assert sum(sizes) <= 1900
     for size in (7, 1):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
-        assert run_threshold(_THRESHOLD_K) == want
+        assert "".join(run_threshold(_THRESHOLD_K)) == want
 
 
 def test_threshold_row_entangled_without_tstar_names_its_row(monkeypatch):
@@ -219,7 +219,7 @@ def test_threshold_row_entangled_without_tstar_names_its_row(monkeypatch):
 def test_threshold_solves_each_hamiltonian_once(monkeypatch):
     cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
                       measures=("negativity", "alb"))
-    want = run_threshold(cfg)
+    want = "".join(run_threshold(cfg))
     solved = []
 
     def counted(h, blocks):
@@ -233,7 +233,7 @@ def test_threshold_solves_each_hamiltonian_once(monkeypatch):
     monkeypatch.setattr(sweeps, "sym_eig", dense)
     for size, groups in ((256, [21]), (7, [7, 7, 7])):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
-        assert run_threshold(cfg) == want
+        assert "".join(run_threshold(cfg)) == want
         assert solved == groups  # one sector solve per group of rows, for scan, bisection and tstar
         solved.clear()
 
@@ -439,8 +439,8 @@ def test_csv_independent_of_batch_size(monkeypatch):
     plane = SweepConfig(K=-1.7, T=0.2, measures=MEASURE_NAMES,
                         ranges={"b1": AxisRange(-2.5, 3.5, 13), "b2": AxisRange(-3.5, 2.5, 13)})
     grids = [cfg, kt, plane]
-    want = ([run_sweep(c) for c in grids], [run_threshold(t) for t in thresholds],
-            run_spectrum(spectrum))
+    want = (["".join(run_sweep(c)) for c in grids],
+            ["".join(run_threshold(t)) for t in thresholds], "".join(run_spectrum(spectrum)))
     cells = {cell for text in want[1] for line in text.split()[1:] for cell in line.split(",")[1:3]}
     assert {"", "10"} < cells
     solved = []
@@ -453,14 +453,21 @@ def test_csv_independent_of_batch_size(monkeypatch):
     for size, keys in ((256, [15]), (7, [7, 7, 4]), (1, [1] * 15)):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
         if size != 256:
-            assert ([run_sweep(c) for c in grids], [run_threshold(t) for t in thresholds],
-                    run_spectrum(spectrum)) == want
+            assert (["".join(run_sweep(c)) for c in grids],
+                    ["".join(run_threshold(t)) for t in thresholds],
+                    "".join(run_spectrum(spectrum))) == want
+        # the header, then one piece per stack of CHUNK_POINTS rows
+        runs = [*(run_sweep(c) for c in grids), *(run_threshold(t) for t in thresholds),
+                run_spectrum(spectrum)]
+        assert [len(list(pieces)) for pieces in runs] == [
+            1 + math.ceil(rows / size) for rows in (25, 30, 169, 9, 9, 25)]
         # a measure printed alone skips what only the others read (the site swap, _tied), and
         # prints its column of the nine-measure run
         for name in ("negativity", "ub", "cdc"):
             solved.clear()
             i = 2 + MEASURE_NAMES.index(name)
-            assert run_sweep(SweepConfig(K=-1.7, T=0.2, measures=(name,), ranges=plane.ranges)) == (
+            assert "".join(run_sweep(SweepConfig(K=-1.7, T=0.2, measures=(name,),
+                                                 ranges=plane.ranges))) == (
                 "".join(f"{c[0]},{c[1]},{c[i]}\n"
                         for c in (line.split(",") for line in want[0][2].splitlines())))
             # at 7, groups cut through runs of one key, and the second and third windows start
@@ -602,14 +609,14 @@ def test_plane_solves_each_key_once_per_window(monkeypatch):
     monkeypatch.setattr(sweeps, "block_eig", counted)
     cfg = SweepConfig(K=-1.7, measures=MEASURE_NAMES,
                       ranges={"b1": AxisRange(-6.0, 6.0, 101), "b2": AxisRange(-6.0, 6.0, 101)})
-    text = run_sweep(cfg)
+    text = "".join(run_sweep(cfg))
     # the c13 plane's 315 keys in two windows: the first 256, then 60 from the first key of
     # the group that passes them, which the first window solved too
     assert solved == [256, 60]
     solved.clear()
     # one window of every key, and one group of every row: the same bytes
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", 101 * 101)
-    assert run_sweep(cfg) == text
+    assert "".join(run_sweep(cfg)) == text
     assert solved == [315]
 
 
@@ -620,7 +627,7 @@ def test_plane_skips_work_no_requested_measure_reads(monkeypatch):
     monkeypatch.setattr(sweeps, "_tied", banned)
     monkeypatch.setattr(sweeps._Batch, "site_entropy", property(banned))
     plane = {"b1": AxisRange(-6.0, 6.0, 101), "b2": AxisRange(-6.0, 6.0, 101)}
-    assert run_sweep(SweepConfig(K=-1.7, T=0.2, ranges=plane)).count("\n") == 1 + 101 * 101
+    assert "".join(run_sweep(SweepConfig(K=-1.7, T=0.2, ranges=plane))).count("\n") == 1 + 101 * 101
 
 
 def test_batch_rejects_nonpositive_temperature():
@@ -642,7 +649,7 @@ def _full_scan_threshold(cfg, axis):
     ts = [thermal.vanishing_point(scan[:, :, i], lambda rows, t, f=f: sweeps._evaluate(
         sectors, rows, t, [f])[:, 0]) for i, f in enumerate(measures)]
     header = [sweeps._AXIS_LABEL[axis]] + [f"ts_{name}" for name in cfg.measures] + ["tstar"]
-    return sweeps._csv(header, np.column_stack([coords[:, 0], *ts, tstar])), scan
+    return "".join(sweeps._csv(header, np.column_stack([coords[:, 0], *ts, tstar]))), scan
 
 
 def test_certified_scan_matches_a_full_scan(monkeypatch):
@@ -668,7 +675,7 @@ def test_certified_scan_matches_a_full_scan(monkeypatch):
     for size in (256, 7, 1):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
         for _, cfg, want in lines:
-            assert run_threshold(cfg) == want
+            assert "".join(run_threshold(cfg)) == want
 
 
 def _alb_terms(g, delta):

@@ -1,3 +1,8 @@
+import contextlib
+import errno
+import io
+import os
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -35,7 +40,7 @@ def test_report_matches_library(capsys):
     code = main(["report", "--K", "-1.7", "--B1", "1.3", "--B2", "-1.3", "--T", "1"])
     assert code == 0
     got = capsys.readouterr().out
-    want = single_point_report(SweepConfig(K=-1.7, B1=1.3, B2=-1.3, T=1.0))
+    want = "".join(single_point_report(SweepConfig(K=-1.7, B1=1.3, B2=-1.3, T=1.0)))
     assert got.strip() == want.strip()
 
 
@@ -74,13 +79,85 @@ def test_unwritable_output_returns_config_error(capsys):
     assert main(["spectrum", "--out", "/nonexistent-dir/x.csv"]) == 2
 
 
+class _FailingStdout(io.StringIO):
+    """A stdout that takes `good` pieces, then raises `error`, on the descriptor `fd`."""
+
+    def __init__(self, error, good, fd):
+        super().__init__()
+        self.error, self.good, self.fd = error, good, fd
+
+    def write(self, piece):
+        if self.good == 0:
+            raise self.error
+        self.good -= 1
+        return super().write(piece)
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("error, good", [(OSError(errno.ENOSPC, "No space left on device"), 0),
+                                         (BrokenPipeError(errno.EPIPE, "Broken pipe"), 1)])
+def test_failed_write_to_stdout_returns_config_error(error, good, tmp_path, capsys):
+    # a full disk fails the first piece; a reader that closed its pipe fails a later one
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    stdout = _FailingStdout(error, good, fd)
+    with contextlib.redirect_stdout(stdout):
+        assert main(["spectrum", "--range-b2=0:1:600"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write output to stdout: {error}\n"
+    assert stdout.getvalue() == ("J,K,B1,B2,E1,E2,E3,E4,E5,E6,E7,E8,E9,residual\n" if good else "")
+    # the descriptor now writes to os.devnull, so the flush at exit cannot fail again
+    assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    os.close(fd)
+
+
+# every subcommand, each with more rows than one stack of CHUNK_POINTS but report
+_RUNS = [
+    ["sweep", "--K=-1.7", "--range-b1=-6:6:23", "--range-b2=-6:6:23", "--measures",
+     "negativity,alb,ub,cdc"],
+    ["threshold", "--B1=0.35", "--B2=-0.35", "--range-k=-2:-1:300", "--measures",
+     "negativity,alb"],
+    ["spectrum", "--K=-1.7", "--B1=3", "--range-b2=-6:6:600"],
+    ["report", "--K=-1.7", "--B1=1.3", "--B2=-1.3"],
+]
+
+
+@pytest.mark.parametrize("argv", _RUNS, ids=[argv[0] for argv in _RUNS])
+def test_stdout_and_out_get_the_same_bytes(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == printed.encode()
+
+
+# the misuse argvs and the failing rows of the CI misuse step
+@pytest.mark.parametrize("argv, code", [
+    (["sweep", "--mode", "grid-kt", "--range-b1=0:1:3"], 2),
+    (["threshold", "--range-k=-1:0:2", "--range-b1=0:1:2"], 2),
+    (["report", "--T=0"], 2),
+    (["sweep", "--measures", "negativity,bogus"], 2),
+    (["threshold", "--measures", "ub"], 2),
+    (["sweep", "--K=0", "--J=1", "--range-b1=0:1e231:3", "--range-b2=0:1e231:3"], 3),
+    (["threshold", "--J=1", "--B1=1e229", "--B2=-1e229", "--range-k=-1e308:0:2"], 3),
+])
+def test_failing_run_writes_nothing(argv, code, tmp_path, capsys):
+    # every check runs before the first byte of output is formatted
+    out = tmp_path / "out.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert main(argv + extra) == code
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+
 def test_config_file_and_cli_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# thermal point\nK = -2\nB1 = 1.3\nB2 = -1.3\nT = 1\n")
     code = main(["report", "--config", str(cfg), "--K", "-1.7"])
     assert code == 0
     got = capsys.readouterr().out
-    want = single_point_report(SweepConfig(K=-1.7, B1=1.3, B2=-1.3, T=1.0))
+    want = "".join(single_point_report(SweepConfig(K=-1.7, B1=1.3, B2=-1.3, T=1.0)))
     assert got.strip() == want.strip()
 
 

@@ -19,8 +19,8 @@ from qutritchain.sweeps import (
 GROUND_CROSSING_B2 = 0.239826
 
 
-def parse_csv(text):
-    lines = text.strip().split("\n")
+def parse_csv(pieces):
+    lines = "".join(pieces).strip().split("\n")
     header = lines[0].split(",")
     rows = [[float(x) if x else None for x in line.split(",")] for line in lines[1:]]
     return header, rows
@@ -66,7 +66,7 @@ def test_runs_refuse_ranges_they_do_not_read():
 def test_sweep_deterministic():
     cfg = dict(mode="grid-b1b2", K=-1.7, T=0.5,
                ranges={"b1": AxisRange(-2.0, 2.0, 5), "b2": AxisRange(-2.0, 2.0, 5)})
-    assert run_sweep(SweepConfig(**cfg)) == run_sweep(SweepConfig(**cfg))
+    assert "".join(run_sweep(SweepConfig(**cfg))) == "".join(run_sweep(SweepConfig(**cfg)))
 
 
 def test_sweep_rows_lexicographic():
@@ -85,7 +85,7 @@ def test_sweep_formatting_has_no_negative_zero():
     # a line cut through a separable region produces exact zeros
     cfg = SweepConfig(mode="line-b1eqnegb2", K=-0.2, T=0.5,
                       ranges={"b1": AxisRange(0.0, 1.0, 5)})
-    text = run_sweep(cfg)
+    text = "".join(run_sweep(cfg))
     assert "-0," not in text and not text.endswith("-0\n")
     assert "\r" not in text
 
@@ -167,7 +167,7 @@ def test_threshold_csv_and_ordering():
 
 def test_threshold_empty_field_when_never_entangled():
     cfg = SweepConfig(K=-0.5, B2=6.0, T=1.0, ranges={"b1": AxisRange(5.999, 6.0, 2)})
-    text = run_threshold(cfg)
+    text = "".join(run_threshold(cfg))
     header, rows = parse_csv(text)
     for r in rows:
         assert r[1] is None                 # no threshold to report
@@ -268,7 +268,7 @@ def test_spectrum_axis_sweep():
 
 def test_single_point_report_format():
     cfg = SweepConfig(K=-1.7, B1=1.3, B2=-1.3, T=1.0)
-    lines = single_point_report(cfg).strip().split("\n")
+    lines = "".join(single_point_report(cfg)).strip().split("\n")
     keys = [ln.split("=")[0] for ln in lines]
     assert keys == ["negativity", "chen_lb", "alb", "ub", "purity",
                     "entropy", "cdc", "udc_12", "udc_21"]
@@ -281,11 +281,11 @@ def test_output_format():
     # README "Output format": 12 significant digits, no -0, NaN as an empty cell
     table = np.array([[-0.0, 1e-300, 1e15, 0.123456789012345],
                       [np.nan, 2.5, -123456.789012345, 0.0]])
-    assert _csv(["a", "b", "c", "d"], table) == (
+    assert "".join(_csv(["a", "b", "c", "d"], table)) == (
         "a,b,c,d\n0,1e-300,1e+15,0.123456789012\n,2.5,-123456.789012,0\n")
     cfg = SweepConfig(K=-0.2, B1=3.0, B2=3.0, T=0.05)  # cold, aligned fields: zeros, tiny values
     values = _measure_table(np.array([[cfg.J, cfg.K, cfg.B1, cfg.B2, cfg.T]]), MEASURE_NAMES)[0]
-    assert single_point_report(cfg) == "".join(
+    assert "".join(single_point_report(cfg)) == "".join(
         f"{name}={format(float(v) + 0.0, '.12g')}\n" for name, v in zip(MEASURE_NAMES, values))
 
 
@@ -298,7 +298,7 @@ def test_csv_formats_stacks_like_single_rows(rows):
         np.nan, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 0.0, np.nan][:min(cells.size, 8)]
     template = "%.12g,%.12g,%.12g,%.12g\n"
     want = "".join(template % tuple(row.tolist()) for row in table + 0.0).replace("nan", "")
-    assert _csv(["a", "b", "c", "d"], table) == "a,b,c,d\n" + want
+    assert "".join(_csv(["a", "b", "c", "d"], table)) == "a,b,c,d\n" + want
 
 
 def test_consistency_error_is_exported():
