@@ -146,6 +146,8 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
 
 
 def _write_output(pieces: Iterable[str], out: Optional[str]) -> None:
+    if out is None and sys.stdout is None:  # Python found descriptor 1 closed: nothing to point
+        raise ConfigError("cannot write output to stdout: it is closed")
     try:
         if out is None:
             sys.stdout.writelines(pieces)

@@ -4,9 +4,10 @@ Output: a header row, then one row per grid point in lexicographic axis order, c
 separated, each float to 12 significant digits, byte-identical on reruns and for every
 batch size.  States are built per total-Sz sector in batches of CHUNK_POINTS and read by
 every measure, within 1e-12 of _sweep_worker except ub near a crossing inside one sector
-(_Batch.ub).  A sweep reads a point with B1 < B2 from its mirror, B1 and B2 swapped,
-visits the other distinct points sorted by (J, K, (B1 - B2)/2) and solves each such key
-once per window of up to CHUNK_POINTS keys.  _grid checks every run's ranges and temperatures.
+(_Batch.ub; a sweep takes ub at tied levels from a dense solve).  A sweep reads a point with
+B1 < B2 from its mirror, B1 and B2 swapped, where only cdc, udc_12 and udc_21 change, visits
+the other distinct points sorted by (J, K, (B1 - B2)/2) and solves each such key once per
+window of up to CHUNK_POINTS keys.  _grid checks every run's ranges and temperatures.
 A ValueError names its row only through _in_stacks, which goes over a run's rows in stacks of
 CHUNK_POINTS in axis order and runs a failing stack again one row at a time, so the first
 failing row in axis order is named for every input and batch size.
@@ -221,25 +222,22 @@ class _Batch:
         return np.maximum(2.0 * gap.max(axis=1), 0.0)
 
     def ub(self) -> np.ndarray:
-        """entanglement.ub_mixture over the sector eigenvectors of each point, by _ub.
+        """entanglement.ub_mixture over the sector eigenvectors of each point, by _ub; NaN in
+        a tied row, where two levels lie within thermal.GROUND_WINDOW x max(1, largest |E|).
 
         A sector eigenvector has a diagonal reduced state, so Tr rho_A^2 is the sum of its
-        components to the fourth power.  In a row that is not _tied, each eigenvector is
-        unique up to sign, as sym_eig's; _measure_table owns the tied rows (_dense_ub).  Just
+        components to the fourth power.  In a row that is not tied, each eigenvector is unique
+        up to sign, as sym_eig's; _measure_table fills the tied rows (_dense_ub).  Just
         outside the window, near a crossing inside one sector, both solvers' eigenvectors
         are off by about eps |E| / gap, and ub can differ from the reference by up to 2.4e-9.
         """
         order = np.argsort(self.sectors.values, axis=1)
+        levels = np.take_along_axis(self.sectors.values, order, axis=1)
         squares = self.sectors.vectors * self.sectors.vectors
         purity = np.take_along_axis((squares * squares).sum(axis=1), order, axis=1)  # Tr rho_A^2
-        return _ub(purity, np.take_along_axis(self.weights, order, axis=1))
-
-
-def _tied(levels: np.ndarray) -> np.ndarray:
-    """Whether two levels of a row lie within thermal.GROUND_WINDOW x max(1, largest |E|)."""
-    levels = np.sort(levels, axis=1)
-    window = thermal.GROUND_WINDOW * np.maximum(1.0, np.abs(levels).max(axis=1))
-    return (np.diff(levels, axis=1) <= window[:, None]).any(axis=1)
+        window = thermal.GROUND_WINDOW * np.maximum(1.0, np.abs(levels).max(axis=1))
+        tied = (np.diff(levels, axis=1) <= window[:, None]).any(axis=1)
+        return np.where(tied, np.nan, _ub(purity, np.take_along_axis(self.weights, order, axis=1)))
 
 
 def _dense_ub(points: np.ndarray) -> np.ndarray:
@@ -367,10 +365,11 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     row left is evaluated once, in groups of CHUNK_POINTS sorted by (J, K, _half_difference).
     Their keys are solved once per window of up to CHUNK_POINTS keys (_solve_keys), a new
     window starting at a group's first key when its last lies past the window; a group spans
-    at most CHUNK_POINTS keys.  ub depends on the basis chosen inside degenerate levels, so
-    every row at _tied levels takes _dense_ub at its own point, as the single-state reference
-    does, in axis order.  After a ValueError, _solve goes over every row in axis order
-    through _in_stacks, which alone names the first failing row."""
+    at most CHUNK_POINTS keys.  Of the mirror only the site columns are kept, for the mirrored
+    rows.  ub depends on the basis chosen inside degenerate levels, so every row that
+    _Batch.ub leaves NaN (tied levels) takes _dense_ub at its own point, as the single-state
+    reference does, in axis order.  After a ValueError, _solve goes over every row in axis
+    order through _in_stacks, which alone names the first failing row."""
     mirrored = points[:, 2] < points[:, 3]
     canonical = points.copy()
     canonical[mirrored, 2:4] = points[mirrored, 3:1:-1]
@@ -385,8 +384,8 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     key, heads = np.cumsum(key_head) - 1, canonical[key_head]  # each row's key, each key's row
     site_columns = [i for i, name in enumerate(names) if name in ("cdc", "udc_12", "udc_21")]
     ub_columns = [i for i, name in enumerate(names) if name == "ub"]
-    direct, mirror = np.empty((2, len(canonical), len(names)))  # as read at a row and its mirror
-    tied = np.zeros(len(canonical), dtype=bool)
+    direct = np.empty((len(canonical), len(names)))  # as read at each distinct row
+    swapped = np.empty((len(canonical), len(site_columns)))  # its site columns at its mirror
     first = end = 0  # the solved window holds keys first to end - 1
     try:
         for start in range(0, len(canonical), CHUNK_POINTS):
@@ -396,16 +395,13 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
                 window = _solve_keys(heads[first:end])
             # the last batch lives until this one is built, so malloc keeps its heap untrimmed
             batch = _Batch(_shift(window, key[rows] - first, group), group[:, 4])
-            direct[rows] = mirror[rows] = np.column_stack([_MEASURES[n](batch) for n in names])
+            direct[rows] = np.column_stack([_MEASURES[n](batch) for n in names])
             if site_columns:
                 batch.site_entropy = batch.site_entropy[::-1]  # the sites trade places
-                for i in site_columns:
-                    mirror[rows, i] = _MEASURES[names[i]](batch)
-            if ub_columns:
-                tied[rows] = _tied(batch.sectors.values)
+                swapped[rows] = np.column_stack([_MEASURES[names[i]](batch) for i in site_columns])
         table = direct[source]
-        table[mirrored] = mirror[source[mirrored]]
-        own = np.flatnonzero(tied[source])
+        table[np.ix_(mirrored, site_columns)] = swapped[source[mirrored]]
+        own = np.flatnonzero(np.isnan(table[:, ub_columns]).any(axis=1))
 
         def dense(rows: slice) -> None:
             table[np.ix_(own[rows], ub_columns)] = _dense_ub(points[own[rows]])[:, None]

@@ -461,14 +461,15 @@ def test_csv_independent_of_batch_size(monkeypatch):
                 run_spectrum(spectrum)]
         assert [len(list(pieces)) for pieces in runs] == [
             1 + math.ceil(rows / size) for rows in (25, 30, 169, 9, 9, 25)]
-        # a measure printed alone skips what only the others read (the site swap, _tied), and
-        # prints its column of the nine-measure run
-        for name in ("negativity", "ub", "cdc"):
+        # a measure printed alone skips what only the others read (the site swap, the tie
+        # test of ub), and prints its column of the nine-measure run; so do repeated and
+        # mixed measures, with two ub columns at tied rows and site columns at mirrored rows
+        for names in (("negativity",), ("ub",), ("cdc",), ("ub", "cdc", "ub", "udc_12")):
             solved.clear()
-            i = 2 + MEASURE_NAMES.index(name)
-            assert "".join(run_sweep(SweepConfig(K=-1.7, T=0.2, measures=(name,),
+            columns = [0, 1, *(2 + MEASURE_NAMES.index(name) for name in names)]
+            assert "".join(run_sweep(SweepConfig(K=-1.7, T=0.2, measures=names,
                                                  ranges=plane.ranges))) == (
-                "".join(f"{c[0]},{c[1]},{c[i]}\n"
+                "".join(",".join(c[i] for i in columns) + "\n"
                         for c in (line.split(",") for line in want[0][2].splitlines())))
             # at 7, groups cut through runs of one key, and the second and third windows start
             # at a key the window before solved too
@@ -624,7 +625,8 @@ def test_plane_skips_work_no_requested_measure_reads(monkeypatch):
     def banned(*args):
         raise AssertionError("no requested measure reads this")
 
-    monkeypatch.setattr(sweeps, "_tied", banned)
+    # _Batch.ub holds the tie test; the registry holds the function itself
+    monkeypatch.setitem(sweeps._MEASURES, "ub", banned)
     monkeypatch.setattr(sweeps._Batch, "site_entropy", property(banned))
     plane = {"b1": AxisRange(-6.0, 6.0, 101), "b2": AxisRange(-6.0, 6.0, 101)}
     assert "".join(run_sweep(SweepConfig(K=-1.7, T=0.2, ranges=plane))).count("\n") == 1 + 101 * 101

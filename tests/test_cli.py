@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import os
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -109,6 +110,14 @@ def test_failed_write_to_stdout_returns_config_error(error, good, tmp_path, caps
     # the descriptor now writes to os.devnull, so the flush at exit cannot fail again
     assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
     os.close(fd)
+
+
+def test_closed_stdout_returns_config_error(monkeypatch, capsys):
+    # Python sets sys.stdout to None when it starts with descriptor 1 closed (`>&-`): there is
+    # no descriptor to point at os.devnull, and the run exits 2 with one error line
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["spectrum"]) == 2
+    assert capsys.readouterr().err == "error: cannot write output to stdout: it is closed\n"
 
 
 # every subcommand, each with more rows than one stack of CHUNK_POINTS but report
