@@ -279,9 +279,9 @@ def _params_of(point: np.ndarray) -> str:
 def _in_stacks(points: np.ndarray, work: Callable[[slice], object]) -> None:
     """work(rows) for each slice `rows` of CHUNK_POINTS of the (J, K, B1, B2, ...) rows of
     `points`, in axis order.  A stack that raises ValueError runs again one row at a time, and
-    the first failing row's error is raised as '<error> at (J=..., K=..., B1=..., B2=...)', eigh's
-    LinAlgError as 'Eigenvalues did not converge'; any other error of that row passes as it
-    is.  This is the one place that names a failing row from a ValueError."""
+    the first failing row's error is raised as '<error> at (J=..., K=..., B1=..., B2=...)'; any
+    other error of that row passes as it is.  This is the one place that names a failing row
+    from a ValueError."""
     for start in range(0, len(points), CHUNK_POINTS):
         try:
             # what work returns lives until the next stack is built: malloc keeps its heap
@@ -291,9 +291,7 @@ def _in_stacks(points: np.ndarray, work: Callable[[slice], object]) -> None:
                 try:
                     work(slice(i, i + 1))
                 except ValueError as exc:
-                    error = ("Eigenvalues did not converge"
-                             if isinstance(exc, np.linalg.LinAlgError) else exc)
-                    raise ValueError(f"{error} at {_params_of(points[i])}") from None
+                    raise ValueError(f"{exc} at {_params_of(points[i])}") from None
             raise
 
 
@@ -400,6 +398,7 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
                 batch.site_entropy = batch.site_entropy[::-1]  # the sites trade places
                 swapped[rows] = np.column_stack([_MEASURES[names[i]](batch) for i in site_columns])
         table = direct[source]
+        del direct  # read no more: freed before the mirror write, where the grid cap peaks
         table[np.ix_(mirrored, site_columns)] = swapped[source[mirrored]]
         own = np.flatnonzero(np.isnan(table[:, ub_columns]).any(axis=1))
 

@@ -99,10 +99,25 @@ def _gibbs_purity(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return (w * w).sum(axis=1)
 
 
+def _bisect(lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float,
+            holds: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Midpoint of each bracket [lo, hi] (updated in place) once hi - lo <= atol + rtol * hi.
+    Brackets halve in lockstep, one holds(indices, midpoints) call per step for those still
+    wider, each keeping lo = mid where it holds, else hi = mid, and stopping by its own test."""
+    wide = np.flatnonzero(hi - lo > atol + rtol * hi)
+    while wide.size:
+        mid = 0.5 * (lo[wide] + hi[wide])
+        up = holds(wide, mid)
+        lo[wide[up]] = mid[up]
+        hi[wide[~up]] = mid[~up]
+        wide = wide[hi[wide] - lo[wide] > atol + rtol * hi[wide]]
+    return 0.5 * (lo + hi)
+
+
 def tstar_rows(levels: np.ndarray, dims: MultipartiteDims) -> np.ndarray:
-    """tstar of each row of `levels`, shape (rows, dims.d), NaN where it is None.
-    All rows bracket and bisect in lockstep, each stopping by its own tests, so
-    a row's result does not depend on the other rows."""
+    """tstar of each row of `levels`, shape (rows, dims.d), NaN where it is None, inf past
+    the float range.  All rows bracket beta in lockstep, then _bisect narrows each to relative
+    width 1e-11 at every finite scale; a row's result does not depend on the other rows."""
     e = np.asarray(levels, dtype=float)
     if e.shape[-1] != dims.d:
         raise ValueError(f"spectrum has {e.shape[-1]} levels but dims product is {dims.d}")
@@ -118,17 +133,10 @@ def tstar_rows(levels: np.ndarray, dims: MultipartiteDims) -> np.ndarray:
         inside = inside[hi[inside] <= 1e12]
     # beyond 1e12 the splittings are too small to resolve: within reach the state stays in the ball
     rows, hi = rows[hi <= 1e12], hi[hi <= 1e12]
-    lo = np.zeros(len(rows))
-    wide = np.arange(len(rows))
-    for _ in range(500):
-        if not wide.size:
-            break
-        mid = 0.5 * (lo[wide] + hi[wide])
-        up = _gibbs_purity(e[rows[wide]], mid) <= theta
-        lo[wide[up]] = mid[up]
-        hi[wide[~up]] = mid[~up]
-        wide = wide[hi[wide] - lo[wide] > 1e-11 * hi[wide]]
-    result[rows] = 2.0 / (lo + hi)
+    beta = _bisect(np.zeros(len(rows)), hi, 0.0, 1e-11,
+                   lambda i, mid: _gibbs_purity(e[rows[i]], mid) <= theta)
+    with np.errstate(over="ignore"):  # a T* past the float range is inf
+        result[rows] = 1.0 / beta
     return result
 
 
@@ -137,8 +145,8 @@ def tstar(spectrum: Spectrum, dims: MultipartiteDims) -> Optional[float]:
 
     Purity is monotone in beta, so the crossing with the ball threshold is
     unique when it exists; it is found by bracketing and bisection in beta to
-    relative width 1e-11 (tstar_rows on one row).  Returns None when the
-    purity never leaves the ball (a flat spectrum, or a ground multiplet big
+    relative width 1e-11 at every finite scale (tstar_rows on one row).  None when
+    the purity never leaves the ball (a flat spectrum, or a ground multiplet big
     enough that even the T -> 0 purity 1/g stays at or below the threshold),
     meaning the criterion certifies separability at every temperature.
     """
@@ -155,13 +163,12 @@ def vanishing_point(
     pair: measure_at tells them apart by row index.
 
     The scan locates each row's last excursion above TS_TOL (the measure need
-    not be monotone in T), then bisection narrows the vanishing point to a
-    width of 1e-6.  All rows bisect in lockstep: each step calls
-    measure_at(rows, temperatures) once, for the rows still wider than 1e-6 at
-    their midpoints.  A row stops by its own width test, so its midpoints and
-    result do not depend on the other rows.  Gives NaN where the measure never
-    exceeds TS_TOL, and TS_TMAX where it is still above TS_TOL there (the
-    estimate is truncated).
+    not be monotone in T), then _bisect narrows the vanishing point to a width
+    of 1e-6, all rows in lockstep: each step calls measure_at(rows,
+    temperatures) once, for the rows still wider at their midpoints, and a
+    row's midpoints and result do not depend on the other rows.  Gives NaN
+    where the measure never exceeds TS_TOL, and TS_TMAX where it is still
+    above TS_TOL there (the estimate is truncated).
     """
     with np.errstate(invalid="ignore"):  # a point not evaluated is not above TS_TOL
         above = scan > TS_TOL
@@ -169,15 +176,8 @@ def vanishing_point(
     last = TS_GRID - 1 - np.argmax(above[:, ::-1], axis=1)
     ts = np.where(hit, TS_TMAX, np.nan)
     rows = np.nonzero(hit & (last < TS_GRID - 1))[0]
-    lo, hi = TS_SCAN[last[rows]], TS_SCAN[last[rows] + 1]
-    wide = np.nonzero(hi - lo > 1e-6)[0]
-    while wide.size:
-        mid = 0.5 * (lo[wide] + hi[wide])
-        up = measure_at(rows[wide], mid) > TS_TOL
-        lo[wide[up]] = mid[up]
-        hi[wide[~up]] = mid[~up]
-        wide = wide[hi[wide] - lo[wide] > 1e-6]
-    ts[rows] = 0.5 * (lo + hi)
+    ts[rows] = _bisect(TS_SCAN[last[rows]], TS_SCAN[last[rows] + 1], 1e-6, 0.0,
+                       lambda i, mid: measure_at(rows[i], mid) > TS_TOL)
     return ts
 
 

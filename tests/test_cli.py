@@ -2,8 +2,10 @@ import contextlib
 import errno
 import io
 import os
+import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -58,6 +60,9 @@ def test_bad_range_returns_config_error(capsys):
     assert main(["sweep", "--range-b1", "nonsense"]) == 2
     assert main(["sweep", "--range-b1", "1:0:5"]) == 2
     assert main(["sweep", "--range-b1", "0:1:1"]) == 2
+    capsys.readouterr()
+    assert main(["threshold", "--range-k=a:0:3"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad range 'a:0:3': ")
 
 
 def test_usage_errors_return_config_code(capsys):
@@ -178,6 +183,13 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert main(["report", "--config", str(cfg)]) == 2
 
 
+def test_config_file_that_cannot_be_read(tmp_path, capsys):
+    assert main(["report", "--config", str(tmp_path)]) == 2  # a directory
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot read config file {tmp_path}: ")
+
+
 def test_config_file_key_the_subcommand_does_not_read(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("range-k = -2:-1:2\nmeasures = negativity\n")
@@ -209,6 +221,44 @@ def test_threshold_on_a_flat_spectrum_has_no_ts_and_no_tstar(measures, capsys):
     header, *lines = out.splitlines()
     assert err == "" and len(lines) == 5
     assert all(line.split(",")[1:] == [""] * (measures.count(",") + 2) for line in lines)
+
+
+def test_threshold_tstar_scales_with_the_levels(capsys):
+    # T* is bisected to 1e-11 relative width at every scale: at 1e150 and 1e200 times the
+    # couplings it is that many times the J = K = 1 value
+    for scale, want in (("1", "2.88539008178"), ("1e150", "2.88539008178e+150"),
+                        ("1e200", "2.88539008178e+200")):
+        assert main(["threshold", f"--J={scale}", f"--K={scale}", "--range-b1=0:1e-300:2"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.endswith(",tstar") and [line.split(",")[-1] for line in lines] == [want] * 2
+
+
+@pytest.mark.parametrize("size", [256, 7, 1])
+def test_non_finite_measure_names_its_first_axis_point(size, monkeypatch, capsys):
+    # rows are evaluated sorted by (J, K, (B1 - B2)/2), and a row with B1 < B2 reads its
+    # mirror; the refusal still names the first axis point, in axis order, with a NaN cell
+    argv = ["sweep", "--K=-1.7", "--range-b1=-2:2:5", "--range-b2=-2:2:5"]
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
+    assert main(argv) == 0
+    rows = [tuple(map(float, line.split(","))) for line in capsys.readouterr().out.split()[1:]]
+    negativity = sweeps._MEASURES["negativity"]
+    monkeypatch.setitem(sweeps._MEASURES, "negativity",
+                        lambda batch: np.where(negativity(batch) > 0.343, np.nan, 0.0))
+    assert main(argv) == 3
+    first = next(row[:2] for row in rows if row[2] > 0.343)
+    assert first == (-2.0, 1.0)  # read at its mirror, (1, -2)
+    assert capsys.readouterr() == (
+        "", f"numerical consistency failure: non-finite measure at axis point {first}\n")
+
+
+def test_console_script_exit_code():
+    # python -m qutritchain.cli runs cli.run, whose SystemExit carries main's return code
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-m", "qutritchain.cli", "report", "--T=0"],
+                       capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert r.returncode == 2 and r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error:")
 
 
 # each of these ended in a traceback with exit code 1

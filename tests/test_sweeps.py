@@ -209,6 +209,21 @@ def test_threshold_names_the_first_row_beyond_tstar(monkeypatch):
     assert thermal.TS_SCAN[witness] - 5e-7 <= t <= thermal.TS_SCAN[witness + 1] + 5e-7
 
 
+def test_in_stacks_raises_a_stack_error_no_single_row_repeats(monkeypatch):
+    # the second stack fails as a whole but on none of its rows alone: its error passes as it is
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", 4)
+    calls = []
+
+    def work(rows):
+        calls.append((rows.start, rows.stop))
+        if rows.start == 4 and rows.stop - rows.start > 1:
+            raise ValueError("stack only")
+
+    with pytest.raises(ValueError, match="^stack only$"):
+        sweeps._in_stacks(np.zeros((10, 5)), work)
+    assert calls == [(0, 4), (4, 8), (4, 5), (5, 6), (6, 7), (7, 8)]
+
+
 @pytest.mark.parametrize("chunk", [2, 5])
 def test_spectrum_names_the_first_failing_row(chunk, monkeypatch):
     cfg = SweepConfig(K=-1.7, B1=3.0, ranges={"b2": AxisRange(-1.0, 1.0, 9)})

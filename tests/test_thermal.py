@@ -165,9 +165,15 @@ def test_tstar_rows_match_tstar_row_by_row():
     h = hamiltonian_qutrit(QutritChainParams(scale * j, scale * k, scale * b1, scale * b2))
     levels = np.sort(block_eig(h, SZ_SECTORS).values, axis=1)
     levels[1410:1420] = np.r_[np.zeros(8), 1.0]  # 1/g at the ball threshold
+    # rows 600 to 800 again at 10^100 to 10^300 times their scale
+    big = 10.0 ** rng.uniform(100.0, 300.0, 200)
+    big[:2] = 1e150, 1e200
+    levels = np.concatenate([levels, big[:, None] * levels[600:800]])
     got = tstar_rows(levels, SPLIT33)
     want = [tstar(Spectrum(e, np.eye(9)), SPLIT33) for e in levels]
     assert [None if np.isnan(t) else t for t in got.tolist()] == want
+    # T* scales with the levels: the bisection converges at every finite scale
+    np.testing.assert_allclose(got[n:], big * got[600:800], rtol=1e-10, atol=0.0)
     # every way to get None: a flat spectrum, a big ground multiplet, and splittings
     # too small to bracket
     spread = levels[:, -1] - levels[:, 0]
