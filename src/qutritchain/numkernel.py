@@ -1,12 +1,12 @@
 """Dense numerical kernels for the small matrices used across the package.
 
-Every operator handled here is real in its computational basis, so the
-symmetric eigensolver is the single spectral workhorse: block_eig holds the
-one np.linalg.eigh call, for blocks of 3x3 and up, and sym_eig is block_eig
-with one block.  Blocks of 1x1 and 2x2 are solved in closed form (eigh2),
-where LAPACK's cost per matrix would dominate.  Complex
-arithmetic is only needed for plain matrix products (unitary conjugations in
-the dense-coding routines) and never for an eigenproblem.
+Every Hamiltonian here is real in its computational basis, and block_eig solves
+its eigenvectors: it holds the np.linalg.eigh call for blocks of 3x3 and up, and
+sym_eig is block_eig with one block.  Blocks of 1x1 and 2x2 are solved in closed
+form (eigh2), where LAPACK's cost per matrix would dominate.  It is not the only
+eigensolver: entanglement.tau_matrices and alb call np.linalg.eigh on rho, reads of
+eigenvalues alone call np.linalg.eigvalsh, and densecode._matrix_entropy solves the
+complex Weyl-ensemble states of holevo_chi, the one eigenproblem in complex numbers.
 """
 
 from __future__ import annotations
