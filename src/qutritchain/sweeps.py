@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from . import densecode, entanglement, thermal
-from .numkernel import Spectrum, block_eig, eigh2, entropy_bits, sym_eig
+from .numkernel import Spectrum, block_eig, eigh2, entropy_bits, require_symmetric, sym_eig
 from .qstate import BipartiteDims, DensityMatrix, check_density, partial_transpose_of
 from .spinmodels import (
     SZ_DIFFERENCE_BLOCKS, SZ_SECTORS, SZ_TOTAL, QutritChainParams, central_block_of,
@@ -631,12 +631,12 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
 
 
 def run_spectrum(cfg: SweepConfig) -> Iterator[str]:
-    """Emit closed-form energy labels E1..E9 plus the residual against sym_eig,
+    """Emit closed-form energy labels E1..E9 plus the residual against the dense levels of H,
     in stacks of CHUNK_POINTS points: one H assembly, one eigvalsh of the
-    central blocks and one sym_eig per stack.  A row whose H is not finite gets
+    central blocks and one eigvalsh per stack.  A row whose H is not finite gets
     NaN levels.  The first row to fail, in axis order, raises: ConsistencyError
     if its residual fails SPECTRUM_RESIDUAL_TOL (a NaN fails), ValueError,
-    named by _in_stacks, if sym_eig fails on it; else the CSV comes back in pieces (_csv)."""
+    named by _in_stacks, if eigvalsh fails on it; else the CSV comes back in pieces (_csv)."""
     _, points = _grid(cfg, tuple(a for a in _LINE_AXES if a in cfg.ranges)[:1])
 
     table = np.empty((len(points), 14))
@@ -649,7 +649,7 @@ def run_spectrum(cfg: SweepConfig) -> Iterator[str]:
         bad = ~np.isfinite(h).all(axis=(1, 2))
         h[bad] = 0.0  # solvable; such a row gets NaN levels
         inner = np.linalg.eigvalsh(central_block_of(h))
-        numerical = sym_eig(h).values
+        numerical = np.linalg.eigvalsh(require_symmetric(h))
         inner[bad] = numerical[bad] = np.nan
         with np.errstate(over="ignore", invalid="ignore"):
             cf = closed_form_energies(params)

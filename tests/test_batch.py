@@ -413,10 +413,52 @@ def test_spectrum_matches_scalar_rows_bit_for_bit(monkeypatch):
         half_sum, root = 0.5 * (3.0 + b2), math.hypot(3.0 - b2, -2.0)
         assert (cf.e2, cf.e8) == (half_sum - 1.7 + 0.5 * root, -half_sum - 1.7 - 0.5 * root)
         labeled = [cf.e1, cf.e2, cf.e3, *np.linalg.eigvalsh(central_block(p)), cf.e7, cf.e8, cf.e9]
-        residual = np.max(np.abs(np.sort(labeled) - sym_eig(hamiltonian_qutrit(p)).values))
+        residual = np.max(np.abs(np.sort(labeled) - np.linalg.eigvalsh(hamiltonian_qutrit(p))))
         want.append([-1.0, -1.7, 3.0, b2, *labeled, residual])
     # every cell, the residual too, bit for bit
     assert table.tobytes() == np.array(want).tobytes()
+
+
+def test_spectrum_residual_matches_the_full_eigensolver(monkeypatch):
+    # the residual against eigvalsh's levels and against sym_eig's, on the 3001-point B2 line
+    # and on lines with fields near 1e200: within 8 eps of the row's scale, with one verdict
+    tables = []
+    monkeypatch.setattr(sweeps, "_csv", lambda header, table: tables.append(table) or "")
+    for cfg in (SweepConfig(K=-1.7, B1=3.0, ranges={"b2": AxisRange(-6.0, 6.0, 3001)}),
+                SweepConfig(K=-1.7, B2=3e199, ranges={"b1": AxisRange(-2e200, 2e200, 41)}),
+                SweepConfig(J=1.0, K=0.0, B1=1e200, ranges={"b2": AxisRange(-1e200, 1e199, 41)})):
+        run_spectrum(cfg)
+        table = tables.pop()
+        levels = sym_eig(hamiltonian_qutrit(QutritChainParams(*table[:, :4].T))).values
+        dense = np.abs(np.sort(table[:, 4:13]) - levels).max(axis=1)
+        scale = np.maximum(1.0, np.abs(levels).max(axis=1))
+        assert np.all(np.abs(table[:, 13] - dense) <= 8.0 * np.finfo(float).eps * scale)
+        tol = sweeps.SPECTRUM_RESIDUAL_TOL * scale
+        assert np.array_equal(table[:, 13] < tol, dense < tol)
+
+
+def test_spectrum_solves_each_stack_once(monkeypatch):
+    cfg = SweepConfig(K=-1.7, B1=3.0, ranges={"b2": AxisRange(-6.0, 6.0, 2001)})
+    want = "".join(run_spectrum(cfg))
+    solved = []
+
+    def counted(a, solve=np.linalg.eigvalsh):
+        if a.shape[-1] == 9:
+            solved.append(len(a))
+        return solve(a)
+
+    def dense(*args):
+        raise AssertionError("a spectrum run solves no eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(sweeps, "sym_eig", dense)
+    monkeypatch.setattr(sweeps, "block_eig", dense)
+    for size in (256, 7):
+        monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
+        assert "".join(run_spectrum(cfg)) == want
+        # one dense 9x9 eigvalsh per stack: 8 stacks of up to 256 rows, or 286 of up to 7
+        assert solved == [min(size, 2001 - start) for start in range(0, 2001, size)]
+        solved.clear()
 
 
 def test_csv_independent_of_batch_size(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qutritchain import cli, sweeps
 from qutritchain.cli import main
+from qutritchain.spinmodels import QutritChainParams, hamiltonian_qutrit
 from qutritchain.sweeps import SWEEP_MODES, SweepConfig, single_point_report
 
 
@@ -352,15 +353,41 @@ def test_eigensolver_failure_names_its_first_row(capsys):
         (["threshold", "--K=0", "--J=1", "--range-b1=1e225:1e231:7"], f"{later_row}, B2=0.0"),
         (["sweep", "--mode", "line-b1eqnegb2", "--K=0", "--J=1", "--range-b1=1e225:1e231:7"],
          f"{later_row}, B2=-1.666675e+230"),
-        # spectrum solves H whole, not by sectors
-        (["spectrum", "--J=-1", "--K=0", "--B1=1.1759767626280935e+240"],
-         "J=-1.0, K=0.0, B1=1.1759767626280935e+240, B2=0.0"),
     ):
         assert main(argv) == 3, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err == (
             f"numerical consistency failure: Eigenvalues did not converge at ({row})\n"), argv
+
+
+def test_spectrum_passes_where_dense_eigh_does_not_converge(capsys):
+    # eigh, which solves the eigenvectors too, does not converge on this H; eigvalsh does
+    assert main(["spectrum", "--J=-1", "--K=0", "--B1=1.1759767626280935e+240"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, line = captured.out.splitlines()
+    row = dict(zip(header.split(","), map(float, line.split(","))))
+    scale = max(1.0, max(abs(row[f"E{i}"]) for i in range(1, 10)))
+    assert row["residual"] < sweeps.SPECTRUM_RESIDUAL_TOL * scale
+
+
+@pytest.mark.parametrize("size", [256, 2, 1])
+def test_spectrum_names_the_row_its_eigensolver_fails_on(size, monkeypatch, capsys):
+    failing = hamiltonian_qutrit(QutritChainParams(J=-1.0, K=-1.7, B1=3.0, B2=0.5))
+
+    def eigvalsh(a, solve=np.linalg.eigvalsh):
+        if a.shape[-1] == 9 and (a == failing).all(axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
+    assert main(["spectrum", "--J=-1", "--K=-1.7", "--B1=3", "--range-b2=0:1:3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical consistency failure: Eigenvalues did not converge "
+                            "at (J=-1.0, K=-1.7, B1=3.0, B2=0.5)\n")
 
 
 @pytest.mark.parametrize("size", [256, 7, 1])
