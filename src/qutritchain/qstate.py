@@ -115,9 +115,3 @@ def dm_from_pure(v: np.ndarray, dims: BipartiteDims) -> DensityMatrix:
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"vector norm {norm!r} is not 1 within 1e-10")
     return DensityMatrix(mat=np.outer(v, v), dims=dims)
-
-
-def purity_of(mat: np.ndarray) -> float:
-    """Tr(rho^2) for a symmetric matrix given as a plain array."""
-    m = np.asarray(mat, dtype=float)
-    return float((m * m).sum())

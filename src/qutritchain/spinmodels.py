@@ -104,11 +104,14 @@ def hamiltonian_qutrit(p: QutritChainParams) -> np.ndarray:
     """Full 9x9 Hamiltonian of the spin-1 pair.
 
     Fields of `p` given as equal-shape arrays yield a (..., 9, 9) stack.
-    Entries past the float range come out infinite, without a warning.
+    ValueError, without a warning, if an entry lies past the float range.
     """
     j, k, b1, b2 = (np.asarray(x, dtype=float)[..., None, None] for x in (p.J, p.K, p.B1, p.B2))
     with np.errstate(over="ignore"):
-        return j * _EXCHANGE + k * _EXCHANGE_SQ + b1 * _SZ_I + b2 * _I_SZ
+        h = j * _EXCHANGE + k * _EXCHANGE_SQ + b1 * _SZ_I + b2 * _I_SZ
+        if not np.isfinite(h).all():
+            raise ValueError("Hamiltonian overflows")
+    return h
 
 
 class ClosedFormEnergies(NamedTuple):

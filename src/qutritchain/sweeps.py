@@ -8,9 +8,9 @@ every measure, within 1e-12 of _sweep_worker except ub near a crossing inside on
 B1 < B2 from its mirror, B1 and B2 swapped, where only cdc, udc_12 and udc_21 change, visits
 the other distinct points sorted by (J, K, (B1 - B2)/2) and solves each such key once per
 window of up to CHUNK_POINTS keys.  _grid checks every run's ranges and temperatures.
-A ValueError names its row only through _in_stacks, which goes over a run's rows in stacks of
-CHUNK_POINTS in axis order and runs a failing stack again one row at a time, so the first
-failing row in axis order is named for every input and batch size.
+A ValueError or ConsistencyError names its row only through _in_stacks, which goes over a
+run's rows in stacks of CHUNK_POINTS in axis order and runs a failing stack again one row at a
+time, so the first failing row in axis order is named for every input and batch size.
 """
 
 from __future__ import annotations
@@ -270,28 +270,23 @@ _MEASURES = {
 MEASURE_NAMES = tuple(_MEASURES)
 
 
-def _params_of(point: np.ndarray) -> str:
-    """The (J, K, B1, B2) of a point row, printed as Python floats."""
-    j, k, b1, b2 = point[:4].tolist()
-    return f"(J={j}, K={k}, B1={b1}, B2={b2})"
-
-
 def _in_stacks(points: np.ndarray, work: Callable[[slice], object]) -> None:
     """work(rows) for each slice `rows` of CHUNK_POINTS of the (J, K, B1, B2, ...) rows of
-    `points`, in axis order.  A stack that raises ValueError runs again one row at a time, and
-    the first failing row's error is raised as '<error> at (J=..., K=..., B1=..., B2=...)'; any
-    other error of that row passes as it is.  This is the one place that names a failing row
-    from a ValueError."""
+    `points`, in axis order.  A stack that raises ValueError or ConsistencyError runs again one
+    row at a time, and the first such error of a row is raised again, of its class, as
+    '<error> at (J=..., K=..., B1=..., B2=...)'; any other error of that row passes as it is.
+    This is the one place that names a failing row."""
     for start in range(0, len(points), CHUNK_POINTS):
         try:
             # what work returns lives until the next stack is built: malloc keeps its heap
             kept = work(slice(start, start + CHUNK_POINTS))
-        except ValueError:
+        except (ValueError, ConsistencyError):
             for i in range(start, min(start + CHUNK_POINTS, len(points))):
                 try:
                     work(slice(i, i + 1))
-                except ValueError as exc:
-                    raise ValueError(f"{exc} at {_params_of(points[i])}") from None
+                except (ValueError, ConsistencyError) as exc:
+                    j, k, b1, b2 = points[i, :4].tolist()  # printed as Python floats
+                    raise type(exc)(f"{exc} at (J={j}, K={k}, B1={b1}, B2={b2})") from None
             raise
 
 
@@ -309,13 +304,10 @@ def _key_heads(points: np.ndarray) -> np.ndarray:
 
 def _solve_keys(heads: np.ndarray) -> Spectrum:
     """The spectrum per total-Sz sector of H(J, K, d, -d), d = _half_difference, of the key
-    of each (J, K, B1, B2, ...) row of `heads`.  ValueError if one such H is not finite or
-    eigh fails on it; it names no row (_in_stacks does)."""
+    of each (J, K, B1, B2, ...) row of `heads`.  ValueError if one such H is not finite
+    (hamiltonian_qutrit) or eigh fails on it; it names no row (_in_stacks does)."""
     d = _half_difference(heads)
-    h = hamiltonian_qutrit(QutritChainParams(*heads[:, :2].T, d, -d))
-    if not np.isfinite(h).all():
-        raise ValueError("Hamiltonian overflows")
-    return block_eig(h, SZ_SECTORS)
+    return block_eig(hamiltonian_qutrit(QutritChainParams(*heads[:, :2].T, d, -d)), SZ_SECTORS)
 
 
 def _shift(solved: Spectrum, key: np.ndarray, points: np.ndarray) -> Spectrum:
@@ -581,9 +573,9 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
     (_scan_down, which skips the points a bound proves below TS_TOL).
     thermal.vanishing_point then bisects every (measure, row) pair of the group in lockstep,
     one _evaluate call per step, in which the pairs of a row at one midpoint share a state.
-    The first row, in axis order, with a ts beyond its tstar, or with any ts and no tstar,
-    raises ConsistencyError naming the row.  Groups go through _in_stacks, which alone names
-    a row that raises ValueError.  The CSV comes back in pieces (_csv) once every row passed.
+    A group with a row whose ts lies beyond its tstar, or that has any ts and no tstar,
+    raises ConsistencyError.  Groups go through _in_stacks, which alone names the first
+    failing row in axis order.  The CSV comes back in pieces (_csv) once every row passed.
     """
     requested = _check_measures(cfg.measures or ("negativity",), _TS_MEASURES)
     axis = next((a for a in _LINE_AXES if a in cfg.ranges), "k")
@@ -622,7 +614,7 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
             r, i = np.argwhere(beyond)[0]
             raise ConsistencyError(
                 f"{requested[i]} is above TS_TOL at T={group[r, i + 1]:.6f}, beyond the "
-                f"separable ball at T*={group[r, -1]:.6f} at {_params_of(points[rows][r])}")
+                f"separable ball at T*={group[r, -1]:.6f}")
         return sectors, scan
 
     _in_stacks(points, group_of)
@@ -633,10 +625,10 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
 def run_spectrum(cfg: SweepConfig) -> Iterator[str]:
     """Emit closed-form energy labels E1..E9 plus the residual against the dense levels of H,
     in stacks of CHUNK_POINTS points: one H assembly, one eigvalsh of the
-    central blocks and one eigvalsh per stack.  A row whose H is not finite gets
-    NaN levels.  The first row to fail, in axis order, raises: ConsistencyError
-    if its residual fails SPECTRUM_RESIDUAL_TOL (a NaN fails), ValueError,
-    named by _in_stacks, if eigvalsh fails on it; else the CSV comes back in pieces (_csv)."""
+    central blocks and one eigvalsh per stack.  A stack raises ValueError where an H is not
+    finite (hamiltonian_qutrit) or eigvalsh fails, and ConsistencyError where a residual fails
+    SPECTRUM_RESIDUAL_TOL (a NaN fails); _in_stacks names the first failing row in axis
+    order.  Else the CSV comes back in pieces (_csv)."""
     _, points = _grid(cfg, tuple(a for a in _LINE_AXES if a in cfg.ranges)[:1])
 
     table = np.empty((len(points), 14))
@@ -646,11 +638,8 @@ def run_spectrum(cfg: SweepConfig) -> Iterator[str]:
         rows = table[r]
         params = QutritChainParams(*rows[:, :4].T)
         h = hamiltonian_qutrit(params)
-        bad = ~np.isfinite(h).all(axis=(1, 2))
-        h[bad] = 0.0  # solvable; such a row gets NaN levels
         inner = np.linalg.eigvalsh(central_block_of(h))
         numerical = np.linalg.eigvalsh(require_symmetric(h))
-        inner[bad] = numerical[bad] = np.nan
         with np.errstate(over="ignore", invalid="ignore"):
             cf = closed_form_energies(params)
             rows[:, 4:13] = np.column_stack([cf.e1, cf.e2, cf.e3, inner, cf.e7, cf.e8, cf.e9])
@@ -658,9 +647,7 @@ def run_spectrum(cfg: SweepConfig) -> Iterator[str]:
             scale = np.maximum(1.0, np.abs(numerical).max(axis=1))  # the row's largest |E|, or 1
             failed = ~(rows[:, 13] < SPECTRUM_RESIDUAL_TOL * scale)
         if failed.any():
-            row = rows[np.argmax(failed)]
-            raise ConsistencyError(
-                f"closed-form spectrum residual {row[13]:.3e} at {_params_of(row)}")
+            raise ConsistencyError(f"closed-form spectrum residual {rows[failed, 13][0]:.3e}")
         return h, numerical
 
     _in_stacks(points, stack)

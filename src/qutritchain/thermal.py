@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numkernel import Spectrum, entropy_bits
-from .qstate import BipartiteDims, DensityMatrix, purity_of
+from .qstate import BipartiteDims, DensityMatrix
 
 # Eigenvalues within this window of the minimum count as the ground multiplet.
 GROUND_WINDOW = 1e-9
@@ -83,7 +83,7 @@ def gibbs(spectrum: Spectrum, temperature: float, dims: BipartiteDims) -> Densit
 
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2)."""
-    return purity_of(rho.mat)
+    return float((rho.mat * rho.mat).sum())
 
 
 def purity_beta_derivative(spectrum: Spectrum, temperature: float) -> float:

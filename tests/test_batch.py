@@ -181,16 +181,22 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
 
 def test_threshold_row_entangled_without_tstar_names_its_row(monkeypatch):
     tstar_rows, witness, scanned, bisecting = thermal.tstar_rows, [], [], []
+    solve, solved = sweeps._solve, []
+
+    def solve_recorded(points):
+        solved.append(points[:, 1])
+        return solve(points)
 
     def without_row_5(levels, dims):
-        # row 5 gets no T*, so the ball holds at every temperature, yet it is entangled at
-        # its witness TS_SCAN[0]
+        # row 5 (by its K, among the rows just solved) gets no T*, so the ball holds at every
+        # temperature, yet it is entangled at its witness TS_SCAN[0]
         t = tstar_rows(levels, dims)
-        t[5] = np.nan
+        t[solved[-1] == _THRESHOLD_K.ranges["k"].values()[5]] = np.nan
         first = np.searchsorted(thermal.TS_SCAN, np.nan_to_num(t), side="right")
         witness.extend(thermal.TS_SCAN[np.minimum(first, thermal.TS_GRID - 1)])
         return t
 
+    monkeypatch.setattr(sweeps, "_solve", solve_recorded)
     monkeypatch.setattr(thermal, "tstar_rows", without_row_5)
     evaluate, vanishing_point = sweeps._evaluate, thermal.vanishing_point
 

@@ -4,8 +4,9 @@ import pytest
 from qutritchain.numkernel import maxabs
 from qutritchain.qstate import (
     BipartiteDims, DensityMatrix, dm_from_pure, max_entangled, partial_trace,
-    partial_transpose, purity_of, singlet,
+    partial_transpose, singlet,
 )
+from qutritchain.thermal import purity
 
 
 def random_density(rng, dims):
@@ -92,7 +93,7 @@ def test_max_entangled_marginals():
     dims = BipartiteDims(3, 3)
     rho = dm_from_pure(max_entangled(3), dims)
     assert maxabs(partial_trace(rho, traced="B") - np.eye(3) / 3.0) < 1e-12
-    assert abs(purity_of(rho.mat) - 1.0) < 1e-12
+    assert abs(purity(rho) - 1.0) < 1e-12
 
 
 def test_singlet_marginals():
@@ -107,10 +108,10 @@ def test_dm_from_pure_requires_normalization():
         dm_from_pure(np.array([1.0, 1.0, 0.0, 0.0]), dims)
 
 
-def test_purity_of_range():
+def test_purity_range():
     rng = np.random.default_rng(26)
     dims = BipartiteDims(3, 3)
-    assert abs(purity_of(np.eye(9) / 9.0) - 1.0 / 9) < 1e-14
+    assert abs(purity(DensityMatrix(np.eye(9) / 9.0, dims)) - 1.0 / 9) < 1e-14
     for _ in range(10):
-        p = purity_of(random_density(rng, dims).mat)
+        p = purity(random_density(rng, dims))
         assert 1.0 / 9 - 1e-12 <= p <= 1.0 + 1e-12

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from qutritchain.numkernel import maxabs, sym_eig
 from qutritchain.spinmodels import (
@@ -58,6 +59,24 @@ def test_hamiltonian_is_symmetric_bit_for_bit_and_solved_as_given():
     spec, ref = sym_eig(a), np.linalg.eigh(a)
     assert np.array_equal(spec.values, ref.eigenvalues)
     assert np.array_equal(spec.vectors, ref.eigenvectors)
+
+
+@pytest.mark.filterwarnings("error")  # refused without an overflow warning
+def test_hamiltonian_refuses_an_entry_past_the_float_range():
+    with pytest.raises(ValueError, match="^Hamiltonian overflows$"):
+        hamiltonian_qutrit(QutritChainParams(J=-1.0, K=1e308, B1=0.0, B2=0.0))
+    # (J, K, B1, B2) per column; a stack with one such row is refused as a whole
+    fields = np.array([[-1.0, -1.7, 3.0, 0.1], [-1.0, 1e308, 0.0, 0.0],
+                       [1e300, -1e300, 1e300, -1e300]]).T
+    with pytest.raises(ValueError, match="^Hamiltonian overflows$"):
+        hamiltonian_qutrit(QutritChainParams(*fields))
+    # a finite stack is J S1.S2 + K (S1.S2)^2 + B1 S1z + B2 S2z bit for bit, row by row
+    finite = fields[:, [0, 2]]
+    x, sz = heisenberg_coupling(), spin1_operators()[2]
+    want = np.stack([j * x + k * (x @ x) + b1 * np.kron(sz, np.eye(3)) + b2 * np.kron(np.eye(3), sz)
+                     for j, k, b1, b2 in finite.T.tolist()])
+    assert np.array_equal(hamiltonian_qutrit(QutritChainParams(*finite)), want)
+    assert np.array_equal(hamiltonian_qutrit(QutritChainParams(*finite[:, 1].tolist())), want[1])
 
 
 def test_hamiltonian_conserves_total_sz():

@@ -181,20 +181,23 @@ def test_threshold_names_the_first_row_beyond_tstar(monkeypatch):
     monkeypatch.setattr(sweeps, "_csv", lambda header, table: tables.append(table) or "")
     run_threshold(cfg)
     [table] = tables
-    tstar_rows, done = thermal.tstar_rows, []
+    t_ball, k = 0.05 * table[3, 3], float(cfg.ranges["k"].values()[3])
+    tstar_rows, solve, solved = thermal.tstar_rows, sweeps._solve, []
+
+    def recorded(points):
+        solved.append(points[:, 1])
+        return solve(points)
 
     def shrunk(levels, dims):
-        # tstar_rows runs once per group of rows in axis order; from the fourth row on
-        # T* is 20 times too low
-        rows = np.arange(len(done), len(done) + len(levels))
-        done.extend(rows)
-        return tstar_rows(levels, dims) * np.where(rows >= 3, 0.05, 1.0)
+        # tstar_rows reads the rows just solved; from the fourth row on (K >= k) T* is 20
+        # times too low, whether the rows come as a group or one at a time
+        return tstar_rows(levels, dims) * np.where(solved[-1] >= k, 0.05, 1.0)
 
+    monkeypatch.setattr(sweeps, "_solve", recorded)
     monkeypatch.setattr(thermal, "tstar_rows", shrunk)
     # in groups of two rows, the first row to break the check (3, for both measures) is
     # the second of the second group; rows 4 to 6 break it too
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", 2)
-    t_ball, k = 0.05 * table[3, 3], float(cfg.ranges["k"].values()[3])
     with pytest.raises(ConsistencyError) as err:
         run_threshold(cfg)
     head = "alb is above TS_TOL at T="
@@ -209,7 +212,8 @@ def test_threshold_names_the_first_row_beyond_tstar(monkeypatch):
     assert thermal.TS_SCAN[witness] - 5e-7 <= t <= thermal.TS_SCAN[witness + 1] + 5e-7
 
 
-def test_in_stacks_raises_a_stack_error_no_single_row_repeats(monkeypatch):
+@pytest.mark.parametrize("error", [ValueError, ConsistencyError])
+def test_in_stacks_raises_a_stack_error_no_single_row_repeats(error, monkeypatch):
     # the second stack fails as a whole but on none of its rows alone: its error passes as it is
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", 4)
     calls = []
@@ -217,11 +221,32 @@ def test_in_stacks_raises_a_stack_error_no_single_row_repeats(monkeypatch):
     def work(rows):
         calls.append((rows.start, rows.stop))
         if rows.start == 4 and rows.stop - rows.start > 1:
-            raise ValueError("stack only")
+            raise error("stack only")
 
-    with pytest.raises(ValueError, match="^stack only$"):
+    with pytest.raises(error, match="^stack only$"):
         sweeps._in_stacks(np.zeros((10, 5)), work)
     assert calls == [(0, 4), (4, 8), (4, 5), (5, 6), (6, 7), (7, 8)]
+
+
+@pytest.mark.parametrize("error", [ConsistencyError, np.linalg.LinAlgError])
+def test_in_stacks_names_the_row_that_repeats_a_stack_error(error, monkeypatch):
+    # rows 5 and 6 fail alone and so fail their stack: row 5's error is raised again naming
+    # the row, of its own class
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", 4)
+    points = np.zeros((10, 5))
+    points[:, 1] = np.arange(10)
+    calls = []
+
+    def work(rows):
+        calls.append((rows.start, rows.stop))
+        if rows.start < 7 and rows.stop > 5:
+            raise error("check failed")
+
+    with pytest.raises(error) as err:
+        sweeps._in_stacks(points, work)
+    assert type(err.value) is error
+    assert str(err.value) == "check failed at (J=0.0, K=5.0, B1=0.0, B2=0.0)"
+    assert calls == [(0, 4), (4, 8), (4, 5), (5, 6)]
 
 
 @pytest.mark.parametrize("chunk", [2, 5])
@@ -260,6 +285,23 @@ def test_spectrum_reports_a_failing_row_before_a_solver_error(monkeypatch):
     cfg = SweepConfig(ranges={"k": AxisRange(-1.0, 1e308, 3)})
     with pytest.raises(ConsistencyError, match=r"at \(J=-1.0, K=-1.0, B1=0.0, B2=0.0\)$"):
         run_spectrum(cfg)
+
+
+@pytest.mark.filterwarnings("error")  # H is refused without an overflow warning
+@pytest.mark.parametrize("chunk", [256, 2, 1])
+def test_spectrum_names_a_row_whose_hamiltonian_overflows(chunk, monkeypatch):
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", chunk)
+    message = "Hamiltonian overflows at (J=-1.0, K=1e+308, B1=0.0, B2=0.0)"
+    with pytest.raises(ValueError) as err:
+        run_spectrum(SweepConfig(ranges={"k": AxisRange(0.0, 1e308, 2)}))
+    assert type(err.value) is ValueError and str(err.value) == message
+    # K = 0, 1e308, 5e307 in axis order: H overflows in the middle row, and the levels of the
+    # last row, whose H is finite, fail the residual check
+    grid = sweeps._grid
+    monkeypatch.setattr(sweeps, "_grid", lambda cfg, axes: [a[[0, 2, 1]] for a in grid(cfg, axes)])
+    with pytest.raises(ValueError) as err:
+        run_spectrum(SweepConfig(ranges={"k": AxisRange(0.0, 1e308, 3)}))
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_spectrum_csv_matches_closed_forms():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qutritchain.numkernel import Spectrum, block_eig, maxabs, sym_eig
-from qutritchain.qstate import BipartiteDims, purity_of
+from qutritchain.qstate import BipartiteDims
 from qutritchain.spinmodels import SZ_SECTORS, QutritChainParams, hamiltonian_qutrit
 from qutritchain.thermal import (
     TS_SCAN, TS_TOL, MultipartiteDims, boltzmann_weights, estimate_ts, gibbs,
@@ -74,7 +74,7 @@ def test_ground_state_handles_degeneracy():
     # at T = 1e-3 below a gap of 1 every weight above the ground multiplet is exp(-1000) = 0
     nondeg = sym_eig(np.diag([0.0, 1.0, 2.0, 3.0]))
     rho = gibbs(nondeg, 1e-3, BipartiteDims(2, 2))
-    assert abs(purity_of(rho.mat) - 1.0) < 1e-12
+    assert abs(purity(rho) - 1.0) < 1e-12
     deg = sym_eig(np.diag([0.0, 0.0, 1.0, 2.0]))
     rho2 = gibbs(deg, 1e-3, BipartiteDims(2, 2))
     vals = np.sort(np.linalg.eigvalsh(rho2.mat))
@@ -106,8 +106,8 @@ def test_purity_beta_derivative_matches_finite_difference():
         beta = rng.uniform(0.05, 3.0)
         analytic = purity_beta_derivative(spec, 1.0 / beta)
         h = 1e-6
-        up = purity_of((gibbs(spec, 1.0 / (beta + h), DIMS33)).mat)
-        dn = purity_of((gibbs(spec, 1.0 / (beta - h), DIMS33)).mat)
+        up = purity(gibbs(spec, 1.0 / (beta + h), DIMS33))
+        dn = purity(gibbs(spec, 1.0 / (beta - h), DIMS33))
         assert abs(analytic - (up - dn) / (2.0 * h)) < 1e-7
         assert analytic >= -1e-12
 
@@ -117,7 +117,7 @@ def test_purity_monotone_in_beta():
     for _ in range(20):
         spec = random_spectrum(rng)
         betas = np.sort(rng.uniform(0.01, 5.0, size=10))
-        purities = [purity_of(gibbs(spec, 1.0 / b, DIMS33).mat) for b in betas]
+        purities = [purity(gibbs(spec, 1.0 / b, DIMS33)) for b in betas]
         assert np.all(np.diff(purities) >= -1e-12)
 
 
@@ -146,9 +146,9 @@ def test_tstar_purity_crossing():
         spec = random_spectrum(rng)
         t = tstar(spec, SPLIT33)
         assert t is not None
-        assert abs(purity_of(gibbs(spec, t, DIMS33).mat) - 1.0 / 8) < 1e-9
-        assert purity_of(gibbs(spec, t / 2.0, DIMS33).mat) > 1.0 / 8
-        assert purity_of(gibbs(spec, 2.0 * t, DIMS33).mat) < 1.0 / 8
+        assert abs(purity(gibbs(spec, t, DIMS33)) - 1.0 / 8) < 1e-9
+        assert purity(gibbs(spec, t / 2.0, DIMS33)) > 1.0 / 8
+        assert purity(gibbs(spec, 2.0 * t, DIMS33)) < 1.0 / 8
 
 
 def test_tstar_rows_match_tstar_row_by_row():
