@@ -147,6 +147,13 @@ def _alb_pairs() -> tuple[np.ndarray, ...]:
     return tuple(np.array(pairs).T)
 
 
+# Flat indices into a 9x9 rho of its partial-transpose blocks on SZ_DIFFERENCE_BLOCKS, of sizes
+# 1, 2, 3, 2 and 1: the two 2x2 blocks, stacked, and the 3x3 block.
+_PT_BLOCKS = [partial_transpose_of(np.arange(81).reshape(9, 9), QUTRIT_DIMS)[np.ix_(b, b)]
+              for b in SZ_DIFFERENCE_BLOCKS]
+_PT_PAIRS, _PT_TRIPLE = np.stack(_PT_BLOCKS[1:4:2]), _PT_BLOCKS[2]
+
+
 class _Batch:
     """Gibbs states of a stack of Hamiltonians at their temperatures, plus what measures share.
 
@@ -169,15 +176,10 @@ class _Batch:
     @cached_property
     def pt_levels(self) -> list[np.ndarray]:
         """The ascending levels of each partial-transpose block of more than one state, one
-        array per block; a 1x1 block is a diagonal entry of rho, never negative."""
-        pt = partial_transpose_of(self.rho, QUTRIT_DIMS)
-        levels = []
-        for block in SZ_DIFFERENCE_BLOCKS:
-            if len(block) > 1:
-                idx = np.array(block)
-                sub = pt[:, idx[:, None], idx]
-                levels.append(eigh2(sub, vectors=False) if len(block) == 2 else np.linalg.eigvalsh(sub))
-        return levels
+        array per block in block order; a 1x1 block is a diagonal entry of rho, never negative."""
+        flat = self.rho.reshape(-1, 81)
+        pairs = eigh2(flat[:, _PT_PAIRS], vectors=False)
+        return [pairs[:, 0], np.linalg.eigvalsh(flat[:, _PT_TRIPLE]), pairs[:, 1]]
 
     @cached_property
     def negativity(self) -> np.ndarray:
@@ -516,6 +518,10 @@ def _alb_room(b: _Batch) -> np.ndarray:
 _ROOMS = {"negativity": _negativity_room, "alb": _alb_room}
 _TS_MEASURES = tuple(_ROOMS)
 
+# The points below its lowest evaluated point that a scanning row tests against its room.  Each
+# step tests rows x _SCAN_WINDOW distances: on 1001-row lines 16 took 0.81-0.88x the CPU of 64.
+_SCAN_WINDOW = 16
+
 
 def _scan_down(sectors: Spectrum, start: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     """Measures `names` of each row of `sectors` at the thermal.TS_SCAN temperatures, shape
@@ -524,19 +530,18 @@ def _scan_down(sectors: Spectrum, start: np.ndarray, names: tuple[str, ...]) -> 
 
     A row scans down from `start` once, and stops once each measure has its highest hit or
     nothing is left below.  Each step is one _evaluate call, in which every row still
-    scanning takes its next max(1, CHUNK_POINTS // rows) points.  Below the lowest point T_k
-    a row has evaluated, rho(T_j) lies within delta_j = dE sqrt(P(T_j)) (1/T_j - 1/T_k) of
-    rho(T_k) in the Frobenius norm, with dE the row's level spread and P(T_j) the purity,
-    which falls with T.  The points whose delta_j is below the _ROOMS at T_k of every measure
-    without a hit are skipped: none exceeds TS_TOL there.
+    scanning takes its next max(1, CHUNK_POINTS // rows) points.  Two Gibbs states of one H
+    share its sector eigenvectors, so rho(T_j) lies at the Frobenius distance
+    d_j = |w(T_j) - w(T_k)| from rho(T_k), w the weights and T_k the lowest point the row has
+    evaluated.  A point below T_k whose d_j lies below the _ROOMS at T_k of every measure
+    without a hit is skipped: none exceeds TS_TOL there.  d_j need not grow as T_j falls, so
+    the row goes on at the highest of the _SCAN_WINDOW points below T_k whose d_j reaches its
+    room, or right below them all.
     """
     m = len(names)
     functions = [_MEASURES[n] for n in names] + [_ROOMS[n] for n in names]
-    temperatures = thermal.TS_SCAN[:start.max() + 1]  # up to the highest start
-    w = thermal.boltzmann_weights(sectors.values[:, None], temperatures)
-    # dE sqrt(P(T)) of each row at each of those temperatures
-    scale = np.ptp(sectors.values, axis=1)[:, None] * np.sqrt(np.einsum("rtl,rtl->rt", w, w))
-    beta = 1.0 / temperatures
+    # the weights of each row up to the highest start
+    w = thermal.boltzmann_weights(sectors.values[:, None], thermal.TS_SCAN[:start.max() + 1])
     scan = np.full((len(start), thermal.TS_GRID, m), np.nan)
     hit = np.zeros((len(start), m), dtype=bool)
     cursor = start.copy()  # each row's highest point neither evaluated nor skipped
@@ -552,12 +557,11 @@ def _scan_down(sectors: Spectrum, start: np.ndarray, names: tuple[str, ...]) -> 
         hit[active] |= np.logical_or.reduceat(values[:, :m] > thermal.TS_TOL, first)
         low = c[last]
         room = np.where(hit[active], np.inf, values[last, m:]).min(axis=1)
-        span = int(low.max())  # grid points below the highest of the lowest points
-        with np.errstate(over="ignore"):  # a bound past the float range skips nothing
-            bound = scale[active, :span] * (beta[:span] - beta[low, None])
-        # the bound grows as T_j falls, so the points below low that it cannot skip are a
-        # prefix of the grid
-        cursor[active] = np.minimum((bound >= room[:, None]).sum(axis=1), low) - 1
+        below = low[:, None] - np.arange(1, _SCAN_WINDOW + 1)  # the window, highest first
+        step = w[active[:, None], np.maximum(below, 0)] - w[active, low][:, None]
+        # a point off the grid ends the row
+        reach = ~(np.sqrt(np.einsum("rjl,rjl->rj", step, step)) < room[:, None]) | (below < 0)
+        cursor[active] = low - 1 - np.where(reach.any(axis=1), reach.argmax(axis=1), _SCAN_WINDOW)
         active = active[~hit[active].all(axis=1) & (cursor[active] >= 0)]
     return scan
 
@@ -570,9 +574,10 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
     lockstep; above a row's tstar every measure is 0, and a row without tstar is in the
     separable ball at every temperature.  So a row scans thermal.TS_SCAN down from its
     witness point, the first above its tstar (TS_SCAN[0] if tstar is None), once
-    (_scan_down, which skips the points a bound proves below TS_TOL).
+    (_scan_down, which skips the points a distance proves below TS_TOL).
     thermal.vanishing_point then bisects every (measure, row) pair of the group in lockstep,
-    one _evaluate call per step, in which the pairs of a row at one midpoint share a state.
+    one _evaluate call per two halvings, in which the pairs of a row at one point share a
+    state.
     A group with a row whose ts lies beyond its tstar, or that has any ts and no tstar,
     raises ConsistencyError.  Groups go through _in_stacks, which alone names the first
     failing row in axis order.  The CSV comes back in pieces (_csv) once every row passed.
@@ -624,11 +629,11 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
 
 def run_spectrum(cfg: SweepConfig) -> Iterator[str]:
     """Emit closed-form energy labels E1..E9 plus the residual against the dense levels of H,
-    in stacks of CHUNK_POINTS points: one H assembly, one eigvalsh of the
-    central blocks and one eigvalsh per stack.  A stack raises ValueError where an H is not
-    finite (hamiltonian_qutrit) or eigvalsh fails, and ConsistencyError where a residual fails
-    SPECTRUM_RESIDUAL_TOL (a NaN fails); _in_stacks names the first failing row in axis
-    order.  Else the CSV comes back in pieces (_csv)."""
+    in stacks of CHUNK_POINTS points: one H assembly, one eigvalsh of the central blocks and
+    one eigvalsh per stack.  A stack raises ValueError where an H or its level spread is not
+    finite (hamiltonian_qutrit, and _shift's rule) or eigvalsh fails, and ConsistencyError
+    where a residual fails SPECTRUM_RESIDUAL_TOL (a NaN fails); _in_stacks names the first
+    failing row in axis order.  Else the CSV comes back in pieces (_csv)."""
     _, points = _grid(cfg, tuple(a for a in _LINE_AXES if a in cfg.ranges)[:1])
 
     table = np.empty((len(points), 14))
@@ -641,6 +646,8 @@ def run_spectrum(cfg: SweepConfig) -> Iterator[str]:
         inner = np.linalg.eigvalsh(central_block_of(h))
         numerical = np.linalg.eigvalsh(require_symmetric(h))
         with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(numerical[:, -1] - numerical[:, 0]).all():  # _shift's rule
+                raise ValueError("Hamiltonian overflows")
             cf = closed_form_energies(params)
             rows[:, 4:13] = np.column_stack([cf.e1, cf.e2, cf.e3, inner, cf.e7, cf.e8, cf.e9])
             rows[:, 13] = np.abs(np.sort(rows[:, 4:13]) - numerical).max(axis=1)

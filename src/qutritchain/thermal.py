@@ -102,14 +102,22 @@ def _gibbs_purity(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def _bisect(lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float,
             holds: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """Midpoint of each bracket [lo, hi] (updated in place) once hi - lo <= atol + rtol * hi.
-    Brackets halve in lockstep, one holds(indices, midpoints) call per step for those still
-    wider, each keeping lo = mid where it holds, else hi = mid, and stopping by its own test."""
+    Brackets halve in lockstep, each keeping lo = mid where holds(indices, points) is true at
+    its midpoint mid, else hi = mid, and stopping by its own test.  One holds call serves two
+    halvings: it takes the midpoint of each bracket still wider and the midpoints of both its
+    halves, and the second halving, which a bracket the first made narrow enough skips, reads
+    the one on the side kept.  So each bracket sees the midpoints and decisions of one
+    halving per step, in half the calls."""
     wide = np.flatnonzero(hi - lo > atol + rtol * hi)
     while wide.size:
         mid = 0.5 * (lo[wide] + hi[wide])
-        up = holds(wide, mid)
-        lo[wide[up]] = mid[up]
-        hi[wide[~up]] = mid[~up]
+        below, above = 0.5 * (lo[wide] + mid), 0.5 * (mid + hi[wide])
+        up = holds(np.tile(wide, 3), np.concatenate([mid, below, above])).reshape(3, -1)
+        kept_half = np.where(up[0], above, below), np.where(up[0], up[2], up[1])
+        for t, keep in ((mid, up[0]), kept_half):
+            halve = hi[wide] - lo[wide] > atol + rtol * hi[wide]  # each bracket still wider
+            lo[wide[halve & keep]] = t[halve & keep]
+            hi[wide[halve & ~keep]] = t[halve & ~keep]
         wide = wide[hi[wide] - lo[wide] > atol + rtol * hi[wide]]
     return 0.5 * (lo + hi)
 
@@ -164,9 +172,9 @@ def vanishing_point(
 
     The scan locates each row's last excursion above TS_TOL (the measure need
     not be monotone in T), then _bisect narrows the vanishing point to a width
-    of 1e-6, all rows in lockstep: each step calls measure_at(rows,
-    temperatures) once, for the rows still wider at their midpoints, and a
-    row's midpoints and result do not depend on the other rows.  Gives NaN
+    of 1e-6, all rows in lockstep: each call of measure_at(rows, temperatures)
+    serves two halvings of the rows still wider, and a row's midpoints and
+    result do not depend on the other rows.  Gives NaN
     where the measure never exceeds TS_TOL, and TS_TMAX where it is still
     above TS_TOL there (the estimate is truncated).
     """

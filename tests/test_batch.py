@@ -146,9 +146,10 @@ def test_threshold_bisects_rows_in_lockstep(monkeypatch):
     cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
                       measures=("negativity", "alb"))
     want = "".join(run_threshold(cfg))
-    # 7 scan steps and 15 bisection steps, one stack each: a bisection one measure at a time
-    # would take 15 stacks more, and one (measure, row) pair at a time 630 in all
-    assert len(sizes) <= 25
+    # 5 scan steps and 8 bisection calls of two halvings, one stack each: one halving per
+    # call would take 7 stacks more, one measure at a time 15 more again, and one
+    # (measure, row) pair at a time 630 in all
+    assert len(sizes) <= 15
     sizes.clear()
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", 7)
     assert "".join(run_threshold(cfg)) == want
@@ -170,10 +171,10 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
     monkeypatch.setattr(sweeps, "_Batch", Counted)
     want = "".join(run_threshold(_THRESHOLD_K))
     # a full scan alone builds 21 * 400 = 8400 states, the one up to each T* and its witness
-    # point 2926; the scan down from each witness point, which skips what its bound proves
-    # below TS_TOL, and the bisection, whose two measures share a state where their brackets
-    # agree, build 1837
-    assert sum(sizes) <= 1900
+    # point 2926; the scan down from each witness point, which skips what its distance
+    # certificate proves below TS_TOL, and the bisection, whose two measures share a state
+    # where their brackets agree, build 1764
+    assert sum(sizes) <= 1800
     for size in (7, 1):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
         assert "".join(run_threshold(_THRESHOLD_K)) == want
@@ -722,10 +723,26 @@ def test_certified_scan_matches_a_full_scan(monkeypatch):
                 lines += [(axis, cfg, want), (axis, swapped, _full_scan_threshold(swapped, axis)[0])]
     # 4 lines, with 1 reentrant pair of negativity and 5 of alb
     assert {axis for axis, _, _ in lines} == {"k", "b1", "b2"} and (reentrant > 0).all()
+    # and one full group of CHUNK_POINTS rows, in which a row skips a whole window
+    full = SweepConfig(K=-1.7, B2=0.0, ranges={"b1": AxisRange(-6.0, 6.0, 256)},
+                       measures=("negativity", "alb"))
+    want = _full_scan_threshold(full, "b1")[0]
     for size in (256, 7, 1):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
-        for _, cfg, want in lines:
-            assert "".join(run_threshold(cfg)) == want
+        for _, cfg, line in lines:
+            assert "".join(run_threshold(cfg)) == line
+    scans, scan_down = [], sweeps._scan_down
+
+    def recorded(sectors, start, names):
+        scans.append(scan_down(sectors, start, names))
+        return scans[-1]
+
+    monkeypatch.setattr(sweeps, "_scan_down", recorded)
+    for size in (256, 7):
+        monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
+        assert "".join(run_threshold(full)) == want
+    gaps = [np.diff(np.flatnonzero(~np.isnan(row))) - 1 for row in scans[0][:, :, 0]]
+    assert len(scans[0]) == 256 and max(g.max(initial=0) for g in gaps) == sweeps._SCAN_WINDOW
 
 
 def _alb_terms(g, delta):
@@ -746,10 +763,10 @@ def test_scan_certificates_hold(j, k, b1, b2, t_j, t_k):
     assume(t_j < t_k)
     sectors = sweeps._solve(np.array([[j, k, b1, b2]] * 2))
     batch = sweeps._Batch(sectors, np.array([t_j, t_k]))
-    # the bound of the scan on the Frobenius distance of the states at T_j < T_k
-    delta = (np.ptp(sectors.values[0]) * math.sqrt((batch.weights[0] ** 2).sum())
-             * (1.0 / t_j - 1.0 / t_k))
-    assert np.linalg.norm(batch.rho[0] - batch.rho[1]) <= delta * (1.0 + 1e-12) + 1e-15
+    # the states at T_j < T_k share their eigenvectors, so their Frobenius distance is that
+    # of their weights, as the scan reads it
+    delta = np.linalg.norm(batch.weights[0] - batch.weights[1])
+    assert abs(np.linalg.norm(batch.rho[0] - batch.rho[1]) - delta) <= 1e-15
     # by Weyl, the lowest level of each partial-transpose block moves by at most delta
     for mu in batch.pt_levels:
         assert mu[0, 0] >= mu[1, 0] - delta - 1e-15
@@ -786,32 +803,34 @@ def test_scan_skips_only_points_its_certificates_prove(monkeypatch):
                               measures=("alb", "negativity")))
     limit, skipped = 0.5 * (thermal.TS_TOL - sweeps.MARGIN), 0
     for sectors, names, scan in scans:
-        for row, levels in enumerate(sectors.values):
+        for row in range(len(sectors.values)):
             evaluated = ~np.isnan(scan[row, :, 0])
             for k in np.flatnonzero(evaluated):
-                # the bound at each T_j < T_k falls as T_j rises, so the points it cannot
-                # skip are a prefix of the grid, as _scan_down's cursor takes them to be
-                t_j, t_k = thermal.TS_SCAN[:k], thermal.TS_SCAN[k]
-                w = thermal.boltzmann_weights(levels, t_j)
-                bound = np.ptp(levels) * np.sqrt((w * w).sum(axis=1)) * (1.0 / t_j - 1.0 / t_k)
-                assert (np.diff(bound) <= 0.0).all()
                 # the points skipped right below T_k, for the measures without a hit at or
-                # above T_k: the bound must hold there for each
+                # above T_k: the certificate must hold there for each
                 lower = np.flatnonzero(evaluated[:k])
                 j = np.arange(lower[-1] + 1 if lower.size else 0, k)
                 open_ = [name for i, name in enumerate(names)
                          if not (scan[row, k:, i][evaluated[k:]] > thermal.TS_TOL).any()]
                 if not (j.size and open_):
                     continue
-                delta = bound[j]
-                batch = sweeps._Batch(Spectrum(sectors.values[[row]], sectors.vectors[[row]]),
-                                      np.array([t_k]))
+                assert j.size <= sweeps._SCAN_WINDOW  # a row tests no point past its window
+                # the states at the skipped points, then at T_k, and their exact distances
+                t = thermal.TS_SCAN[np.append(j, k)]
+                batch = sweeps._Batch(Spectrum(sectors.values[[row] * len(t)],
+                                               sectors.vectors[[row] * len(t)]), t)
+                delta = np.linalg.norm(batch.weights[:-1] - batch.weights[-1], axis=1)
+                gap = np.linalg.norm(batch.rho[:-1] - batch.rho[-1], axis=(1, 2)) - delta
+                assert np.abs(gap).max() <= 1e-15
                 if "negativity" in open_:
-                    pt = partial_transpose_of(batch.rho, QUTRIT_DIMS)[0]
+                    pt = partial_transpose_of(batch.rho[-1], QUTRIT_DIMS)
                     lowest = min(np.linalg.eigvalsh(pt[np.ix_(b, b)])[0]
                                  for b in SZ_DIFFERENCE_BLOCKS if len(b) > 1)
                     assert (lowest - delta > sweeps.MARGIN).all()
                 if "alb" in open_:
-                    assert (_alb_terms(batch.g[0], delta + sweeps.MARGIN) <= limit).all()
+                    assert (_alb_terms(batch.g[-1], delta + sweeps.MARGIN) <= limit).all()
+                # and the ground truth, which no bound can bend: each open measure itself
+                for name in open_:
+                    assert (sweeps._MEASURES[name](batch)[:-1] <= thermal.TS_TOL).all()
                 skipped += j.size
     assert skipped > 500

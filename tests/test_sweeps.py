@@ -275,8 +275,9 @@ def test_spectrum_names_the_first_failing_row(chunk, monkeypatch):
 
 
 def test_spectrum_reports_a_failing_row_before_a_solver_error(monkeypatch):
-    # the levels overflow at K = 5e307 and H at K = 1e308, so rows 1 and 2 fail the
-    # residual check too; row 0, which fails it through the closed forms, must report first
+    # the levels overflow at K = 5e307 and H at K = 1e308, so rows 1 and 2 fail too, with a
+    # ValueError; row 0, which fails the residual check through the closed forms, must report
+    # first
     def wrong(p):
         cf = closed_form_energies(p)
         return cf._replace(e1=cf.e1 + 1.0)
@@ -295,13 +296,26 @@ def test_spectrum_names_a_row_whose_hamiltonian_overflows(chunk, monkeypatch):
     with pytest.raises(ValueError) as err:
         run_spectrum(SweepConfig(ranges={"k": AxisRange(0.0, 1e308, 2)}))
     assert type(err.value) is ValueError and str(err.value) == message
-    # K = 0, 1e308, 5e307 in axis order: H overflows in the middle row, and the levels of the
-    # last row, whose H is finite, fail the residual check
+    # K = 0, 1e308, 5e307 in axis order: H overflows in the middle row, and so do the levels
+    # of the last row, whose H is finite
     grid = sweeps._grid
     monkeypatch.setattr(sweeps, "_grid", lambda cfg, axes: [a[[0, 2, 1]] for a in grid(cfg, axes)])
     with pytest.raises(ValueError) as err:
         run_spectrum(SweepConfig(ranges={"k": AxisRange(0.0, 1e308, 3)}))
     assert type(err.value) is ValueError and str(err.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chunk", [256, 1])
+def test_spectrum_refuses_levels_that_overflow_as_threshold_does(chunk, monkeypatch):
+    # at K = 5e307 H is finite but its level spread is not
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", chunk)
+    cfg = SweepConfig(ranges={"k": AxisRange(1e8, 1e308, 3)})
+    for run in (run_spectrum, run_threshold):
+        with pytest.raises(ValueError) as err:
+            run(cfg)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "Hamiltonian overflows at (J=-1.0, K=5e+307, B1=0.0, B2=0.0)"
 
 
 def test_spectrum_csv_matches_closed_forms():

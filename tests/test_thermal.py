@@ -7,7 +7,7 @@ from qutritchain.numkernel import Spectrum, block_eig, maxabs, sym_eig
 from qutritchain.qstate import BipartiteDims
 from qutritchain.spinmodels import SZ_SECTORS, QutritChainParams, hamiltonian_qutrit
 from qutritchain.thermal import (
-    TS_SCAN, TS_TOL, MultipartiteDims, boltzmann_weights, estimate_ts, gibbs,
+    TS_SCAN, TS_TOL, MultipartiteDims, _bisect, boltzmann_weights, estimate_ts, gibbs,
     purity, purity_beta_derivative, tstar, tstar_rows, vn_entropy,
 )
 from qutritchain.entanglement import negativity
@@ -179,6 +179,44 @@ def test_tstar_rows_match_tstar_row_by_row():
     spread = levels[:, -1] - levels[:, 0]
     assert np.isnan(got[1400:1420]).all() and not np.isnan(got[:900]).any()
     assert np.isnan(got[spread > 1e-12]).sum() > 10 and np.isnan(got[spread <= 1e-12]).all()
+
+
+def _bisect_one_halving(lo, hi, atol, rtol, holds):
+    """Reference for _bisect: one holds call per halving of the brackets still wider."""
+    wide = np.flatnonzero(hi - lo > atol + rtol * hi)
+    while wide.size:
+        mid = 0.5 * (lo[wide] + hi[wide])
+        up = holds(wide, mid)
+        lo[wide[up]] = mid[up]
+        hi[wide[~up]] = mid[~up]
+        wide = wide[hi[wide] - lo[wide] > atol + rtol * hi[wide]]
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("atol, rtol", [(1e-6, 0.0), (0.0, 1e-11)])
+def test_bisect_takes_two_halvings_per_call(atol, rtol):
+    rng = np.random.default_rng(7)
+    n = 300
+    lo = np.where(np.arange(n) < 30, 0.0, rng.uniform(0.0, 10.0, n))  # T*'s brackets start at 0
+    hi = lo + 10.0 ** rng.uniform(-13.0, 1.0, n)  # some brackets already pass their test
+    # not monotone: stripes of a width and phase of each bracket's own
+    freq, phase = 10.0 ** rng.uniform(0.0, 8.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
+    results = []
+    for bisect in (_bisect, _bisect_one_halving):
+        calls = []
+
+        def holds(i, t):
+            calls.append(len(i))
+            return np.sin(freq[i] * t + phase[i]) > 0.0
+
+        a, b = lo.copy(), hi.copy()
+        results.append((bisect(a, b, atol, rtol, holds), a, b, len(calls)))
+    (got, got_lo, got_hi, got_calls), (want, want_lo, want_hi, want_calls) = results
+    # the same midpoints and decisions: bit for bit, in half the calls
+    for x, y in ((got, want), (got_lo, want_lo), (got_hi, want_hi)):
+        assert x.tobytes() == y.tobytes()
+    assert (hi - lo <= atol + rtol * hi).any() and want_calls > 10
+    assert got_calls == (want_calls + 1) // 2
 
 
 def test_gibbs_separable_above_tstar():
