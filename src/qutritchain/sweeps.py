@@ -576,8 +576,7 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
     witness point, the first above its tstar (TS_SCAN[0] if tstar is None), once
     (_scan_down, which skips the points a distance proves below TS_TOL).
     thermal.vanishing_point then bisects every (measure, row) pair of the group in lockstep,
-    one _evaluate call per two halvings, in which the pairs of a row at one point share a
-    state.
+    one _evaluate call per halving, in which the pairs of a row at one point share a state.
     A group with a row whose ts lies beyond its tstar, or that has any ts and no tstar,
     raises ConsistencyError.  Groups go through _in_stacks, which alone names the first
     failing row in axis order.  The CSV comes back in pieces (_csv) once every row passed.

@@ -22,8 +22,10 @@ import numpy as np
 from .numkernel import Spectrum, entropy_bits
 from .qstate import BipartiteDims, DensityMatrix
 
-# Eigenvalues within this window of the minimum count as the ground multiplet.
-GROUND_WINDOW = 1e-9
+# Levels within ground_window of the minimum count as the ground multiplet: GROUND_WINDOW,
+# or ROUNDOFF x the largest |E| where wider, which holds a tie that round-off split at any
+# scale (the sector solves split one by at most about 6 eps x the largest |E|).
+GROUND_WINDOW, ROUNDOFF = 1e-9, 64 * np.finfo(float).eps
 
 # estimate_ts scans TS_GRID temperatures up to TS_TMAX for a measure above TS_TOL.
 TS_TMAX = 10.0
@@ -57,7 +59,8 @@ class MultipartiteDims:
 
 
 def boltzmann_weights(energies: np.ndarray, temperature: float | np.ndarray) -> np.ndarray:
-    """Normalized exp(-(E - E_min)/T); requires T > 0.
+    """Normalized exp(-(E - E_min)/T); requires T > 0.  Levels within ground_window of
+    E_min weigh as E_min, as tstar counts them, however round-off split them.
 
     A stack of spectra (..., n) takes one temperature or one per spectrum.
     """
@@ -65,8 +68,10 @@ def boltzmann_weights(energies: np.ndarray, temperature: float | np.ndarray) -> 
     if not (t > 0.0).all():
         raise ValueError(f"temperature must be positive, got {temperature}")
     e = np.asarray(energies, dtype=float)
+    gap = e - e.min(axis=-1, keepdims=True)
+    gap[gap <= ground_window(e)[..., None]] = 0.0
     with np.errstate(over="ignore"):  # an exponent below the float range is a weight of 0
-        w = np.exp((e.min(axis=-1, keepdims=True) - e) / t)
+        w = np.exp(-gap / t)
     return w / w.sum(axis=-1, keepdims=True)
 
 
@@ -99,25 +104,21 @@ def _gibbs_purity(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return (w * w).sum(axis=1)
 
 
+def ground_window(levels: np.ndarray) -> np.ndarray:  # see GROUND_WINDOW
+    return np.maximum(GROUND_WINDOW, ROUNDOFF * np.abs(levels).max(axis=-1))
+
+
 def _bisect(lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float,
             holds: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """Midpoint of each bracket [lo, hi] (updated in place) once hi - lo <= atol + rtol * hi.
-    Brackets halve in lockstep, each keeping lo = mid where holds(indices, points) is true at
-    its midpoint mid, else hi = mid, and stopping by its own test.  One holds call serves two
-    halvings: it takes the midpoint of each bracket still wider and the midpoints of both its
-    halves, and the second halving, which a bracket the first made narrow enough skips, reads
-    the one on the side kept.  So each bracket sees the midpoints and decisions of one
-    halving per step, in half the calls."""
+    Brackets halve in lockstep, one holds(indices, midpoints) call per halving of those still
+    wider: lo = mid where holds is true at mid, else hi = mid, each stopping by its own test."""
     wide = np.flatnonzero(hi - lo > atol + rtol * hi)
     while wide.size:
         mid = 0.5 * (lo[wide] + hi[wide])
-        below, above = 0.5 * (lo[wide] + mid), 0.5 * (mid + hi[wide])
-        up = holds(np.tile(wide, 3), np.concatenate([mid, below, above])).reshape(3, -1)
-        kept_half = np.where(up[0], above, below), np.where(up[0], up[2], up[1])
-        for t, keep in ((mid, up[0]), kept_half):
-            halve = hi[wide] - lo[wide] > atol + rtol * hi[wide]  # each bracket still wider
-            lo[wide[halve & keep]] = t[halve & keep]
-            hi[wide[halve & ~keep]] = t[halve & ~keep]
+        up = holds(wide, mid)
+        lo[wide[up]] = mid[up]
+        hi[wide[~up]] = mid[~up]
         wide = wide[hi[wide] - lo[wide] > atol + rtol * hi[wide]]
     return 0.5 * (lo + hi)
 
@@ -125,22 +126,22 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float,
 def tstar_rows(levels: np.ndarray, dims: MultipartiteDims) -> np.ndarray:
     """tstar of each row of `levels`, shape (rows, dims.d), NaN where it is None, inf past
     the float range.  All rows bracket beta in lockstep, then _bisect narrows each to relative
-    width 1e-11 at every finite scale; a row's result does not depend on the other rows."""
+    width 1e-11 at every finite scale; a row's result does not depend on the other rows.
+    A row brackets only where 1/g > theta, g its levels within ground_window of the minimum;
+    the others lie delta > 1e-9 above it.  For a qutrit pair (g <= 7) the purity, at least
+    (1 + (9 - g) exp(-beta delta))^-2 / g, leaves the ball by beta = 3.37 / delta < 2^32."""
     e = np.asarray(levels, dtype=float)
     if e.shape[-1] != dims.d:
         raise ValueError(f"spectrum has {e.shape[-1]} levels but dims product is {dims.d}")
     theta = dims.purity_threshold
-    g = np.count_nonzero(e <= e.min(axis=1, keepdims=True) + GROUND_WINDOW, axis=1)
+    g = np.count_nonzero(e <= e.min(axis=1, keepdims=True) + ground_window(e)[:, None], axis=1)
     result = np.full(len(e), np.nan)
-    rows = np.nonzero((np.ptp(e, axis=1) > 1e-12) & (1.0 / g > theta))[0]
+    rows = np.flatnonzero(1.0 / g > theta)
     hi = np.ones(len(rows))
     inside = np.arange(len(rows))  # rows whose purity at hi is still inside the ball
     while inside.size:
         inside = inside[_gibbs_purity(e[rows[inside]], hi[inside]) <= theta]
         hi[inside] *= 2.0
-        inside = inside[hi[inside] <= 1e12]
-    # beyond 1e12 the splittings are too small to resolve: within reach the state stays in the ball
-    rows, hi = rows[hi <= 1e12], hi[hi <= 1e12]
     beta = _bisect(np.zeros(len(rows)), hi, 0.0, 1e-11,
                    lambda i, mid: _gibbs_purity(e[rows[i]], mid) <= theta)
     with np.errstate(over="ignore"):  # a T* past the float range is inf
@@ -154,8 +155,8 @@ def tstar(spectrum: Spectrum, dims: MultipartiteDims) -> Optional[float]:
     Purity is monotone in beta, so the crossing with the ball threshold is
     unique when it exists; it is found by bracketing and bisection in beta to
     relative width 1e-11 at every finite scale (tstar_rows on one row).  None when
-    the purity never leaves the ball (a flat spectrum, or a ground multiplet big
-    enough that even the T -> 0 purity 1/g stays at or below the threshold),
+    the purity never leaves the ball (a ground multiplet, its g levels within
+    ground_window, so big that even the T -> 0 purity 1/g is at most the threshold),
     meaning the criterion certifies separability at every temperature.
     """
     t = tstar_rows(np.asarray(spectrum.values, dtype=float)[None], dims)[0]
@@ -172,11 +173,10 @@ def vanishing_point(
 
     The scan locates each row's last excursion above TS_TOL (the measure need
     not be monotone in T), then _bisect narrows the vanishing point to a width
-    of 1e-6, all rows in lockstep: each call of measure_at(rows, temperatures)
-    serves two halvings of the rows still wider, and a row's midpoints and
-    result do not depend on the other rows.  Gives NaN
-    where the measure never exceeds TS_TOL, and TS_TMAX where it is still
-    above TS_TOL there (the estimate is truncated).
+    of 1e-6, all rows in lockstep, one measure_at(rows, temperatures) call per
+    halving; a row's midpoints and result do not depend on the other rows.
+    Gives NaN where the measure never exceeds TS_TOL, and TS_TMAX where it is
+    still above TS_TOL there (the estimate is truncated).
     """
     with np.errstate(invalid="ignore"):  # a point not evaluated is not above TS_TOL
         above = scan > TS_TOL

@@ -146,10 +146,9 @@ def test_threshold_bisects_rows_in_lockstep(monkeypatch):
     cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
                       measures=("negativity", "alb"))
     want = "".join(run_threshold(cfg))
-    # 5 scan steps and 8 bisection calls of two halvings, one stack each: one halving per
-    # call would take 7 stacks more, one measure at a time 15 more again, and one
-    # (measure, row) pair at a time 630 in all
-    assert len(sizes) <= 15
+    # 5 scan steps and 15 halvings, one stack each: one measure at a time would take 15
+    # stacks more, and one (measure, row) pair at a time 630 in all
+    assert len(sizes) == 20
     sizes.clear()
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", 7)
     assert "".join(run_threshold(cfg)) == want
@@ -173,8 +172,8 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
     # a full scan alone builds 21 * 400 = 8400 states, the one up to each T* and its witness
     # point 2926; the scan down from each witness point, which skips what its distance
     # certificate proves below TS_TOL, and the bisection, whose two measures share a state
-    # where their brackets agree, build 1764
-    assert sum(sizes) <= 1800
+    # where their brackets agree, build 1575
+    assert sum(sizes) <= 1600
     for size in (7, 1):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
         assert "".join(run_threshold(_THRESHOLD_K)) == want

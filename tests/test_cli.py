@@ -224,6 +224,32 @@ def test_threshold_on_a_flat_spectrum_has_no_ts_and_no_tstar(measures, capsys):
     assert all(line.split(",")[1:] == [""] * (measures.count(",") + 2) for line in lines)
 
 
+@pytest.mark.parametrize("k", [1.0, 1e6, 1e10, 1e100, 1e200])
+def test_threshold_at_j0_has_no_ts_and_no_tstar_at_any_scale(k, capsys):
+    # at J = 0 and zero field the eight levels of S = 1 and 2 tie at E = K: the T -> 0 purity
+    # is 1/8, so the state is in the separable ball at every temperature.  Round-off splits
+    # the tie by about eps K, inside ground_window, by which tstar counts the ground multiplet
+    # and boltzmann_weights weighs it alike, so no Gibbs state sees the split either
+    assert main(["threshold", "--J=0", f"--range-k={k!r}:{2 * k!r}:2", "--measures",
+                 "negativity,alb"]) == 0
+    out, err = capsys.readouterr()
+    header, *lines = out.splitlines()
+    assert err == "" and [line.split(",")[1:] for line in lines] == [["", "", ""]] * 2
+
+
+@pytest.mark.parametrize("j, want", [(1, ["75992518.2415", "107416131.623"]),
+                                     (-1, ["71179731.6831", "71179721.6361"])])
+def test_threshold_reads_a_ground_split_far_above_its_round_off(j, want, capsys):
+    # at K = 1e9 and 2e9 the ground triplet (J = 1) or quintet (J = -1) lies 2 below the other
+    # multiplet, a gap far outside the round-off of the levels, about eps K: tstar counts only
+    # the ground one, and every ts lies below it
+    assert main(["threshold", f"--J={j}", "--range-k=1e9:2e9:2", "--measures",
+                 "negativity,alb"]) == 0
+    out, err = capsys.readouterr()
+    header, *lines = out.splitlines()
+    assert err == "" and [line.split(",")[-1] for line in lines] == want
+
+
 def test_threshold_tstar_scales_with_the_levels(capsys):
     # T* is bisected to 1e-11 relative width at every scale: at 1e150 and 1e200 times the
     # couplings it is that many times the J = K = 1 value

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qutritchain.numkernel import Spectrum, block_eig, maxabs, sym_eig
 from qutritchain.qstate import BipartiteDims
 from qutritchain.spinmodels import SZ_SECTORS, QutritChainParams, hamiltonian_qutrit
 from qutritchain.thermal import (
-    TS_SCAN, TS_TOL, MultipartiteDims, _bisect, boltzmann_weights, estimate_ts, gibbs,
-    purity, purity_beta_derivative, tstar, tstar_rows, vn_entropy,
+    ROUNDOFF, TS_SCAN, TS_TOL, MultipartiteDims, _bisect, boltzmann_weights, estimate_ts, gibbs,
+    ground_window, purity, purity_beta_derivative, tstar, tstar_rows, vn_entropy,
 )
 from qutritchain.entanglement import negativity
 
@@ -30,6 +31,20 @@ def test_boltzmann_weights_normalized_and_overflow_safe():
     assert np.all(np.isfinite(w))
     assert abs(w.sum() - 1.0) < 1e-12
     assert w[0] > 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e10, 1e200, -1e200])
+def test_boltzmann_weights_tie_a_split_ground_multiplet(scale):
+    # levels within ground_window of the lowest weigh alike at every temperature, as tstar
+    # counts them; the first one above it does not
+    e0, top = 2.0 * scale, 2.0 * scale + 2.0 * abs(scale)
+    window = ground_window(np.array([e0, top]))
+    assert window >= ROUNDOFF * 2.0 * abs(scale) and window >= 1e-9
+    levels = np.array([e0, e0 + 0.5 * window, e0 + 0.99 * window, e0 + 1.01 * window, top])
+    for t in (1e-300, abs(scale) * 1e-20, 0.025, 10.0):
+        w = boltzmann_weights(levels, t)
+        assert w[0] == w[1] == w[2] > w[3] and w.sum() == pytest.approx(1.0)
+    assert boltzmann_weights(levels, 1e-300)[3] == 0.0
 
 
 def test_boltzmann_weights_rejects_nonpositive_temperature():
@@ -175,48 +190,70 @@ def test_tstar_rows_match_tstar_row_by_row():
     # T* scales with the levels: the bisection converges at every finite scale
     np.testing.assert_allclose(got[n:], big * got[600:800], rtol=1e-10, atol=0.0)
     # every way to get None: a flat spectrum, a big ground multiplet, and splittings
-    # too small to bracket
+    # inside ground_window (1e-9 at these scales)
     spread = levels[:, -1] - levels[:, 0]
     assert np.isnan(got[1400:1420]).all() and not np.isnan(got[:900]).any()
     assert np.isnan(got[spread > 1e-12]).sum() > 10 and np.isnan(got[spread <= 1e-12]).all()
 
 
-def _bisect_one_halving(lo, hi, atol, rtol, holds):
-    """Reference for _bisect: one holds call per halving of the brackets still wider."""
-    wide = np.flatnonzero(hi - lo > atol + rtol * hi)
-    while wide.size:
-        mid = 0.5 * (lo[wide] + hi[wide])
-        up = holds(wide, mid)
-        lo[wide[up]] = mid[up]
-        hi[wide[~up]] = mid[~up]
-        wide = wide[hi[wide] - lo[wide] > atol + rtol * hi[wide]]
-    return 0.5 * (lo + hi)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(-300.0, 300.0), st.sampled_from([-1.0, 1.0]), st.integers(1, 9),
+       st.lists(st.floats(0.0, 0.5), min_size=8, max_size=8), st.floats(2.0, 1e3),
+       st.lists(st.floats(0.0, 3.0), min_size=8, max_size=8))
+def test_tstar_brackets_by_the_gap_above_the_ground(exponent, sign, g, ground, gap, excited):
+    # g levels within ground_window of the lowest e0, the others delta > ground_window above it
+    e0 = sign * 10.0 ** exponent
+    window = ground_window(np.array([e0]))  # that of all the levels: 1 + 1e-10 times it at most
+    levels = np.sort(np.r_[e0, e0 + window * np.array(ground[:g - 1]),
+                           e0 + gap * window * (1.0 + np.array(excited[:9 - g]))])
+    assert np.count_nonzero(levels <= levels[0] + ground_window(levels)) == g
+    t = tstar_rows(levels[None], SPLIT33)[0]
+    if g >= 8:  # the T -> 0 purity 1/g is at most 1/8
+        assert np.isnan(t)
+    else:
+        # the purity is at least (1 + (9 - g) exp(-beta delta))^-2 / g, above 1/8 once
+        # beta delta > 3.37: no cap on the bracket is needed
+        delta = levels[g] - levels[0]
+        assert np.isfinite(t) and 1.0 / t < 3.37 / delta
+
+
+def _bisect_bracket(lo, hi, atol, rtol, holds):
+    """Reference for _bisect on one bracket, in Python floats: its result, final lo and hi,
+    and number of halvings."""
+    halvings = 0
+    while hi - lo > atol + rtol * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+        halvings += 1
+    return 0.5 * (lo + hi), lo, hi, halvings
 
 
 @pytest.mark.parametrize("atol, rtol", [(1e-6, 0.0), (0.0, 1e-11)])
-def test_bisect_takes_two_halvings_per_call(atol, rtol):
+def test_bisect_takes_one_halving_per_call(atol, rtol):
     rng = np.random.default_rng(7)
     n = 300
     lo = np.where(np.arange(n) < 30, 0.0, rng.uniform(0.0, 10.0, n))  # T*'s brackets start at 0
     hi = lo + 10.0 ** rng.uniform(-13.0, 1.0, n)  # some brackets already pass their test
-    # not monotone: stripes of a width and phase of each bracket's own
-    freq, phase = 10.0 ** rng.uniform(0.0, 8.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
-    results = []
-    for bisect in (_bisect, _bisect_one_halving):
-        calls = []
+    # not monotone: stripes of a width and phase of each bracket's own, exact in floats
+    freq, phase = 10.0 ** rng.uniform(0.0, 8.0, n), rng.uniform(0.0, 2.0, n)
+    calls = []
 
-        def holds(i, t):
-            calls.append(len(i))
-            return np.sin(freq[i] * t + phase[i]) > 0.0
+    def holds(i, t):
+        calls.append(i.tolist())
+        return np.floor(freq[i] * t + phase[i]) % 2.0 == 0.0
 
-        a, b = lo.copy(), hi.copy()
-        results.append((bisect(a, b, atol, rtol, holds), a, b, len(calls)))
-    (got, got_lo, got_hi, got_calls), (want, want_lo, want_hi, want_calls) = results
-    # the same midpoints and decisions: bit for bit, in half the calls
+    got_lo, got_hi = lo.copy(), hi.copy()
+    got = _bisect(got_lo, got_hi, atol, rtol, holds)
+    want, want_lo, want_hi, halvings = map(np.array, zip(*(
+        _bisect_bracket(float(lo[r]), float(hi[r]), atol, rtol,
+                        lambda t, r=r: math.floor(freq[r] * t + phase[r]) % 2 == 0)
+        for r in range(n))))
+    # the same midpoints and decisions as each bracket alone: bit for bit
     for x, y in ((got, want), (got_lo, want_lo), (got_hi, want_hi)):
         assert x.tobytes() == y.tobytes()
-    assert (hi - lo <= atol + rtol * hi).any() and want_calls > 10
-    assert got_calls == (want_calls + 1) // 2
+    # one holds call per halving of the widest bracket, each over the brackets still wider
+    assert (halvings == 0).any() and len(calls) == halvings.max() > 10
+    assert calls == [np.flatnonzero(halvings > step).tolist() for step in range(len(calls))]
 
 
 def test_gibbs_separable_above_tstar():
