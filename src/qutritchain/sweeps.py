@@ -2,7 +2,8 @@
 
 Output: a header row, then one row per grid point in lexicographic axis order, comma
 separated, each float to 12 significant digits, byte-identical on reruns and for every
-batch size.  States are built per total-Sz sector in batches of CHUNK_POINTS and read by
+batch size; _csv formats each axis value once per run and each row takes its axis cells as
+that text.  States are built per total-Sz sector in batches of CHUNK_POINTS and read by
 every measure, within 1e-12 of _sweep_worker except ub near a crossing inside one sector
 (_Batch.ub; a sweep takes ub at tied levels from a dense solve).  A sweep reads a point with
 B1 < B2 from its mirror, B1 and B2 swapped, where only cdc, udc_12 and udc_21 change, visits
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -427,23 +428,35 @@ def _sweep_worker(point: tuple[float, ...], names: tuple[str, ...]) -> tuple[flo
     return tuple(scalar[n]() for n in names)
 
 
-def _csv(header: list[str], *columns: np.ndarray) -> Iterator[str]:
-    """The header line, then the rows of `columns` side by side, one string per stack of
-    CHUNK_POINTS rows, every cell printed to 12 significant digits; -0.0 prints as 0 and NaN
-    as an empty cell.  One stack is formatted at a time: no whole-table or whole-text copy."""
+def _csv(header: list[str], table: np.ndarray, lead: Sequence[np.ndarray] = ()) -> Iterator[str]:
+    """The header line, then the rows of `table`, one string per stack of CHUNK_POINTS rows,
+    every cell printed to 12 significant digits; -0.0 prints as 0 and NaN as an empty cell.
+    `lead` holds the axis values of a product grid, outermost first, whose points are the rows
+    of `table` in axis order: each row starts with its point's axis values, each value
+    formatted once per run.  One stack is formatted at a time: no whole-table or whole-text
+    copy."""
     yield ",".join(header) + "\n"
-    template = ",".join(["%.12g"] * sum(c.shape[1] for c in columns)) + "\n"
-    for start in range(0, len(columns[0]), CHUNK_POINTS):
-        stack = np.hstack([c[start:start + CHUNK_POINTS] for c in columns]) + 0.0
+    axes = [["%.12g" % v for v in (a + 0.0).tolist()] for a in lead]
+    width = len(lead) + table.shape[1]
+    template = ",".join(["%s"] * len(lead) + ["%.12g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), CHUNK_POINTS):
+        stack = table[start:start + CHUNK_POINTS] + 0.0
+        cells = [None] * (len(stack) * width)
+        if lead:  # each row's axis text, from its grid index on each axis
+            at = np.unravel_index(np.arange(start, start + len(stack)), [len(a) for a in lead])
+            for i, (text, index) in enumerate(zip(axes, at)):
+                cells[i::width] = map(text.__getitem__, index.tolist())
+        for i, column in enumerate(stack.T.tolist(), len(lead)):
+            cells[i::width] = column
         # %g spells NaN "nan", which no other cell text contains
-        yield ((template * len(stack)) % tuple(stack.ravel().tolist())).replace("nan", "")
+        yield ((template * len(stack)) % tuple(cells)).replace("nan", "")
 
 
-def _grid(cfg: SweepConfig, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The product grid over `axes`, outermost first: its axis coordinates, one
-    column per axis, and its (J, K, B1, B2, T) rows.  No axes gives the one
-    fixed point of `cfg`.  ConfigError if `cfg` has a range for another axis,
-    or if a temperature on the grid is not positive."""
+def _grid(cfg: SweepConfig, axes: tuple[str, ...]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The product grid over `axes`, outermost first: the values of each axis, and the
+    (J, K, B1, B2, T) rows of its points in axis order.  No axes gives the one fixed point of
+    `cfg`.  ConfigError if `cfg` has a range for another axis, or if a temperature on the
+    grid is not positive."""
     unused = [a for a in cfg.ranges if a not in axes]
     if unused:
         raise ConfigError(f"this run sweeps {' and '.join(axes) or 'no axis'}, "
@@ -451,14 +464,15 @@ def _grid(cfg: SweepConfig, axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarr
     ranges = [cfg.ranges.get(a) or AxisRange(*_DEFAULT_RANGES[a]) for a in axes]
     if math.prod(r.count for r in ranges) > MAX_GRID_POINTS:
         raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
+    values = [r.values() for r in ranges]
     columns = {"j": cfg.J, "k": cfg.K, "b1": cfg.B1, "b2": cfg.B2, "t": cfg.T}
-    columns.update(zip(axes, np.meshgrid(*(r.values() for r in ranges), indexing="ij")))
+    columns.update(zip(axes, np.meshgrid(*values, indexing="ij")))
     if cfg.mode == "line-b1eqnegb2":
         columns["b2"] = -columns["b1"]
     points = np.stack(np.broadcast_arrays(*columns.values()), axis=-1).reshape(-1, 5)
     if not (points[:, 4] > 0.0).all():
         raise ConfigError(f"temperatures must be positive, got T={float(points[:, 4].min())}")
-    return points[:, [list(columns).index(a) for a in axes]], points
+    return values, points
 
 
 def run_sweep(cfg: SweepConfig) -> Iterator[str]:
@@ -468,15 +482,16 @@ def run_sweep(cfg: SweepConfig) -> Iterator[str]:
     axes = _MODE_AXES[cfg.mode]
     measures = _check_measures(cfg.measures or _DEFAULT_MEASURES.get(cfg.mode, ("negativity",)),
                                MEASURE_NAMES)
-    coords, points = _grid(cfg, axes)
+    lead, points = _grid(cfg, axes)
     values = _measure_table(points, measures)
 
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
+        at = np.unravel_index(np.argmin(finite), [len(a) for a in lead])
         raise ConsistencyError(
-            f"non-finite measure at axis point {tuple(coords[np.argmin(finite)].tolist())}")
+            f"non-finite measure at axis point {tuple(float(a[i]) for a, i in zip(lead, at))}")
     header = [_AXIS_LABEL[a] for a in axes] + list(measures)
-    return _csv(header, coords, values)
+    return _csv(header, values, lead=lead)
 
 
 # A threshold scan skips a point only where its bound holds by this much: it covers round-off,
@@ -583,10 +598,10 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
     """
     requested = _check_measures(cfg.measures or ("negativity",), _TS_MEASURES)
     axis = next((a for a in _LINE_AXES if a in cfg.ranges), "k")
-    coords, points = _grid(cfg, (axis,))
+    [values], points = _grid(cfg, (axis,))
 
     table = np.empty((len(points), len(requested) + 2))
-    table[:, 0] = coords[:, 0]
+    table[:, 0] = values
     measures = [_MEASURES[name] for name in requested]
 
     def group_of(rows: slice) -> tuple[Spectrum, np.ndarray]:

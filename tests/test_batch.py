@@ -70,8 +70,32 @@ def test_every_mode_matches_reference(mode, monkeypatch):
                       ranges={axis: _SMALL_RANGES[axis] for axis in sweeps._MODE_AXES[mode]})
     text = "".join(run_sweep(cfg))
     [(points, names, values)] = calls
-    assert len(text.strip().split("\n")) == len(points) + 1
     assert np.max(np.abs(values - reference_table(points, names))) <= MAX_ABS_DIFF
+    # the mode's grid, outermost axis first, with B2 = -B1 on the line of that name
+    axes = sweeps._MODE_AXES[mode]
+    coords = np.column_stack([g.ravel() for g in np.meshgrid(
+        *(_SMALL_RANGES[a].values() for a in axes), indexing="ij")])
+    columns = {"j": cfg.J, "k": cfg.K, "b1": cfg.B1, "b2": cfg.B2, "t": cfg.T}
+    columns.update(zip(axes, coords.T))
+    if mode == "line-b1eqnegb2":
+        columns["b2"] = -columns["b1"]
+    assert np.array_equal(points, np.column_stack(np.broadcast_arrays(*columns.values())))
+    # the printed bytes: every axis and measure cell to 12 significant digits
+    template = ",".join(["%.12g"] * (len(axes) + len(names))) + "\n"
+    rows = np.column_stack([coords, values]) + 0.0
+    assert text == ",".join([sweeps._AXIS_LABEL[a] for a in axes] + list(names)) + "\n" + "".join(
+        template % tuple(row) for row in rows.tolist())
+
+    def broken(points, names):
+        table = np.zeros((len(points), len(names)))
+        table[-2, -1] = np.nan
+        return table
+
+    # a non-finite cell is refused, naming its row's axis point
+    monkeypatch.setattr(sweeps, "_measure_table", broken)
+    with pytest.raises(ConsistencyError) as err:
+        run_sweep(cfg)
+    assert str(err.value) == f"non-finite measure at axis point {tuple(coords[-2].tolist())}"
 
 
 def test_threshold_matches_scalar_estimate_ts(monkeypatch):
@@ -689,7 +713,7 @@ def test_batch_rejects_nonpositive_temperature():
 def _full_scan_threshold(cfg, axis):
     """run_threshold's CSV and the measures at all TS_GRID temperatures of every row: each
     row scans the whole grid, then vanishing_point bisects one measure at a time."""
-    coords, points = sweeps._grid(cfg, (axis,))
+    [values], points = sweeps._grid(cfg, (axis,))
     sectors = sweeps._solve(points)
     tstar = thermal.tstar_rows(np.sort(sectors.values, axis=1), QUTRIT_SPLIT)
     measures = [sweeps._MEASURES[name] for name in cfg.measures]
@@ -699,7 +723,7 @@ def _full_scan_threshold(cfg, axis):
     ts = [thermal.vanishing_point(scan[:, :, i], lambda rows, t, f=f: sweeps._evaluate(
         sectors, rows, t, [f])[:, 0]) for i, f in enumerate(measures)]
     header = [sweeps._AXIS_LABEL[axis]] + [f"ts_{name}" for name in cfg.measures] + ["tstar"]
-    return "".join(sweeps._csv(header, np.column_stack([coords[:, 0], *ts, tstar]))), scan
+    return "".join(sweeps._csv(header, np.column_stack([values, *ts, tstar]))), scan
 
 
 def test_certified_scan_matches_a_full_scan(monkeypatch):

@@ -299,7 +299,12 @@ def test_spectrum_names_a_row_whose_hamiltonian_overflows(chunk, monkeypatch):
     # K = 0, 1e308, 5e307 in axis order: H overflows in the middle row, and so do the levels
     # of the last row, whose H is finite
     grid = sweeps._grid
-    monkeypatch.setattr(sweeps, "_grid", lambda cfg, axes: [a[[0, 2, 1]] for a in grid(cfg, axes)])
+
+    def reordered(cfg, axes):
+        lead, points = grid(cfg, axes)
+        return lead, points[[0, 2, 1]]
+
+    monkeypatch.setattr(sweeps, "_grid", reordered)
     with pytest.raises(ValueError) as err:
         run_spectrum(SweepConfig(ranges={"k": AxisRange(0.0, 1e308, 3)}))
     assert type(err.value) is ValueError and str(err.value) == message
@@ -354,10 +359,22 @@ def test_output_format():
                       [np.nan, 2.5, -123456.789012345, 0.0]])
     assert "".join(_csv(["a", "b", "c", "d"], table)) == (
         "a,b,c,d\n0,1e-300,1e+15,0.123456789012\n,2.5,-123456.789012,0\n")
+    # axis cells, each value formatted once, print as the same cells would in the table
+    lead = [np.array([-0.0, 1e15]), np.array([1e-300, 0.123456789012345])]
+    assert "".join(_csv(["x", "y", "a"], np.array([[np.nan], [2.5], [0.0], [-1.5]]),
+                        lead=lead)) == (
+        "x,y,a\n0,1e-300,\n0,0.123456789012,2.5\n1e+15,1e-300,0\n1e+15,0.123456789012,-1.5\n")
     cfg = SweepConfig(K=-0.2, B1=3.0, B2=3.0, T=0.05)  # cold, aligned fields: zeros, tiny values
     values = _measure_table(np.array([[cfg.J, cfg.K, cfg.B1, cfg.B2, cfg.T]]), MEASURE_NAMES)[0]
     assert "".join(single_point_report(cfg)) == "".join(
         f"{name}={format(float(v) + 0.0, '.12g')}\n" for name, v in zip(MEASURE_NAMES, values))
+
+
+# The axis shapes of each row count, for 1, 2 and 3 axes: 1, full and short stacks, and axes
+# of one value
+_AXIS_SHAPES = {1: [(1,), (1, 1), (1, 1, 1)], 255: [(255,), (15, 17), (3, 5, 17)],
+                256: [(256,), (16, 16), (4, 8, 8)], 257: [(257,), (257, 1), (1, 257, 1)],
+                513: [(513,), (27, 19), (3, 9, 19)]}
 
 
 @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
@@ -367,9 +384,20 @@ def test_csv_formats_stacks_like_single_rows(rows):
     cells = table.reshape(-1)
     cells[rng.choice(cells.size, min(cells.size, 8), replace=False)] = [
         np.nan, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 0.0, np.nan][:min(cells.size, 8)]
-    template = "%.12g,%.12g,%.12g,%.12g\n"
-    want = "".join(template % tuple(row.tolist()) for row in table + 0.0).replace("nan", "")
-    assert "".join(_csv(["a", "b", "c", "d"], table)) == "a,b,c,d\n" + want
+    for shape in [()] + _AXIS_SHAPES[rows]:  # no axis, then 1, 2 and 3 axes
+        lead = []
+        for size in shape:
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+            special = [-0.0, 1e-300, 1e15, 0.123456789012345][:size]
+            values[rng.choice(size, len(special), replace=False)] = special
+            lead.append(values)
+        # the materialized product grid, one column per axis, outermost first
+        coords = [g.reshape(-1, 1) for g in np.meshgrid(*lead, indexing="ij")]
+        template = ",".join(["%.12g"] * (len(shape) + 4)) + "\n"
+        want = "".join(template % tuple(row.tolist()) for row in np.hstack([*coords, table]) + 0.0)
+        header = [f"x{i}" for i in range(len(shape))] + ["a", "b", "c", "d"]
+        assert "".join(_csv(header, table, lead=lead)) == (
+            ",".join(header) + "\n" + want.replace("nan", ""))
 
 
 def test_consistency_error_is_exported():
