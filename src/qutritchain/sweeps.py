@@ -6,9 +6,10 @@ batch size; _csv formats each axis value once per run and each row takes its axi
 that text.  States are built per total-Sz sector in batches of CHUNK_POINTS and read by
 every measure, within 1e-12 of _sweep_worker except ub near a crossing inside one sector
 (_Batch.ub; a sweep takes ub at tied levels from a dense solve).  A sweep reads a point with
-B1 < B2 from its mirror, B1 and B2 swapped, where only cdc, udc_12 and udc_21 change, visits
-the other distinct points sorted by (J, K, (B1 - B2)/2) and solves each such key once per
-window of up to CHUNK_POINTS keys.  _grid checks every run's ranges and temperatures.
+B1 < B2 from its mirror, B1 and B2 swapped, where only cdc, udc_12 and udc_21 change, and
+visits the other distinct points sorted by (J, K, (B1 - B2)/2).  _spectra is the one sector
+solve of sweeps and thresholds: it solves each such key once per window of up to CHUNK_POINTS
+keys.  _grid checks every run's ranges and temperatures.
 A ValueError or ConsistencyError names its row only through _in_stacks, which goes over a
 run's rows in stacks of CHUNK_POINTS in axis order and runs a failing stack again one row at a
 time, so the first failing row in axis order is named for every input and batch size.
@@ -66,9 +67,10 @@ _DEFAULT_RANGES = {
 # Residual ceiling for closed-form vs numerical spectra, times max(1, largest |E| of the row).
 SPECTRUM_RESIDUAL_TOL = 1e-9
 
-# Grid points evaluated as one stack, and keys (J, K, d) solved as one window.  1024 points
-# raise the peak RSS of a 101x101 negativity plane by about 3 MB (33.3 to 36.5 MB, with
-# Python 3.11 and numpy 2.4) and slow a 2001-point spectrum run by 5 to 8%.
+# Grid points evaluated as one stack, and keys (J, K, d) solved as one window.  A _Batch holds
+# at most CHUNK_POINTS states, len(_TS_MEASURES) times that in a threshold's bisection step.
+# 1024 points raise the peak RSS of a 101x101 negativity plane by about 3 MB (33.3 to 36.5 MB,
+# with Python 3.11 and numpy 2.4) and slow a 2001-point spectrum run by 5 to 8%.
 CHUNK_POINTS = 256
 
 # Largest grid a run accepts, per axis and in total.
@@ -299,55 +301,47 @@ def _half_difference(points: np.ndarray) -> np.ndarray:
     return 0.5 * points[:, 2] - 0.5 * points[:, 3]
 
 
-def _key_heads(points: np.ndarray) -> np.ndarray:
-    """Whether each row of `points` starts a run of one key (J, K, _half_difference)."""
+def _spread_checked(levels: np.ndarray) -> np.ndarray:
+    """`levels`, one row per H; ValueError where a row's spread is not finite, naming no row."""
+    if not np.isfinite(levels.max(axis=1) - levels.min(axis=1)).all():
+        raise ValueError("Hamiltonian overflows")
+    return levels
+
+
+def _spectra(points: np.ndarray) -> Iterator[tuple[slice, Spectrum]]:
+    """Each slice `rows` of CHUNK_POINTS of the (J, K, B1, B2, ...) rows of `points`, in order,
+    with the spectrum per total-Sz sector of the H of each of its rows: H(J, K, d, -d), d =
+    _half_difference, solved once per run of rows with one key (J, K, d) in windows of up to
+    CHUNK_POINTS keys, each level moved by s = (B1 + B2)/2 times its Sz.  A new window starts
+    at a stack's first key when its last lies past the window.  ValueError where eigh fails or
+    an H or level spread is not finite (_spread_checked); it names no row (_in_stacks does)."""
     keys = np.column_stack([points[:, :2], _half_difference(points)])
-    return np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])
-
-
-def _solve_keys(heads: np.ndarray) -> Spectrum:
-    """The spectrum per total-Sz sector of H(J, K, d, -d), d = _half_difference, of the key
-    of each (J, K, B1, B2, ...) row of `heads`.  ValueError if one such H is not finite
-    (hamiltonian_qutrit) or eigh fails on it; it names no row (_in_stacks does)."""
-    d = _half_difference(heads)
-    return block_eig(hamiltonian_qutrit(QutritChainParams(*heads[:, :2].T, d, -d)), SZ_SECTORS)
-
-
-def _shift(solved: Spectrum, key: np.ndarray, points: np.ndarray) -> Spectrum:
-    """The spectrum per total-Sz sector of the H of each (J, K, B1, B2, ...) row of `points`:
-    its key's row `key` of _solve_keys' `solved`, each level moved by s = (B1 + B2)/2 times
-    its Sz.  ValueError if a level spread is not finite; it names no row (_in_stacks does)."""
-    # the outputs first, before arrays whose sizes vary by group: a sweep's heap then settles
-    values, vectors = np.empty((len(points), 9)), np.empty((len(points), 9, 9))
-    s = 0.5 * points[:, 2] + 0.5 * points[:, 3]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add(solved.values[key], s[:, None] * SZ_TOTAL[np.concatenate(SZ_SECTORS)], out=values)
-        if not np.isfinite(values.max(axis=1) - values.min(axis=1)).all():
-            raise ValueError("Hamiltonian overflows")
-    return Spectrum(values, np.take(solved.vectors, key, axis=0, out=vectors))
-
-
-def _solve(points: np.ndarray) -> Spectrum:
-    """The spectrum per total-Sz sector of the H of each (J, K, B1, B2, ...) row of `points`.
-    H = H(J, K, d, -d) + s Sz with s = (B1 + B2)/2: H(J, K, d, -d) is solved once per run of
-    rows with one key (_solve_keys), and _shift moves its levels to each row.  ValueError
-    where eigh fails or an H or level spread is not finite, naming no row."""
-    head = _key_heads(points)
-    return _shift(_solve_keys(points[head]), np.cumsum(head) - 1, points)
+    head = np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])
+    key, heads = np.cumsum(head) - 1, points[head]  # each row's key, each key's row
+    end = 0  # the solved window holds keys first to end - 1
+    for start in range(0, len(points), CHUNK_POINTS):
+        rows = slice(start, start + CHUNK_POINTS)
+        if key[rows][-1] >= end:
+            first, end = key[start], key[start] + CHUNK_POINTS
+            d = _half_difference(heads[first:end])
+            window = block_eig(hamiltonian_qutrit(
+                QutritChainParams(*heads[first:end, :2].T, d, -d)), SZ_SECTORS)
+        at = key[rows] - first
+        # the outputs first, before arrays whose sizes vary by stack: a sweep's heap then settles
+        values, vectors = np.empty((len(at), 9)), np.empty((len(at), 9, 9))
+        s = 0.5 * points[rows, 2] + 0.5 * points[rows, 3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(window.values[at], s[:, None] * SZ_TOTAL[np.concatenate(SZ_SECTORS)], out=values)
+            _spread_checked(values)
+        yield rows, Spectrum(values, np.take(window.vectors, at, axis=0, out=vectors))
 
 
 def _evaluate(sectors: Spectrum, rows: np.ndarray, temperatures: np.ndarray,
               functions: list[Callable[[_Batch], np.ndarray]]) -> np.ndarray:
     """`functions` of _MEASURES or _ROOMS, one column each, of the Gibbs states of the rows
-    `rows` of `sectors` at `temperatures`, in batches of CHUNK_POINTS; a row may appear many
-    times."""
-    parts = []
-    for i in range(0, len(temperatures), CHUNK_POINTS):
-        r = rows[i:i + CHUNK_POINTS]
-        batch = _Batch(Spectrum(sectors.values[r], sectors.vectors[r]),
-                       temperatures[i:i + CHUNK_POINTS])
-        parts.append(np.column_stack([f(batch) for f in functions]))
-    return np.concatenate(parts)
+    `rows` of `sectors` at `temperatures`, as one _Batch; a row may appear many times."""
+    batch = _Batch(Spectrum(sectors.values[rows], sectors.vectors[rows]), temperatures)
+    return np.column_stack([f(batch) for f in functions])
 
 
 def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
@@ -355,14 +349,12 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
 
     Swapping the sites keeps every measure but swaps udc_12 with udc_21 and S(rho_B) in cdc
     with S(rho_A), so a row with B1 < B2 reads its mirror, B1 and B2 swapped.  Each distinct
-    row left is evaluated once, in groups of CHUNK_POINTS sorted by (J, K, _half_difference).
-    Their keys are solved once per window of up to CHUNK_POINTS keys (_solve_keys), a new
-    window starting at a group's first key when its last lies past the window; a group spans
-    at most CHUNK_POINTS keys.  Of the mirror only the site columns are kept, for the mirrored
-    rows.  ub depends on the basis chosen inside degenerate levels, so every row that
-    _Batch.ub leaves NaN (tied levels) takes _dense_ub at its own point, as the single-state
-    reference does, in axis order.  After a ValueError, _solve goes over every row in axis
-    order through _in_stacks, which alone names the first failing row."""
+    row left is evaluated once, in the stacks of _spectra, sorted by (J, K, _half_difference).
+    Of the mirror only the site columns are kept, for the mirrored rows.  ub depends on the
+    basis chosen inside degenerate levels, so every row that _Batch.ub leaves NaN (tied
+    levels) takes _dense_ub at its own point, as the single-state reference does, in axis
+    order.  After a ValueError, _spectra goes over every row in axis order through
+    _in_stacks, which alone names the first failing row."""
     mirrored = points[:, 2] < points[:, 3]
     canonical = points.copy()
     canonical[mirrored, 2:4] = points[mirrored, 3:1:-1]
@@ -373,21 +365,14 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
     canonical = canonical[head].view(np.float64)
     source = np.empty(len(points), dtype=int)
     source[order] = np.cumsum(head) - 1  # each row's distinct canonical row
-    key_head = _key_heads(canonical)
-    key, heads = np.cumsum(key_head) - 1, canonical[key_head]  # each row's key, each key's row
     site_columns = [i for i, name in enumerate(names) if name in ("cdc", "udc_12", "udc_21")]
     ub_columns = [i for i, name in enumerate(names) if name == "ub"]
     direct = np.empty((len(canonical), len(names)))  # as read at each distinct row
     swapped = np.empty((len(canonical), len(site_columns)))  # its site columns at its mirror
-    first = end = 0  # the solved window holds keys first to end - 1
     try:
-        for start in range(0, len(canonical), CHUNK_POINTS):
-            rows, group = slice(start, start + CHUNK_POINTS), canonical[start:start + CHUNK_POINTS]
-            if key[rows][-1] >= end:  # the group's last key lies past the solved window
-                first, end = key[start], key[start] + CHUNK_POINTS
-                window = _solve_keys(heads[first:end])
+        for rows, sectors in _spectra(canonical):
             # the last batch lives until this one is built, so malloc keeps its heap untrimmed
-            batch = _Batch(_shift(window, key[rows] - first, group), group[:, 4])
+            batch = _Batch(sectors, canonical[rows, 4])
             direct[rows] = np.column_stack([_MEASURES[n](batch) for n in names])
             if site_columns:
                 batch.site_entropy = batch.site_entropy[::-1]  # the sites trade places
@@ -403,7 +388,7 @@ def _measure_table(points: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
         _in_stacks(points[own], dense)
         return table
     except ValueError:
-        _in_stacks(points, lambda rows: _solve(points[rows]))
+        _in_stacks(points, lambda rows: list(_spectra(points[rows])))
         raise
 
 
@@ -584,7 +569,7 @@ def _scan_down(sectors: Spectrum, start: np.ndarray, names: tuple[str, ...]) -> 
 def run_threshold(cfg: SweepConfig) -> Iterator[str]:
     """Sweep one axis, emitting measure-vanishing temperatures and tstar.
 
-    Axis values run in groups of CHUNK_POINTS rows, each solved once by _solve.
+    Axis values run in groups of CHUNK_POINTS rows, each solved once as one stack of _spectra.
     thermal.tstar_rows reads the group's sector levels in ascending order, all rows in
     lockstep; above a row's tstar every measure is 0, and a row without tstar is in the
     separable ball at every temperature.  So a row scans thermal.TS_SCAN down from its
@@ -607,7 +592,7 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
     def group_of(rows: slice) -> tuple[Spectrum, np.ndarray]:
         group = table[rows]
         size = len(group)
-        sectors = _solve(points[rows])
+        [(_, sectors)] = _spectra(points[rows])
         group[:, -1] = thermal.tstar_rows(np.sort(sectors.values, axis=1), QUTRIT_SPLIT)
         # each row's first scan point above its T*, TS_SCAN[0] where T* is None
         witness = np.searchsorted(thermal.TS_SCAN, np.nan_to_num(group[:, -1]), side="right")
@@ -645,7 +630,7 @@ def run_spectrum(cfg: SweepConfig) -> Iterator[str]:
     """Emit closed-form energy labels E1..E9 plus the residual against the dense levels of H,
     in stacks of CHUNK_POINTS points: one H assembly, one eigvalsh of the central blocks and
     one eigvalsh per stack.  A stack raises ValueError where an H or its level spread is not
-    finite (hamiltonian_qutrit, and _shift's rule) or eigvalsh fails, and ConsistencyError
+    finite (hamiltonian_qutrit, _spread_checked) or eigvalsh fails, and ConsistencyError
     where a residual fails SPECTRUM_RESIDUAL_TOL (a NaN fails); _in_stacks names the first
     failing row in axis order.  Else the CSV comes back in pieces (_csv)."""
     _, points = _grid(cfg, tuple(a for a in _LINE_AXES if a in cfg.ranges)[:1])
@@ -658,10 +643,8 @@ def run_spectrum(cfg: SweepConfig) -> Iterator[str]:
         params = QutritChainParams(*rows[:, :4].T)
         h = hamiltonian_qutrit(params)
         inner = np.linalg.eigvalsh(central_block_of(h))
-        numerical = np.linalg.eigvalsh(require_symmetric(h))
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(numerical[:, -1] - numerical[:, 0]).all():  # _shift's rule
-                raise ValueError("Hamiltonian overflows")
+            numerical = _spread_checked(np.linalg.eigvalsh(require_symmetric(h)))
             cf = closed_form_energies(params)
             rows[:, 4:13] = np.column_stack([cf.e1, cf.e2, cf.e3, inner, cf.e7, cf.e8, cf.e9])
             rows[:, 13] = np.abs(np.sort(rows[:, 4:13]) - numerical).max(axis=1)

@@ -12,8 +12,8 @@ from qutritchain import entanglement, sweeps, thermal
 from qutritchain.numkernel import Spectrum, block_eig, sym_eig
 from qutritchain.qstate import partial_transpose_of
 from qutritchain.spinmodels import (
-    SZ_DIFFERENCE_BLOCKS, QutritChainParams, central_block, closed_form_energies,
-    hamiltonian_qutrit,
+    SZ_DIFFERENCE_BLOCKS, SZ_SECTORS, SZ_TOTAL, QutritChainParams, central_block,
+    closed_form_energies, hamiltonian_qutrit,
 )
 from qutritchain.sweeps import (
     MEASURE_NAMES, QUTRIT_DIMS, QUTRIT_SPLIT, SWEEP_MODES, AxisRange, ConsistencyError,
@@ -205,11 +205,11 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
 
 def test_threshold_row_entangled_without_tstar_names_its_row(monkeypatch):
     tstar_rows, witness, scanned, bisecting = thermal.tstar_rows, [], [], []
-    solve, solved = sweeps._solve, []
+    spectra, solved = sweeps._spectra, []
 
-    def solve_recorded(points):
+    def spectra_recorded(points):
         solved.append(points[:, 1])
-        return solve(points)
+        return spectra(points)
 
     def without_row_5(levels, dims):
         # row 5 (by its K, among the rows just solved) gets no T*, so the ball holds at every
@@ -220,7 +220,7 @@ def test_threshold_row_entangled_without_tstar_names_its_row(monkeypatch):
         witness.extend(thermal.TS_SCAN[np.minimum(first, thermal.TS_GRID - 1)])
         return t
 
-    monkeypatch.setattr(sweeps, "_solve", solve_recorded)
+    monkeypatch.setattr(sweeps, "_spectra", spectra_recorded)
     monkeypatch.setattr(thermal, "tstar_rows", without_row_5)
     evaluate, vanishing_point = sweeps._evaluate, thermal.vanishing_point
 
@@ -266,6 +266,74 @@ def test_threshold_solves_each_hamiltonian_once(monkeypatch):
         assert "".join(run_threshold(cfg)) == want
         assert solved == groups  # one sector solve per group of rows, for scan, bisection and tstar
         solved.clear()
+
+
+@pytest.mark.parametrize("size", [256, 7, 1])
+def test_spectra_match_each_stack_solved_alone(size, monkeypatch):
+    # 579 rows in 64 runs of one key (J, K, d): runs of 1 to 9 rows that cross stack edges, and
+    # one of 300 rows, longer than a stack; s = (B1 + B2)/2 moves within each run.  Fields are
+    # multiples of 1/8, so every d and s is exact
+    lengths = np.insert(np.tile([1, 2, 5, 9, 3, 7, 4], 9), 20, 300)
+    keys = np.array([(j, k, d / 8.0) for j in (-1.0, 0.5) for k in (-1.7, 0.25)
+                     for d in range(16)])
+    assert len(keys) == len(lengths)
+    key = np.repeat(np.arange(len(keys)), lengths)
+    s = (np.arange(len(key)) % 13 - 6) / 8.0
+    points = np.column_stack([keys[key, :2], s + keys[key, 2], s - keys[key, 2]])
+    sz = SZ_TOTAL[np.concatenate(SZ_SECTORS)]
+    h = hamiltonian_qutrit(QutritChainParams(*keys[:, :2].T, keys[:, 2], -keys[:, 2]))
+    index = {m.tobytes(): i for i, m in enumerate(h)}  # each key by its H(J, K, d, -d)
+    solved = []
+
+    def counted(window, blocks):
+        solved.append([index[m.tobytes()] for m in window])
+        return block_eig(window, blocks)
+
+    monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
+    monkeypatch.setattr(sweeps, "block_eig", counted)
+    stacks = list(sweeps._spectra(points))
+    assert [(rows.start, rows.stop) for rows, _ in stacks] == [
+        (i, i + size) for i in range(0, len(points), size)]
+    windows, end = [], 0
+    for rows, got in stacks:
+        # the stack's own keys alone, each solved once, then shifted by s times Sz
+        own, at = np.unique(key[rows], return_inverse=True)
+        alone = block_eig(h[own], SZ_SECTORS)
+        assert got.values.tobytes() == (alone.values[at] + s[rows, None] * sz).tobytes()
+        assert got.vectors.tobytes() == alone.vectors[at].tobytes()
+        # a window of up to `size` keys from the stack's first key, where its last key lies
+        # past the window before
+        if key[rows][-1] >= end:
+            end = key[rows][0] + size
+            windows.append(list(range(key[rows][0], min(end, len(keys)))))
+    assert solved == windows
+    # the keys, sorted, each reach block_eig once in each window that holds them: with one
+    # window (256) or one key per stack (1), exactly once
+    assert sorted(set(sum(solved, []))) == list(range(len(keys)))
+    if size in (256, 1):
+        assert sorted(sum(solved, [])) == list(range(len(keys)))
+
+
+def test_threshold_batches_hold_at_most_a_stack_per_measure(monkeypatch):
+    # a scan step holds at most CHUNK_POINTS states, and a bisection step one per (measure,
+    # row) pair of a group; _evaluate builds each as one _Batch
+    sizes = []
+
+    class Counted(sweeps._Batch):
+        def __init__(self, sectors, temperatures):
+            sizes.append(len(temperatures))
+            super().__init__(sectors, temperatures)
+
+    monkeypatch.setattr(sweeps, "_Batch", Counted)
+    cfg = SweepConfig(K=-1.7, B2=0.0, ranges={"b1": AxisRange(-6.0, 6.0, 1001)},
+                      measures=("negativity", "alb"))
+    texts = []
+    for size in (256, 7):
+        monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
+        texts.append("".join(run_threshold(cfg)))
+        assert max(sizes) <= len(sweeps._TS_MEASURES) * size
+        sizes.clear()
+    assert texts[1] == texts[0]
 
 
 # Two points (J, K, B1, B2, T) where alb(rho), taking the eigenvectors of rho,
@@ -316,7 +384,8 @@ def test_alb_matches_alb_mixture_across_temperatures():
 def test_batch_alb_reads_the_state_without_linalg(monkeypatch):
     points = np.array([(-1.0, -1.7, b1, b2, t) for b1 in (-6.0, 0.0, 1.3) for b2 in (-1.3, 0.0, 5.4)
                        for t in (0.02, 0.2, 1.0)])
-    batch = sweeps._Batch(sweeps._solve(points), points[:, 4])
+    [(_, sectors)] = sweeps._spectra(points)
+    batch = sweeps._Batch(sectors, points[:, 4])
     want = reference_table(points, ("alb",))[:, 0]
 
     def banned(*args, **kwargs):
@@ -714,11 +783,13 @@ def _full_scan_threshold(cfg, axis):
     """run_threshold's CSV and the measures at all TS_GRID temperatures of every row: each
     row scans the whole grid, then vanishing_point bisects one measure at a time."""
     [values], points = sweeps._grid(cfg, (axis,))
-    sectors = sweeps._solve(points)
+    [(_, sectors)] = sweeps._spectra(points)
     tstar = thermal.tstar_rows(np.sort(sectors.values, axis=1), QUTRIT_SPLIT)
     measures = [sweeps._MEASURES[name] for name in cfg.measures]
     r, c = np.divmod(np.arange(len(points) * thermal.TS_GRID), thermal.TS_GRID)
-    scan = sweeps._evaluate(sectors, r, thermal.TS_SCAN[c], measures)
+    n = sweeps.CHUNK_POINTS  # _evaluate builds one batch of all the states it is given
+    scan = np.concatenate([sweeps._evaluate(sectors, r[i:i + n], thermal.TS_SCAN[c[i:i + n]],
+                                            measures) for i in range(0, len(r), n)])
     scan = scan.reshape(len(points), thermal.TS_GRID, len(measures))
     ts = [thermal.vanishing_point(scan[:, :, i], lambda rows, t, f=f: sweeps._evaluate(
         sectors, rows, t, [f])[:, 0]) for i, f in enumerate(measures)]
@@ -784,7 +855,7 @@ def _alb_terms(g, delta):
        st.floats(0.02, 10.0), st.floats(0.02, 10.0))
 def test_scan_certificates_hold(j, k, b1, b2, t_j, t_k):
     assume(t_j < t_k)
-    sectors = sweeps._solve(np.array([[j, k, b1, b2]] * 2))
+    [(_, sectors)] = sweeps._spectra(np.array([[j, k, b1, b2]] * 2))
     batch = sweeps._Batch(sectors, np.array([t_j, t_k]))
     # the states at T_j < T_k share their eigenvectors, so their Frobenius distance is that
     # of their weights, as the scan reads it

@@ -242,7 +242,10 @@ def test_threshold_at_j0_has_no_ts_and_no_tstar_at_any_scale(k, capsys):
 def test_threshold_reads_a_ground_split_far_above_its_round_off(j, want, capsys):
     # at K = 1e9 and 2e9 the ground triplet (J = 1) or quintet (J = -1) lies 2 below the other
     # multiplet, a gap far outside the round-off of the levels, about eps K: tstar counts only
-    # the ground one, and every ts lies below it
+    # the ground one, and every ts lies below it.  The pinned cells are the program's
+    # round-off-limited output, not the model's T*: beta dP/dbeta is only about 6e-16 there, and
+    # 80-digit arithmetic on the exact levels gives 85227482.894 and 164325213.867 (J = 1),
+    # 85227482.988 and 164325213.958 (J = -1)
     assert main(["threshold", f"--J={j}", "--range-k=1e9:2e9:2", "--measures",
                  "negativity,alb"]) == 0
     out, err = capsys.readouterr()

@@ -182,18 +182,18 @@ def test_threshold_names_the_first_row_beyond_tstar(monkeypatch):
     run_threshold(cfg)
     [table] = tables
     t_ball, k = 0.05 * table[3, 3], float(cfg.ranges["k"].values()[3])
-    tstar_rows, solve, solved = thermal.tstar_rows, sweeps._solve, []
+    tstar_rows, spectra, solved = thermal.tstar_rows, sweeps._spectra, []
 
     def recorded(points):
         solved.append(points[:, 1])
-        return solve(points)
+        return spectra(points)
 
     def shrunk(levels, dims):
         # tstar_rows reads the rows just solved; from the fourth row on (K >= k) T* is 20
         # times too low, whether the rows come as a group or one at a time
         return tstar_rows(levels, dims) * np.where(solved[-1] >= k, 0.05, 1.0)
 
-    monkeypatch.setattr(sweeps, "_solve", recorded)
+    monkeypatch.setattr(sweeps, "_spectra", recorded)
     monkeypatch.setattr(thermal, "tstar_rows", shrunk)
     # in groups of two rows, the first row to break the check (3, for both measures) is
     # the second of the second group; rows 4 to 6 break it too
