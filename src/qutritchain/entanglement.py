@@ -8,8 +8,9 @@ over decompositions, so the package works with a sandwich instead:
     T^a_{jk} = sqrt(w_j w_k) <chi_a | Phi_j x Phi_k>, where {chi_a} spans the
     antisymmetric-antisymmetric subspace of two copies.  Each tau matrix
     yields max(z_1 - sum_{i>1} z_i, 0) from its singular values; the bound is
-    the best single-a value.  alb takes {w_j, Phi_j} from rho, alb_mixture
-    from any explicit decomposition (here: the thermal eigenensemble).
+    the best single-a value.  alb takes {w_j, Phi_j} from the eigenvalues of rho
+    above RANK_CUTOFF, alb_mixture from the positive weights of any explicit
+    decomposition (here: the thermal eigenensemble).
   * ub_mixture: the convexity upper bound sum_j w_j C(Phi_j) from any explicit
     pure-state decomposition (here: the thermal eigenensemble).
 
@@ -29,7 +30,8 @@ import numpy as np
 from .numkernel import Spectrum
 from .qstate import BipartiteDims, DensityMatrix, partial_transpose
 
-# Eigenvalues of rho below this weight are dropped from the tau matrices.
+# tau_matrices and alb drop each eigenvalue of rho at or below this as round-off, and
+# ub_mixture each weight.
 RANK_CUTOFF = 1e-14
 
 
@@ -100,9 +102,9 @@ def build_antisym_basis(dims: BipartiteDims) -> AntisymBasis:
 
 
 def _tau_matrices(vectors: np.ndarray, weights: np.ndarray, basis: AntisymBasis) -> list[np.ndarray]:
-    """T^a = Y^T C_a Y with Y the columns of `vectors` above RANK_CUTOFF, in
+    """T^a = Y^T C_a Y with Y the columns of `vectors` of positive weight, in
     descending weight, each scaled by the square root of its weight."""
-    keep = weights > RANK_CUTOFF
+    keep = weights > 0.0
     order = np.argsort(weights[keep])[::-1]
     y = vectors[:, keep][:, order] * np.sqrt(weights[keep][order])
     total = basis.dims.total
@@ -117,6 +119,12 @@ def _basis_for(rho: DensityMatrix, basis: Optional[AntisymBasis]) -> AntisymBasi
     return basis
 
 
+def _eigenpairs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of rho above RANK_CUTOFF and their eigenvectors as columns."""
+    w, v = np.linalg.eigh(rho.mat)
+    return w[w > RANK_CUTOFF], v[:, w > RANK_CUTOFF]
+
+
 def tau_matrices(rho: DensityMatrix, basis: Optional[AntisymBasis] = None) -> list[np.ndarray]:
     """The tau matrices of rho, one r x r symmetric block per chi vector.
 
@@ -124,16 +132,17 @@ def tau_matrices(rho: DensityMatrix, basis: Optional[AntisymBasis] = None) -> li
     descending order.  T^a_{jk} = sqrt(w_j w_k) Phi_j^T C_a Phi_k with C_a the
     chi vector reshaped to a (symmetric) matrix on the single-copy space.
     """
-    w, v = np.linalg.eigh(rho.mat)
+    w, v = _eigenpairs(rho)
     return _tau_matrices(v, w, _basis_for(rho, basis))
 
 
 def alb_mixture(spectrum: Spectrum, weights: np.ndarray, basis: AntisymBasis) -> float:
-    """Algebraic lower bound from an explicit decomposition sum_j w_j |Phi_j><Phi_j|.
+    """Algebraic lower bound from the terms w_j > 0 of a decomposition sum_j w_j |Phi_j><Phi_j|.
 
     The bound does not depend on the decomposition, so a Gibbs state is best
-    decomposed by the eigenvectors of H: those of rho are ill-determined for
-    weights near RANK_CUTOFF, which at T = 0.02 has moved alb(rho) by 3e-8.
+    decomposed by the eigenvectors of H, whose Boltzmann weights carry no eigenvalue
+    round-off: those of rho are ill-determined for weights near RANK_CUTOFF, which
+    at T = 0.02 has moved alb(rho) by 3e-8.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != spectrum.values.shape:
@@ -147,8 +156,8 @@ def alb_mixture(spectrum: Spectrum, weights: np.ndarray, basis: AntisymBasis) ->
 
 def alb(rho: DensityMatrix, basis: Optional[AntisymBasis] = None) -> float:
     """Algebraic lower bound: best single-tau value max(z1 - sum z_rest, 0),
-    from the eigendecomposition of rho (see alb_mixture)."""
-    w, v = np.linalg.eigh(rho.mat)
+    from the eigenpairs of rho above RANK_CUTOFF (see alb_mixture)."""
+    w, v = _eigenpairs(rho)
     return alb_mixture(Spectrum(values=w, vectors=v), w, _basis_for(rho, basis))
 
 

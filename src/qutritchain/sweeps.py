@@ -164,9 +164,8 @@ class _Batch:
     whose eigenvectors stay inside one sector even at degeneracies.  So rho's eigenvalues are
     the weights, the reduced states of rho and of each eigenvector are diagonal, the partial
     transpose splits into blocks of at most 3x3 (the 2x2 ones solved by eigh2), and alb
-    reads entries of the state: no measure solves an eigenproblem of rho.  The block levels
-    (pt_levels) and the state alb reads (g) are cached, so that negativity and alb share them
-    with their _ROOMS.
+    reads entries of rho: no measure solves an eigenproblem of rho.  The block levels
+    (pt_levels) are cached, so that negativity shares them with its _ROOMS entry.
     Every measure agrees with the single-state reference (_sweep_worker) to 1e-12, except ub
     at or near degenerate levels (see ub), and its bits do not depend on batching.
     """
@@ -201,28 +200,20 @@ class _Batch:
         diagonal = np.diagonal(self.rho, axis1=1, axis2=2).reshape(-1, 3, 3)
         return entropy_bits(diagonal.sum(axis=2)), entropy_bits(diagonal.sum(axis=1))
 
-    @cached_property
-    def g(self) -> np.ndarray:
-        """G = Y Y^T with Y = V sqrt(W), V the sector eigenvectors and W the weights above
-        RANK_CUTOFF: rho itself, where the stack has no weight to drop."""
-        w = self.weights
-        kept = w > entanglement.RANK_CUTOFF
-        return self.rho if kept.all() else thermal.mixture(self.sectors, np.where(kept, w, 0.0))
-
     def alb(self) -> np.ndarray:
-        """entanglement.alb_mixture over the sector eigenvectors, from entries of G.
+        """entanglement.alb_mixture over the sector eigenvectors, from entries of rho.
 
-        Row i of Y lies in the levels of the sector of basis state i, so with
-        (p, q, r, s) of _alb_pairs, tau_a = Y^T C_a Y is the direct sum of
-        y_p y_q^T + y_q y_p^T and -(y_r y_s^T + y_s y_r^T), whose singular values
-        are n_p n_q +- |G_pq| and n_r n_s +- |G_rs|, with n_i = sqrt(G_ii).  So
-        z1 - (z2 + z3 + ...) = 2 max(|G_pq| - n_r n_s, |G_rs| - n_p n_q).
+        rho = Y Y^T with Y = V sqrt(W): V the sector eigenvectors, W the Boltzmann weights,
+        which carry no eigenvalue round-off.  Row i of Y lies in the levels of the sector of
+        basis state i, so with (p, q, r, s) of _alb_pairs, tau_a = Y^T C_a Y is the direct sum
+        of y_p y_q^T + y_q y_p^T and -(y_r y_s^T + y_s y_r^T), whose singular values are
+        n_p n_q +- |rho_pq| and n_r n_s +- |rho_rs|, with n_i = sqrt(rho_ii).  So
+        z1 - (z2 + z3 + ...) = 2 max(|rho_pq| - n_r n_s, |rho_rs| - n_p n_q).
         """
-        g = self.g
-        n = np.sqrt(np.diagonal(g, axis1=1, axis2=2))
+        n = np.sqrt(np.diagonal(self.rho, axis1=1, axis2=2))
         p, q, r, s = _alb_pairs()
-        gap = np.maximum(np.abs(g[:, p, q]) - n[:, r] * n[:, s],
-                         np.abs(g[:, r, s]) - n[:, p] * n[:, q])
+        gap = np.maximum(np.abs(self.rho[:, p, q]) - n[:, r] * n[:, s],
+                         np.abs(self.rho[:, r, s]) - n[:, p] * n[:, q])
         # the best of the tau matrices, and 0
         return np.maximum(2.0 * gap.max(axis=1), 0.0)
 
@@ -479,8 +470,7 @@ def run_sweep(cfg: SweepConfig) -> Iterator[str]:
     return _csv(header, values, lead=lead)
 
 
-# A threshold scan skips a point only where its bound holds by this much: it covers round-off,
-# and the weights below entanglement.RANK_CUTOFF that G drops, which move G from rho by < 9e-14.
+# A threshold scan skips a point only where its bound holds by this much: it covers round-off.
 MARGIN = 1e-12
 
 
@@ -494,14 +484,14 @@ def _negativity_room(b: _Batch) -> np.ndarray:
 def _alb_room(b: _Batch) -> np.ndarray:
     """The Frobenius distance from rho within which alb stays at most TS_TOL - MARGIN.
 
-    Within delta, each entry of G moves by at most delta + MARGIN.  A term of _Batch.alb with
-    entries o = G_pq, x = G_rr and y = G_ss (or G_rs, G_pp and G_qq) then stays below
+    Within delta, each entry of rho moves by at most delta.  A term of _Batch.alb with entries
+    o = rho_pq, x = rho_rr and y = rho_ss (or rho_rs, rho_pp and rho_qq) then stays below
     |o| + delta - sqrt((x - delta)(y - delta)), which is (TS_TOL - MARGIN)/2 at
     delta = (x y - u^2)/(x + y + 2 u), u = |o| - (TS_TOL - MARGIN)/2: the delta^2 terms cancel.
     Where u + min(x, y) <= 0 that root lies past min(x, y), where the square root is 0, and
     delta = -u."""
-    g = b.g
-    diagonal = np.diagonal(g, axis1=1, axis2=2)
+    rho = b.rho
+    diagonal = np.diagonal(rho, axis1=1, axis2=2)
     p, q, r, s = _alb_pairs()
 
     def room(o: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -509,8 +499,8 @@ def _alb_room(b: _Batch) -> np.ndarray:
         inside = u + np.minimum(x, y) > 0.0
         return np.where(inside, (x * y - u * u) / np.where(inside, x + y + 2.0 * u, 1.0), -u)
 
-    return np.minimum(room(g[:, p, q], diagonal[:, r], diagonal[:, s]),
-                      room(g[:, r, s], diagonal[:, p], diagonal[:, q])).min(axis=1) - MARGIN
+    return np.minimum(room(rho[:, p, q], diagonal[:, r], diagonal[:, s]),
+                      room(rho[:, r, s], diagonal[:, p], diagonal[:, q])).min(axis=1) - MARGIN
 
 
 # The measures a threshold run takes, each with its room: the Frobenius distance from rho

@@ -4,6 +4,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -363,7 +364,7 @@ def test_alb_matches_alb_mixture_across_temperatures():
     rng = np.random.default_rng(14)
     n = 400
     rows = []
-    # 0.001 to 0.02 drop levels below RANK_CUTOFF; 50 leaves every level
+    # 0.001 to 0.02 give weights below RANK_CUTOFF, which both paths keep; 50 gives none
     for t in (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 50.0):
         j = rng.uniform(-2.0, 2.0, n)
         k = rng.uniform(-2.0, 1.0, n)
@@ -379,6 +380,50 @@ def test_alb_matches_alb_mixture_across_temperatures():
     got = _measure_table(points, ("alb",))
     assert np.max(np.abs(got - reference_table(points, ("alb",)))) <= MAX_ABS_DIFF
     assert 0 < np.count_nonzero(got) < len(points)
+
+
+def _alb_60_digits(point):
+    """alb at (J, K, B1, B2, T) from H assembled from the same doubles, then diagonalized and
+    weighted in 60-digit arithmetic (mpmath eigsy): the pair formula of _Batch.alb on the
+    entries of rho, rounded to double."""
+    h = hamiltonian_qutrit(QutritChainParams(*point[:4]))
+    with mpmath.workdps(60):
+        levels, vectors = mpmath.eigsy(mpmath.matrix(h.tolist()))
+        w = [mpmath.exp(-(e - min(levels)) / point[4]) for e in levels]
+        rho = vectors * mpmath.diag([x / mpmath.fsum(w) for x in w]) * vectors.T
+        n = [mpmath.sqrt(rho[i, i]) for i in range(9)]
+        gap = max(max(abs(rho[p, q]) - n[r] * n[s], abs(rho[r, s]) - n[p] * n[q])
+                  for p, q, r, s in np.transpose(sweeps._alb_pairs()).tolist())
+        return float(max(2 * gap, 0))
+
+
+# A point where a Gibbs weight below RANK_CUTOFF, once dropped, removed rho_rr but kept
+# rho_pq: alb read 2.5e-8 beside zero negativity, where its 60-digit value is 0.
+_ALB_CUTOFF_POINT = (-1.8867213154181481, -1.5028668940017442, 0.6824976587745213,
+                     0.5887580462970003, 0.0775)
+
+
+def test_alb_keeps_every_gibbs_weight():
+    assert _alb_60_digits(_ALB_CUTOFF_POINT) == 0.0
+    assert _measure_table(np.array([_ALB_CUTOFF_POINT]), ("alb",))[0, 0] == 0.0
+    assert _sweep_worker(_ALB_CUTOFF_POINT, ("alb",)) == (0.0,)
+    # nor does a threshold line through it find an alb to vanish
+    j, k, _, b2, _ = _ALB_CUTOFF_POINT
+    cfg = SweepConfig(J=j, K=k, B2=b2, ranges={"b1": AxisRange(0.68, 0.69, 3)},
+                      measures=("negativity", "alb"))
+    header, *rows = "".join(run_threshold(cfg)).splitlines()
+    assert header == "B1,ts_negativity,ts_alb,tstar" and len(rows) == 3
+    assert all(row.split(",")[1:3] == ["", ""] for row in rows)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 1.0), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0),
+       st.floats(0.01, 0.2))
+def test_alb_matches_60_digits_at_low_temperature(j, k, b1, b2, t):
+    point = (j, k, b1, b2, t)
+    want = _alb_60_digits(point)
+    assert abs(_measure_table(np.array([point]), ("alb",))[0, 0] - want) <= 1e-12
+    assert abs(_sweep_worker(point, ("alb",))[0] - want) <= 1e-12
 
 
 def test_batch_alb_reads_the_state_without_linalg(monkeypatch):
@@ -801,7 +846,7 @@ def test_certified_scan_matches_a_full_scan(monkeypatch):
     rng = np.random.default_rng(4)
     lines, reentrant = [], 0  # seeded random lines that hold reentrant rows, their full-scan CSV
     for axis in ("k", "b1", "b2"):
-        for _ in range(6):
+        for _ in range(30):
             fixed = rng.uniform([-2.0, -2.0, -4.0, -4.0], [2.0, 1.0, 4.0, 4.0]).tolist()
             lo, width = rng.uniform([-6.0, 1.0], [0.0, 6.0]).tolist()
             cfg = SweepConfig(**dict(zip(("J", "K", "B1", "B2"), fixed)),
@@ -815,7 +860,8 @@ def test_certified_scan_matches_a_full_scan(monkeypatch):
                 reentrant += (rises > 1).sum(axis=0)
                 swapped = replace(cfg, measures=cfg.measures[::-1])
                 lines += [(axis, cfg, want), (axis, swapped, _full_scan_threshold(swapped, axis)[0])]
-    # 4 lines, with 1 reentrant pair of negativity and 5 of alb
+    # 4 lines, with 1 reentrant pair of negativity (k line 3) and 3 of alb (b1 line 12, b2 lines
+    # 1 and 27)
     assert {axis for axis, _, _ in lines} == {"k", "b1", "b2"} and (reentrant > 0).all()
     # and one full group of CHUNK_POINTS rows, in which a row skips a whole window
     full = SweepConfig(K=-1.7, B2=0.0, ranges={"b1": AxisRange(-6.0, 6.0, 256)},
@@ -864,9 +910,8 @@ def test_scan_certificates_hold(j, k, b1, b2, t_j, t_k):
     # by Weyl, the lowest level of each partial-transpose block moves by at most delta
     for mu in batch.pt_levels:
         assert mu[0, 0] >= mu[1, 0] - delta - 1e-15
-    # the alb terms at T_j stay within those of G(T_k) with each entry moved by up to delta;
-    # G drops the weights below RANK_CUTOFF, which MARGIN covers
-    g = batch.g
+    # the alb terms at T_j stay within those of rho(T_k) with each entry moved by up to delta
+    g = batch.rho
     assert _alb_terms(g[0], 0.0) <= _alb_terms(g[1], delta + sweeps.MARGIN) + 1e-15
     # the room of alb is where those terms reach (TS_TOL - MARGIN)/2, as a dense search and
     # bisection find it: the terms grow with delta and reach 1 by delta = 1
@@ -922,7 +967,7 @@ def test_scan_skips_only_points_its_certificates_prove(monkeypatch):
                                  for b in SZ_DIFFERENCE_BLOCKS if len(b) > 1)
                     assert (lowest - delta > sweeps.MARGIN).all()
                 if "alb" in open_:
-                    assert (_alb_terms(batch.g[-1], delta + sweeps.MARGIN) <= limit).all()
+                    assert (_alb_terms(batch.rho[-1], delta + sweeps.MARGIN) <= limit).all()
                 # and the ground truth, which no bound can bend: each open measure itself
                 for name in open_:
                     assert (sweeps._MEASURES[name](batch)[:-1] <= thermal.TS_TOL).all()
