@@ -341,11 +341,16 @@ def test_threshold_batches_hold_at_most_a_stack_per_measure(monkeypatch):
 # is off by 3.3e-8 and 1.2e-10, and alb there: H assembled from the same
 # parameters, then diagonalized, weighted and decomposed in 50-digit
 # arithmetic (mpmath eigsy and svd_r), rounded to double.  The second point is
-# on the plane-full grid at T = 0.2.
+# on the plane-full grid at T = 0.2.  At the third, a Gibbs weight below
+# RANK_CUTOFF, once dropped, removed rho_rr but kept rho_pq, so alb read 2.5e-8
+# beside zero negativity, where its 60-digit value is 0.
+_ALB_CUTOFF_POINT = (-1.8867213154181481, -1.5028668940017442, 0.6824976587745213,
+                     0.5887580462970003, 0.0775)
 ALB_ORACLE = [
     ((-1.2013968314551975, 0.9875993391633502, 1.738023928962721, -1.160990502015304, 0.02),
      0.91799353841858774),
     ((-1.0, -1.7, -0.2400000000000002, 5.4, 0.2), 0.28831050185718099),
+    (_ALB_CUTOFF_POINT, 0.0),
 ]
 
 
@@ -397,17 +402,8 @@ def _alb_60_digits(point):
         return float(max(2 * gap, 0))
 
 
-# A point where a Gibbs weight below RANK_CUTOFF, once dropped, removed rho_rr but kept
-# rho_pq: alb read 2.5e-8 beside zero negativity, where its 60-digit value is 0.
-_ALB_CUTOFF_POINT = (-1.8867213154181481, -1.5028668940017442, 0.6824976587745213,
-                     0.5887580462970003, 0.0775)
-
-
 def test_alb_keeps_every_gibbs_weight():
-    assert _alb_60_digits(_ALB_CUTOFF_POINT) == 0.0
-    assert _measure_table(np.array([_ALB_CUTOFF_POINT]), ("alb",))[0, 0] == 0.0
-    assert _sweep_worker(_ALB_CUTOFF_POINT, ("alb",)) == (0.0,)
-    # nor does a threshold line through it find an alb to vanish
+    # a threshold line through the third ALB_ORACLE point finds no alb to vanish
     j, k, _, b2, _ = _ALB_CUTOFF_POINT
     cfg = SweepConfig(J=j, K=k, B2=b2, ranges={"b1": AxisRange(0.68, 0.69, 3)},
                       measures=("negativity", "alb"))
