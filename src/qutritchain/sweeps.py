@@ -68,7 +68,8 @@ _DEFAULT_RANGES = {
 SPECTRUM_RESIDUAL_TOL = 1e-9
 
 # Grid points evaluated as one stack, and keys (J, K, d) solved as one window.  A _Batch holds
-# at most CHUNK_POINTS states, len(_TS_MEASURES) times that in a threshold's bisection step.
+# at most CHUNK_POINTS states, len(_TS_MEASURES) times that in a threshold's root step and
+# twice that in its stack of bracket ends.
 # 1024 points raise the peak RSS of a 101x101 negativity plane by about 3 MB (33.3 to 36.5 MB,
 # with Python 3.11 and numpy 2.4) and slow a 2001-point spectrum run by 5 to 8%.
 CHUNK_POINTS = 256
@@ -138,16 +139,16 @@ def _alb_pairs() -> tuple[np.ndarray, ...]:
     (p, q) and (q, p) and -1 at (r, s) and (s, r), with p = (j, l), q = (k, m), r = (j, m)
     and s = (k, l).  Returns p, q, r and s, one entry per chi vector, after checking that
     pattern and that neither p nor q shares a total-Sz sector with r or s."""
-    sector = {i: n for n, states in enumerate(SZ_SECTORS) for i in states}
-    pairs = []
-    for chi in _antisym_basis33().vectors.reshape(-1, 9, 9):
-        (p, q), (r, s) = (divmod(int(f(np.triu(chi))), 9) for f in (np.argmax, np.argmin))
-        want = np.zeros((9, 9))
-        want[[p, q], [q, p]], want[[r, s], [s, r]] = 1.0, -1.0
-        if not np.array_equal(chi, want) or {sector[p], sector[q]} & {sector[r], sector[s]}:
-            raise RuntimeError("chi vector does not split into two pairs of disjoint sectors")
-        pairs.append((p, q, r, s))
-    return tuple(np.array(pairs).T)
+    chi = _antisym_basis33().vectors.reshape(-1, 9, 9)
+    upper = np.triu(chi).reshape(len(chi), 81)
+    (p, q), (r, s) = np.divmod(upper.argmax(axis=1), 9), np.divmod(upper.argmin(axis=1), 9)
+    want, a = np.zeros_like(chi), np.arange(len(chi))
+    want[a, p, q] = want[a, q, p] = 1.0
+    want[a, r, s] = want[a, s, r] = -1.0
+    shared = SZ_TOTAL[np.stack([p, q])][:, None] == SZ_TOTAL[np.stack([r, s])]  # total Sz
+    if not np.array_equal(chi, want) or shared.any():
+        raise RuntimeError("chi vector does not split into two pairs of disjoint sectors")
+    return p, q, r, s
 
 
 # Flat indices into a 9x9 rho of its partial-transpose blocks on SZ_DIFFERENCE_BLOCKS, of sizes
@@ -200,8 +201,10 @@ class _Batch:
         diagonal = np.diagonal(self.rho, axis1=1, axis2=2).reshape(-1, 3, 3)
         return entropy_bits(diagonal.sum(axis=2)), entropy_bits(diagonal.sum(axis=1))
 
-    def alb(self) -> np.ndarray:
-        """entanglement.alb_mixture over the sector eigenvectors, from entries of rho.
+    @cached_property
+    def alb_witness(self) -> np.ndarray:
+        """z1 - (z2 + z3 + ...) of the best tau matrix of entanglement.alb_mixture over the
+        sector eigenvectors, from entries of rho: alb where positive, and smooth in T.
 
         rho = Y Y^T with Y = V sqrt(W): V the sector eigenvectors, W the Boltzmann weights,
         which carry no eigenvalue round-off.  Row i of Y lies in the levels of the sector of
@@ -214,8 +217,11 @@ class _Batch:
         p, q, r, s = _alb_pairs()
         gap = np.maximum(np.abs(self.rho[:, p, q]) - n[:, r] * n[:, s],
                          np.abs(self.rho[:, r, s]) - n[:, p] * n[:, q])
-        # the best of the tau matrices, and 0
-        return np.maximum(2.0 * gap.max(axis=1), 0.0)
+        return 2.0 * gap.max(axis=1)
+
+    def alb(self) -> np.ndarray:
+        """entanglement.alb_mixture over the sector eigenvectors: alb_witness, or 0."""
+        return np.maximum(self.alb_witness, 0.0)
 
     def ub(self) -> np.ndarray:
         """entanglement.ub_mixture over the sector eigenvectors of each point, by _ub; NaN in
@@ -474,11 +480,17 @@ def run_sweep(cfg: SweepConfig) -> Iterator[str]:
 MARGIN = 1e-12
 
 
+def _negativity_witness(b: _Batch) -> np.ndarray:
+    """Minus the lowest level over the partial-transpose blocks: negativity where a single
+    level is negative, and smooth in T across 0."""
+    return -np.min([mu[:, 0] for mu in b.pt_levels], axis=0)
+
+
 def _negativity_room(b: _Batch) -> np.ndarray:
     """The Frobenius distance from rho within which every state keeps each partial-transpose
     block's lowest level above MARGIN, so has no negativity: the partial transpose keeps the
     Frobenius norm, so by Weyl no level of a block moves further."""
-    return np.min([mu[:, 0] for mu in b.pt_levels], axis=0) - MARGIN
+    return -_negativity_witness(b) - MARGIN
 
 
 def _alb_room(b: _Batch) -> np.ndarray:
@@ -507,6 +519,10 @@ def _alb_room(b: _Batch) -> np.ndarray:
 # within which every state keeps the measure at or below thermal.TS_TOL.
 _ROOMS = {"negativity": _negativity_room, "alb": _alb_room}
 _TS_MEASURES = tuple(_ROOMS)
+# The smooth witness of each, on which thermal.vanishing_point takes its root steps: a function
+# of T, not clamped at 0, above TS_TOL where the measure is (alb) or mostly so (negativity,
+# which sums every negative level).
+_WITNESSES = {"negativity": _negativity_witness, "alb": lambda b: b.alb_witness}
 
 # The points below its lowest evaluated point that a scanning row tests against its room.  Each
 # step tests rows x _SCAN_WINDOW distances: on 1001-row lines 16 took 0.81-0.88x the CPU of 64.
@@ -565,8 +581,10 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
     separable ball at every temperature.  So a row scans thermal.TS_SCAN down from its
     witness point, the first above its tstar (TS_SCAN[0] if tstar is None), once
     (_scan_down, which skips the points a distance proves below TS_TOL).
-    thermal.vanishing_point then bisects every (measure, row) pair of the group in lockstep,
-    one _evaluate call per halving, in which the pairs of a row at one point share a state.
+    thermal.vanishing_point then narrows every (measure, row) pair of the group in lockstep
+    by ITP steps on the pair's smooth witness (_WITNESSES), one _evaluate call per step: the
+    first reads the witness at both ends of every bracket.  The pairs of a row at one
+    temperature share a state.
     A group with a row whose ts lies beyond its tstar, or that has any ts and no tstar,
     raises ConsistencyError.  Groups go through _in_stacks, which alone names the first
     failing row in axis order.  The CSV comes back in pieces (_csv) once every row passed.
@@ -577,7 +595,7 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
 
     table = np.empty((len(points), len(requested) + 2))
     table[:, 0] = values
-    measures = [_MEASURES[name] for name in requested]
+    functions = [_MEASURES[n] for n in requested] + [_WITNESSES[n] for n in requested]
 
     def group_of(rows: slice) -> tuple[Spectrum, np.ndarray]:
         group = table[rows]
@@ -588,19 +606,20 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
         witness = np.searchsorted(thermal.TS_SCAN, np.nan_to_num(group[:, -1]), side="right")
         scan = _scan_down(sectors, np.minimum(witness, thermal.TS_GRID - 1), requested)
 
-        def bisect_at(pairs: np.ndarray, t: np.ndarray) -> np.ndarray:
-            # pair i is measure i // size at row i % size; the pairs of a row whose brackets
-            # agree, as they often do, share one state
+        def measured_at(pairs: np.ndarray, t: np.ndarray) -> np.ndarray:
+            # pair i is measure i // size at row i % size; the pairs of a row at one
+            # temperature, as where their brackets agree, share one state
             order = np.lexsort((t, pairs % size))
             r, t = pairs[order] % size, t[order]
             head = np.concatenate([[True], (r[1:] != r[:-1]) | (t[1:] != t[:-1])])
             state = np.empty(len(pairs), dtype=int)
             state[order] = np.cumsum(head) - 1
-            return _evaluate(sectors, r[head], t[head], measures)[state, pairs // size]
+            values = _evaluate(sectors, r[head], t[head], functions)
+            return values.reshape(-1, 2, len(requested))[state, :, pairs // size].T
 
         # NaN where the measure never exceeds TS_TOL, which _csv prints as an empty cell
         group[:, 1:-1] = thermal.vanishing_point(
-            scan.transpose(2, 0, 1).reshape(-1, thermal.TS_GRID), bisect_at,
+            scan.transpose(2, 0, 1).reshape(-1, thermal.TS_GRID), measured_at, witnessed=True,
         ).reshape(len(requested), size).T
         # False where ts is NaN; a row without T* is in the ball at every T > 0
         beyond = group[:, 1:-1] > np.nan_to_num(group[:, -1:]) + 1e-6

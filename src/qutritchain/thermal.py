@@ -9,7 +9,9 @@ Two separability temperatures appear:
     ball threshold 1/(d - 2^(2-m)); above it the state is certifiably
     separable regardless of any measure.
   * estimate_ts: the temperature where a chosen entanglement measure decays
-    to the noise floor, found by a scan plus bisection (vanishing_point).
+    to the noise floor, found by a scan plus bisection (vanishing_point); a
+    batched run narrows the same grid brackets by ITP steps on a smooth
+    witness of the measure instead (vanishing_point with `witnessed`, _itp).
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ TS_TMAX = 10.0
 TS_GRID = 400
 TS_TOL = 1e-9
 TS_SCAN = np.linspace(TS_TMAX / TS_GRID, TS_TMAX, TS_GRID)
+
+# _itp's truncation constant c of kappa1 = c / (hi0 - lo0).  On the threshold-k benchmark line
+# at seeds 0-5, 0.02 took 4-5 steps after the ends; 0.01 took up to 6, 0.05 5 and 0.1 6, the
+# last two with more states.
+ITP_C = 0.02
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,47 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float,
     return 0.5 * (lo + hi)
 
 
+def _itp(lo: np.ndarray, hi: np.ndarray, atol: float,
+         at: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Midpoint of each bracket [lo, hi] (updated in place) once hi - lo <= atol, by ITP steps
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2021) with kappa1 = ITP_C / (hi0 - lo0), kappa2 = 2
+    and n0 = 1, all brackets in lockstep.  at(indices, points) gives two values at each point:
+    g, where g > 0 holds, and a witness f, which should be smooth, positive where g is, and
+    cross 0 with it.
+
+    The first call reads f at both ends of every bracket wider than atol; then each step is
+    one call over the brackets still wider.  A step takes the regula falsi point of f at the
+    two ends, moved delta = kappa1 w^2 towards the midpoint (w the bracket's width; the
+    midpoint where delta passes it) and kept within r = w0 2^-j - w/2 of it at step j, w0
+    the first width; the midpoint itself where f does not bracket a crossing (f(lo) <= 0,
+    f(hi) > 0, or NaN).  g alone moves lo (where g > 0) or hi, so after step j the width is
+    at most w0 2^-j: a bracket that halving stops in n steps stops in at most n + 1,
+    whatever f is.  A bracket's points and result do not depend on the other brackets."""
+    wide = np.flatnonzero(hi - lo > atol)
+    w0, f_lo, f_hi = hi - lo, np.empty(len(lo)), np.empty(len(lo))
+    if wide.size:
+        f_lo[wide], f_hi[wide] = np.split(at(np.tile(wide, 2), np.r_[lo[wide], hi[wide]])[1], 2)
+    step = 0
+    while wide.size:
+        a, b, fa, fb = lo[wide], hi[wide], f_lo[wide], f_hi[wide]
+        w, mid = b - a, 0.5 * (a + b)
+        r = np.maximum(w0[wide] * 0.5 ** step - 0.5 * w, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # not taken where f brackets nothing
+            falsi = a + w * (fa / (fa - fb))
+            sigma = np.sign(mid - falsi)
+            delta = ITP_C / w0[wide] * w * w  # truncation towards the midpoint
+            x = np.where(delta <= np.abs(mid - falsi), falsi + sigma * delta, mid)
+            x = np.where(np.abs(x - mid) <= r, x, mid - sigma * r)  # projected
+            x = np.where((fa > 0.0) & (fb <= 0.0), x, mid)
+        g, fx = at(wide, x)
+        up = g > 0.0
+        lo[wide[up]], f_lo[wide[up]] = x[up], fx[up]
+        hi[wide[~up]], f_hi[wide[~up]] = x[~up], fx[~up]
+        wide = wide[hi[wide] - lo[wide] > atol]
+        step += 1
+    return 0.5 * (lo + hi)
+
+
 def tstar_rows(levels: np.ndarray, dims: MultipartiteDims) -> np.ndarray:
     """tstar of each row of `levels`, shape (rows, dims.d), NaN where it is None, inf past
     the float range.  All rows bracket beta in lockstep, then _bisect narrows each to relative
@@ -165,6 +213,7 @@ def tstar(spectrum: Spectrum, dims: MultipartiteDims) -> Optional[float]:
 
 def vanishing_point(
     scan: np.ndarray, measure_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    witnessed: bool = False,
 ) -> np.ndarray:
     """Largest temperature where a measure exceeds TS_TOL, per row of `scan`,
     the measure's values at the TS_SCAN temperatures, shape (rows, TS_GRID),
@@ -172,11 +221,15 @@ def vanishing_point(
     pair: measure_at tells them apart by row index.
 
     The scan locates each row's last excursion above TS_TOL (the measure need
-    not be monotone in T), then _bisect narrows the vanishing point to a width
-    of 1e-6, all rows in lockstep, one measure_at(rows, temperatures) call per
-    halving; a row's midpoints and result do not depend on the other rows.
-    Gives NaN where the measure never exceeds TS_TOL, and TS_TMAX where it is
-    still above TS_TOL there (the estimate is truncated).
+    not be monotone in T), then the grid bracket above it narrows to a width of
+    1e-6, all rows in lockstep, one measure_at(rows, temperatures) call per step;
+    a row's points and result do not depend on the other rows.  measure_at gives
+    the measure, and _bisect halves each bracket; or, `witnessed`, the measure
+    and a smooth witness of it, not clamped at 0, shape (2, points), and _itp
+    steps on witness - TS_TOL while the measure alone moves the ends, so a
+    witness that disagrees with it costs one step more than the 15 halvings at
+    most.  Gives NaN where the measure never exceeds TS_TOL, and TS_TMAX where
+    it is still above TS_TOL there (the estimate is truncated).
     """
     with np.errstate(invalid="ignore"):  # a point not evaluated is not above TS_TOL
         above = scan > TS_TOL
@@ -184,8 +237,11 @@ def vanishing_point(
     last = TS_GRID - 1 - np.argmax(above[:, ::-1], axis=1)
     ts = np.where(hit, TS_TMAX, np.nan)
     rows = np.nonzero(hit & (last < TS_GRID - 1))[0]
-    ts[rows] = _bisect(TS_SCAN[last[rows]], TS_SCAN[last[rows] + 1], 1e-6, 0.0,
-                       lambda i, mid: measure_at(rows[i], mid) > TS_TOL)
+    lo, hi = TS_SCAN[last[rows]], TS_SCAN[last[rows] + 1]
+    if witnessed:
+        ts[rows] = _itp(lo, hi, 1e-6, lambda i, t: measure_at(rows[i], t) - TS_TOL)
+    else:
+        ts[rows] = _bisect(lo, hi, 1e-6, 0.0, lambda i, mid: measure_at(rows[i], mid) > TS_TOL)
     return ts
 
 
@@ -195,8 +251,10 @@ def estimate_ts(
     """Largest temperature where `measure` on the Gibbs state exceeds TS_TOL.
 
     The scalar reference of the batched threshold run: vanishing_point on one
-    row, with every state built and measured one at a time.  None where the
-    measure never exceeds TS_TOL.
+    row, with every state built and measured one at a time, by bisection alone:
+    it reads no witness, and lands within 1e-6 of the batched run's ts, both
+    within 5e-7 of a TS_TOL crossing of the measure.  None where the measure
+    never exceeds TS_TOL.
     """
 
     def measure_at(temperatures: np.ndarray) -> np.ndarray:

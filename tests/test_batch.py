@@ -99,6 +99,15 @@ def test_every_mode_matches_reference(mode, monkeypatch):
     assert str(err.value) == f"non-finite measure at axis point {tuple(coords[-2].tolist())}"
 
 
+def _crossing(measure, spectrum, lo, hi):
+    """The TS_TOL crossing of the scalar measure in [lo, hi], bisected to a width of 1e-12."""
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        above = measure(thermal.gibbs(spectrum, mid, QUTRIT_DIMS)) > thermal.TS_TOL
+        lo, hi = (mid, hi) if above else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def test_threshold_matches_scalar_estimate_ts(monkeypatch):
     written, calls = [], []
     # the table as printed: a NaN cell is an empty one
@@ -106,17 +115,18 @@ def test_threshold_matches_scalar_estimate_ts(monkeypatch):
         [["" if np.isnan(x) else x for x in row] for row in table.tolist()]) or "")
     vanishing_point = thermal.vanishing_point
 
-    def traced(scan, measure_at):
-        steps = [[] for _ in scan]  # every bisection step of each row as (t, measure)
+    def traced(scan, measure_at, witnessed=False):
+        steps = [[] for _ in scan]  # every root-finding point of each row as (t, measure)
         calls.append((scan, steps))
 
         def step(rows, temperatures):
             values = measure_at(rows, temperatures)
-            for row, t, v in zip(rows.tolist(), temperatures.tolist(), values.tolist()):
+            measure = values[0] if witnessed else values
+            for row, t, v in zip(rows.tolist(), temperatures.tolist(), measure.tolist()):
                 steps[row].append((t, v))
             return values
 
-        return vanishing_point(scan, step)
+        return vanishing_point(scan, step, witnessed)
 
     monkeypatch.setattr(thermal, "vanishing_point", traced)
     names = ("negativity", "alb")
@@ -140,19 +150,26 @@ def test_threshold_matches_scalar_estimate_ts(monkeypatch):
             for i, (name, cell) in enumerate(zip(names, cells)):
                 pair = i * 4 + row
                 want = thermal.estimate_ts(spectrum, QUTRIT_DIMS, scalar[name])
-                assert cell == ("" if want is None else want)  # zero difference
-                [(want_scan, [want_steps])] = calls
+                [(want_scan, _)] = calls
                 calls.clear()
+                if want in (None, thermal.TS_TMAX):
+                    assert cell == ("" if want is None else want)
+                else:
+                    # the scalar bisection and the batched witness steps each end within 5e-7
+                    # of a crossing, the one in the grid bracket above the last excursion
+                    assert abs(cell - want) <= 1e-6
+                    last = np.flatnonzero(want_scan[0] > thermal.TS_TOL)[-1]
+                    crossing = _crossing(scalar[name], spectrum, *thermal.TS_SCAN[last:last + 2])
+                    assert abs(cell - crossing) <= 5e-7 + 1e-12
                 # the scan points evaluated agree; at every point skipped above the lowest
                 # one evaluated, the full scalar scan is at most TS_TOL
                 seen = ~np.isnan(scan[pair])
                 assert np.max(np.abs(scan[pair, seen] - want_scan[0, seen])) <= MAX_ABS_DIFF
                 skipped = ~seen & (np.arange(thermal.TS_GRID) > np.argmax(seen))
                 assert (want_scan[0, skipped] <= thermal.TS_TOL).all()
-                # the same midpoints, with values within MAX_ABS_DIFF
-                assert [t for t, _ in steps[pair]] == [t for t, _ in want_steps]
-                assert all(abs(x - y) <= MAX_ABS_DIFF
-                           for (_, x), (_, y) in zip(steps[pair], want_steps))
+                # at every root-finding point, the measure within MAX_ABS_DIFF of the scalar one
+                assert all(abs(x - scalar[name](thermal.gibbs(spectrum, t, QUTRIT_DIMS)))
+                           <= MAX_ABS_DIFF for t, x in steps[pair])
                 kinds[name].add(want if want in (None, thermal.TS_TMAX) else "inside")
             assert t_ball == thermal.tstar(spectrum, QUTRIT_SPLIT)
     for name in names:
@@ -171,13 +188,16 @@ def test_threshold_bisects_rows_in_lockstep(monkeypatch):
     cfg = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
                       measures=("negativity", "alb"))
     want = "".join(run_threshold(cfg))
-    # 5 scan steps and 15 halvings, one stack each: one measure at a time would take 15
-    # stacks more, and one (measure, row) pair at a time 630 in all
-    assert len(sizes) == 20
+    # 5 scan steps, the stack of both ends of every bracket, whose two measures share each end
+    # (2 states a row), and 5 witness steps, one stack each, where 15 halvings took 15 stacks;
+    # one (measure, row) pair at a time would take a stack per step of each of 42 pairs
+    assert len(sizes) == 11 and sizes[5] == 2 * 21
     sizes.clear()
     monkeypatch.setattr(sweeps, "CHUNK_POINTS", 7)
     assert "".join(run_threshold(cfg)) == want
-    assert max(sizes) == 7
+    # in groups of 7 rows: a scan stack holds 7 states at most, the ends 2 a row, and a witness
+    # step one per (measure, row) pair
+    assert max(sizes) == 2 * 7 and max(sizes[:5]) == 7
 
 
 _THRESHOLD_K = SweepConfig(B1=0.35, B2=-0.35, ranges={"k": AxisRange(-2.0, -1.0, 21)},
@@ -196,16 +216,16 @@ def test_threshold_scans_only_to_tstar(monkeypatch):
     want = "".join(run_threshold(_THRESHOLD_K))
     # a full scan alone builds 21 * 400 = 8400 states, the one up to each T* and its witness
     # point 2926; the scan down from each witness point, which skips what its distance
-    # certificate proves below TS_TOL, and the bisection, whose two measures share a state
-    # where their brackets agree, build 1575
-    assert sum(sizes) <= 1600
+    # certificate proves below TS_TOL, and the root finding (both ends of each bracket, then
+    # the witness steps) build 1470, where 15 halvings built 1575
+    assert sum(sizes) <= 1500
     for size in (7, 1):
         monkeypatch.setattr(sweeps, "CHUNK_POINTS", size)
         assert "".join(run_threshold(_THRESHOLD_K)) == want
 
 
 def test_threshold_row_entangled_without_tstar_names_its_row(monkeypatch):
-    tstar_rows, witness, scanned, bisecting = thermal.tstar_rows, [], [], []
+    tstar_rows, witness, scanned, rooting = thermal.tstar_rows, [], [], []
     spectra, solved = sweeps._spectra, []
 
     def spectra_recorded(points):
@@ -223,19 +243,19 @@ def test_threshold_row_entangled_without_tstar_names_its_row(monkeypatch):
 
     monkeypatch.setattr(sweeps, "_spectra", spectra_recorded)
     monkeypatch.setattr(thermal, "tstar_rows", without_row_5)
-    evaluate, vanishing_point = sweeps._evaluate, thermal.vanishing_point
+    evaluate, itp = sweeps._evaluate, thermal._itp
 
     def recorded(sectors, rows, temperatures, functions):
-        if not bisecting:
+        if not rooting:
             scanned.extend(zip(rows, temperatures))
         return evaluate(sectors, rows, temperatures, functions)
 
-    def bisected(scan, measure_at):
-        bisecting.append(True)
-        return vanishing_point(scan, measure_at)
+    def rooted(lo, hi, atol, at):
+        rooting.append(True)
+        return itp(lo, hi, atol, at)
 
     monkeypatch.setattr(sweeps, "_evaluate", recorded)
-    monkeypatch.setattr(thermal, "vanishing_point", bisected)
+    monkeypatch.setattr(thermal, "_itp", rooted)
     with pytest.raises(ConsistencyError) as err:
         run_threshold(_THRESHOLD_K)
     # each row scans once, down from its witness point: row 5 evaluates TS_SCAN[0] alone
@@ -316,8 +336,9 @@ def test_spectra_match_each_stack_solved_alone(size, monkeypatch):
 
 
 def test_threshold_batches_hold_at_most_a_stack_per_measure(monkeypatch):
-    # a scan step holds at most CHUNK_POINTS states, and a bisection step one per (measure,
-    # row) pair of a group; _evaluate builds each as one _Batch
+    # a scan step holds at most CHUNK_POINTS states, a root step one per (measure, row) pair of
+    # a group, and the stack of bracket ends two per pair: two per row on this line, where the
+    # two measures of a row share their grid bracket; _evaluate builds each as one _Batch
     sizes = []
 
     class Counted(sweeps._Batch):
@@ -822,7 +843,8 @@ def test_batch_rejects_nonpositive_temperature():
 
 def _full_scan_threshold(cfg, axis):
     """run_threshold's CSV and the measures at all TS_GRID temperatures of every row: each
-    row scans the whole grid, then vanishing_point bisects one measure at a time."""
+    row scans the whole grid, then vanishing_point steps on the witness of one measure at a
+    time."""
     [values], points = sweeps._grid(cfg, (axis,))
     [(_, sectors)] = sweeps._spectra(points)
     tstar = thermal.tstar_rows(np.sort(sectors.values, axis=1), QUTRIT_SPLIT)
@@ -832,8 +854,9 @@ def _full_scan_threshold(cfg, axis):
     scan = np.concatenate([sweeps._evaluate(sectors, r[i:i + n], thermal.TS_SCAN[c[i:i + n]],
                                             measures) for i in range(0, len(r), n)])
     scan = scan.reshape(len(points), thermal.TS_GRID, len(measures))
-    ts = [thermal.vanishing_point(scan[:, :, i], lambda rows, t, f=f: sweeps._evaluate(
-        sectors, rows, t, [f])[:, 0]) for i, f in enumerate(measures)]
+    ts = [thermal.vanishing_point(scan[:, :, i], lambda rows, t, f=f, g=g: sweeps._evaluate(
+        sectors, rows, t, [f, g]).T, witnessed=True)
+          for i, (f, g) in enumerate(zip(measures, (sweeps._WITNESSES[m] for m in cfg.measures)))]
     header = [sweeps._AXIS_LABEL[axis]] + [f"ts_{name}" for name in cfg.measures] + ["tstar"]
     return "".join(sweeps._csv(header, np.column_stack([values, *ts, tstar]))), scan
 

@@ -8,7 +8,7 @@ from qutritchain.numkernel import Spectrum, block_eig, maxabs, sym_eig
 from qutritchain.qstate import BipartiteDims
 from qutritchain.spinmodels import SZ_SECTORS, QutritChainParams, hamiltonian_qutrit
 from qutritchain.thermal import (
-    ROUNDOFF, TS_SCAN, TS_TOL, MultipartiteDims, _bisect, boltzmann_weights, estimate_ts, gibbs,
+    ROUNDOFF, TS_SCAN, TS_TOL, MultipartiteDims, _bisect, _itp, boltzmann_weights, estimate_ts, gibbs,
     ground_window, purity, purity_beta_derivative, tstar, tstar_rows, vn_entropy,
 )
 from qutritchain.entanglement import negativity
@@ -254,6 +254,86 @@ def test_bisect_takes_one_halving_per_call(atol, rtol):
     # one holds call per halving of the widest bracket, each over the brackets still wider
     assert (halvings == 0).any() and len(calls) == halvings.max() > 10
     assert calls == [np.flatnonzero(halvings > step).tolist() for step in range(len(calls))]
+
+
+def _grid_brackets(seed, n):
+    """n brackets one TS_SCAN step wide, each with a crossing inside: holds below it."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.5, 9.5, n)
+    hi = lo + (TS_SCAN[1] - TS_SCAN[0])
+    return lo, hi, lo + rng.uniform(0.0, 1.0, n) * (hi - lo), rng
+
+
+def _run_itp(lo, hi, root, witness):
+    """_itp on copies of the brackets, holding below root: its result, final lo and hi, and
+    the (indices, points) of each call, after checking that each step's points lie inside
+    their brackets and that the result is the midpoint of each final bracket."""
+    calls = []
+
+    def at(i, t):
+        if calls:  # the first call reads both ends
+            assert ((lo[i] <= t) & (t <= hi[i])).all()
+        calls.append((i, t))
+        return root[i] - t, witness(i, t)
+
+    lo, hi = lo.copy(), hi.copy()
+    got = _itp(lo, hi, 1e-6, at)
+    assert got.tobytes() == (0.5 * (lo + hi)).tobytes()
+    return got, lo, hi, calls
+
+
+def test_itp_converges_on_smooth_witnesses():
+    lo, hi, root, rng = _grid_brackets(11, 300)
+    # Boltzmann factors falling with T, at scales from 1e-9 to 1, crossing 0 at the root
+    amp, gap = 10.0 ** rng.uniform(-9.0, 0.0, len(lo)), rng.uniform(0.1, 5.0, len(lo))
+    _, got_lo, got_hi, calls = _run_itp(
+        lo, hi, root,
+        lambda i, t: amp[i] * (np.exp(-t / gap[i]) - np.exp(-root[i] / gap[i])))
+    # both ends of every bracket, then at most 6 steps, where halving takes 15
+    assert len(calls[0][0]) == 2 * len(lo) and len(calls) - 1 <= 6
+    assert (got_hi - got_lo <= 1e-6).all() and (got_lo < root).all() and (root <= got_hi).all()
+
+
+@pytest.mark.parametrize("kind", ["wrong-signed", "nan", "constant", "kinked", "elsewhere"])
+def test_itp_ends_within_its_bound_on_any_witness(kind):
+    lo, hi, root, rng = _grid_brackets(12, 200)
+    other = root + rng.normal(0.0, 1.0, len(lo)) * 10.0 ** rng.uniform(-7.0, -2.0, len(lo))
+    steep = 10.0 ** rng.uniform(0.0, 3.0, len(lo))
+    curved = rng.normal(0.0, 1.0, len(lo)) * 10.0 ** rng.uniform(-2.0, 3.0, len(lo))
+    witness = {
+        "wrong-signed": lambda i, t: t - root[i],
+        "nan": lambda i, t: np.full(len(t), np.nan),
+        "constant": lambda i, t: np.ones(len(t)),
+        # brackets the crossing, with a slope steep[i] times larger above it
+        "kinked": lambda i, t: (root[i] - t) * np.where(t < root[i], 1.0, steep[i]),
+        # crosses 0 near the predicate's crossing, not at it: where the two disagree, f is of
+        # one sign at both ends, and its regula falsi point lies outside the bracket
+        "elsewhere": lambda i, t: (other[i] - t) * (1.0 + curved[i] * (other[i] - t)),
+    }[kind]
+    _, got_lo, got_hi, calls = _run_itp(lo, hi, root, witness)
+    # halving takes 15 steps from these brackets, and _itp one more at most
+    assert len(calls) - 1 <= 16
+    assert (got_hi - got_lo <= 1e-6).all() and (got_lo < root).all() and (root <= got_hi).all()
+
+
+def test_itp_brackets_do_not_depend_on_each_other():
+    lo, hi, root, rng = _grid_brackets(13, 60)
+    lo[:5] = hi[:5] - 1e-7  # already narrow: never stepped
+    amp, steep = 10.0 ** rng.uniform(-9.0, 0.0, len(lo)), rng.uniform(-3.0, 3.0, len(lo))
+
+    def witness(i, t):
+        x = root[i] - t
+        return np.where(i % 3 == 0, np.nan, amp[i] * x * (1.0 + steep[i] * x))
+
+    group, group_lo, group_hi, calls = _run_itp(lo, hi, root, witness)
+    for r in range(len(lo)):
+        alone, alone_lo, alone_hi, alone_calls = _run_itp(
+            lo[r:r + 1], hi[r:r + 1], root[r:r + 1], lambda i, t: witness(r + i, t))
+        # the same points and result, bit for bit
+        points = [t[i == r] for i, t in calls if (i == r).any()]
+        assert [t.tobytes() for _, t in alone_calls] == [t.tobytes() for t in points]
+        assert (alone.tobytes(), alone_lo.tobytes(), alone_hi.tobytes()) == (
+            group[r:r + 1].tobytes(), group_lo[r:r + 1].tobytes(), group_hi[r:r + 1].tobytes())
 
 
 def test_gibbs_separable_above_tstar():
