@@ -122,9 +122,11 @@ class SweepConfig:
 
 def _check_measures(names: Iterable[str], allowed: tuple[str, ...]) -> tuple[str, ...]:
     names = tuple(names)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in allowed:
             raise ConfigError(f"unknown measure {name!r}; choose from {', '.join(allowed)}")
+        if name in names[:i]:
+            raise ConfigError(f"measure {name!r} is named twice")
     return names
 
 
@@ -619,7 +621,7 @@ def run_threshold(cfg: SweepConfig) -> Iterator[str]:
 
         # NaN where the measure never exceeds TS_TOL, which _csv prints as an empty cell
         group[:, 1:-1] = thermal.vanishing_point(
-            scan.transpose(2, 0, 1).reshape(-1, thermal.TS_GRID), measured_at, witnessed=True,
+            scan.transpose(2, 0, 1).reshape(-1, thermal.TS_GRID), measured_at,
         ).reshape(len(requested), size).T
         # False where ts is NaN; a row without T* is in the ball at every T > 0
         beyond = group[:, 1:-1] > np.nan_to_num(group[:, -1:]) + 1e-6

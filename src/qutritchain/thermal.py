@@ -9,9 +9,9 @@ Two separability temperatures appear:
     ball threshold 1/(d - 2^(2-m)); above it the state is certifiably
     separable regardless of any measure.
   * estimate_ts: the temperature where a chosen entanglement measure decays
-    to the noise floor, found by a scan plus bisection (vanishing_point); a
-    batched run narrows the same grid brackets by ITP steps on a smooth
-    witness of the measure instead (vanishing_point with `witnessed`, _itp).
+    to the noise floor, found by a scan plus ITP steps on the grid bracket
+    above its last excursion (vanishing_point, _itp): on a smooth witness of
+    the measure in a batched run, on the midpoints of a NaN one in estimate_ts.
 """
 
 from __future__ import annotations
@@ -115,18 +115,18 @@ def ground_window(levels: np.ndarray) -> np.ndarray:  # see GROUND_WINDOW
     return np.maximum(GROUND_WINDOW, ROUNDOFF * np.abs(levels).max(axis=-1))
 
 
-def _bisect(lo: np.ndarray, hi: np.ndarray, atol: float, rtol: float,
+def _bisect(lo: np.ndarray, hi: np.ndarray, rtol: float,
             holds: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Midpoint of each bracket [lo, hi] (updated in place) once hi - lo <= atol + rtol * hi.
-    Brackets halve in lockstep, one holds(indices, midpoints) call per halving of those still
-    wider: lo = mid where holds is true at mid, else hi = mid, each stopping by its own test."""
-    wide = np.flatnonzero(hi - lo > atol + rtol * hi)
+    """tstar_rows' bisection: the midpoint of each bracket [lo, hi] (updated in place) once
+    hi - lo <= rtol * hi.  Brackets halve in lockstep, one holds(indices, midpoints) call per
+    halving of those still wider: lo = mid where holds is true at mid, else hi = mid."""
+    wide = np.flatnonzero(hi - lo > rtol * hi)
     while wide.size:
         mid = 0.5 * (lo[wide] + hi[wide])
         up = holds(wide, mid)
         lo[wide[up]] = mid[up]
         hi[wide[~up]] = mid[~up]
-        wide = wide[hi[wide] - lo[wide] > atol + rtol * hi[wide]]
+        wide = wide[hi[wide] - lo[wide] > rtol * hi[wide]]
     return 0.5 * (lo + hi)
 
 
@@ -173,8 +173,8 @@ def _itp(lo: np.ndarray, hi: np.ndarray, atol: float,
 
 def tstar_rows(levels: np.ndarray, dims: MultipartiteDims) -> np.ndarray:
     """tstar of each row of `levels`, shape (rows, dims.d), NaN where it is None, inf past
-    the float range.  All rows bracket beta in lockstep, then _bisect narrows each to relative
-    width 1e-11 at every finite scale; a row's result does not depend on the other rows.
+    the float range.  All rows bracket beta in lockstep, then _bisect halves each (T* has no
+    witness for _itp) to relative width 1e-11 at any finite scale, each row on its own.
     A row brackets only where 1/g > theta, g its levels within ground_window of the minimum;
     the others lie delta > 1e-9 above it.  For a qutrit pair (g <= 7) the purity, at least
     (1 + (9 - g) exp(-beta delta))^-2 / g, leaves the ball by beta = 3.37 / delta < 2^32."""
@@ -190,7 +190,7 @@ def tstar_rows(levels: np.ndarray, dims: MultipartiteDims) -> np.ndarray:
     while inside.size:
         inside = inside[_gibbs_purity(e[rows[inside]], hi[inside]) <= theta]
         hi[inside] *= 2.0
-    beta = _bisect(np.zeros(len(rows)), hi, 0.0, 1e-11,
+    beta = _bisect(np.zeros(len(rows)), hi, 1e-11,
                    lambda i, mid: _gibbs_purity(e[rows[i]], mid) <= theta)
     with np.errstate(over="ignore"):  # a T* past the float range is inf
         result[rows] = 1.0 / beta
@@ -211,25 +211,24 @@ def tstar(spectrum: Spectrum, dims: MultipartiteDims) -> Optional[float]:
     return None if np.isnan(t) else float(t)
 
 
-def vanishing_point(
-    scan: np.ndarray, measure_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    witnessed: bool = False,
-) -> np.ndarray:
+def vanishing_point(scan: np.ndarray,
+                    measure_at: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """Largest temperature where a measure exceeds TS_TOL, per row of `scan`,
     the measure's values at the TS_SCAN temperatures, shape (rows, TS_GRID),
     NaN at a temperature not evaluated.  A row may be any (measure, state)
     pair: measure_at tells them apart by row index.
 
     The scan locates each row's last excursion above TS_TOL (the measure need
-    not be monotone in T), then the grid bracket above it narrows to a width of
-    1e-6, all rows in lockstep, one measure_at(rows, temperatures) call per step;
-    a row's points and result do not depend on the other rows.  measure_at gives
-    the measure, and _bisect halves each bracket; or, `witnessed`, the measure
-    and a smooth witness of it, not clamped at 0, shape (2, points), and _itp
-    steps on witness - TS_TOL while the measure alone moves the ends, so a
-    witness that disagrees with it costs one step more than the 15 halvings at
-    most.  Gives NaN where the measure never exceeds TS_TOL, and TS_TMAX where
-    it is still above TS_TOL there (the estimate is truncated).
+    not be monotone in T), then _itp narrows the grid bracket above it to a
+    width of 1e-6, all rows in lockstep, one measure_at(rows, temperatures)
+    call per step after one for both ends; a row's points and result do not
+    depend on the other rows.  measure_at gives the measure and a witness of
+    it, shape (2, points): _itp steps on witness - TS_TOL while the measure
+    alone moves the ends.  A smooth witness, not clamped at 0, saves steps;
+    one that disagrees with the measure costs one step more than the 15
+    halvings at most, and a NaN one takes the midpoints of bisection.  Gives
+    NaN where the measure never exceeds TS_TOL, and TS_TMAX where it is still
+    above TS_TOL there (the estimate is truncated).
     """
     with np.errstate(invalid="ignore"):  # a point not evaluated is not above TS_TOL
         above = scan > TS_TOL
@@ -238,10 +237,7 @@ def vanishing_point(
     ts = np.where(hit, TS_TMAX, np.nan)
     rows = np.nonzero(hit & (last < TS_GRID - 1))[0]
     lo, hi = TS_SCAN[last[rows]], TS_SCAN[last[rows] + 1]
-    if witnessed:
-        ts[rows] = _itp(lo, hi, 1e-6, lambda i, t: measure_at(rows[i], t) - TS_TOL)
-    else:
-        ts[rows] = _bisect(lo, hi, 1e-6, 0.0, lambda i, mid: measure_at(rows[i], mid) > TS_TOL)
+    ts[rows] = _itp(lo, hi, 1e-6, lambda i, t: measure_at(rows[i], t) - TS_TOL)
     return ts
 
 
@@ -251,16 +247,17 @@ def estimate_ts(
     """Largest temperature where `measure` on the Gibbs state exceeds TS_TOL.
 
     The scalar reference of the batched threshold run: vanishing_point on one
-    row, with every state built and measured one at a time, by bisection alone:
-    it reads no witness, and lands within 1e-6 of the batched run's ts, both
-    within 5e-7 of a TS_TOL crossing of the measure.  None where the measure
-    never exceeds TS_TOL.
+    row, with every state built and measured one at a time.  Its witness is
+    NaN, so every step takes the midpoint, as bisection does; it lands within
+    1e-6 of the batched run's ts, both within 5e-7 of a TS_TOL crossing of the
+    measure.  None where the measure never exceeds TS_TOL.
     """
 
-    def measure_at(temperatures: np.ndarray) -> np.ndarray:
-        return np.array([measure(gibbs(spectrum, float(t), dims)) for t in temperatures])
+    def measure_at(temperatures: np.ndarray) -> np.ndarray:  # the measure and a NaN witness
+        return np.array([[measure(gibbs(spectrum, float(t), dims)) for t in temperatures],
+                         temperatures * np.nan])
 
-    ts = vanishing_point(measure_at(TS_SCAN)[None], lambda rows, t: measure_at(t))[0]
+    ts = vanishing_point(measure_at(TS_SCAN)[:1], lambda rows, t: measure_at(t))[0]
     return None if np.isnan(ts) else float(ts)
 
 

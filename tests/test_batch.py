@@ -115,18 +115,17 @@ def test_threshold_matches_scalar_estimate_ts(monkeypatch):
         [["" if np.isnan(x) else x for x in row] for row in table.tolist()]) or "")
     vanishing_point = thermal.vanishing_point
 
-    def traced(scan, measure_at, witnessed=False):
+    def traced(scan, measure_at):
         steps = [[] for _ in scan]  # every root-finding point of each row as (t, measure)
         calls.append((scan, steps))
 
         def step(rows, temperatures):
             values = measure_at(rows, temperatures)
-            measure = values[0] if witnessed else values
-            for row, t, v in zip(rows.tolist(), temperatures.tolist(), measure.tolist()):
+            for row, t, v in zip(rows.tolist(), temperatures.tolist(), values[0].tolist()):
                 steps[row].append((t, v))
             return values
 
-        return vanishing_point(scan, step, witnessed)
+        return vanishing_point(scan, step)
 
     monkeypatch.setattr(thermal, "vanishing_point", traced)
     names = ("negativity", "alb")
@@ -665,9 +664,9 @@ def test_csv_independent_of_batch_size(monkeypatch):
         assert [len(list(pieces)) for pieces in runs] == [
             1 + math.ceil(rows / size) for rows in (25, 30, 169, 9, 9, 25)]
         # a measure printed alone skips what only the others read (the site swap, the tie
-        # test of ub), and prints its column of the nine-measure run; so do repeated and
-        # mixed measures, with two ub columns at tied rows and site columns at mirrored rows
-        for names in (("negativity",), ("ub",), ("cdc",), ("ub", "cdc", "ub", "udc_12")):
+        # test of ub), and prints its column of the nine-measure run; so do mixed measures
+        # out of registry order, with ub at tied rows and site columns at mirrored rows
+        for names in (("negativity",), ("ub",), ("cdc",), ("udc_12", "ub", "cdc")):
             solved.clear()
             columns = [0, 1, *(2 + MEASURE_NAMES.index(name) for name in names)]
             assert "".join(run_sweep(SweepConfig(K=-1.7, T=0.2, measures=names,
@@ -855,7 +854,7 @@ def _full_scan_threshold(cfg, axis):
                                             measures) for i in range(0, len(r), n)])
     scan = scan.reshape(len(points), thermal.TS_GRID, len(measures))
     ts = [thermal.vanishing_point(scan[:, :, i], lambda rows, t, f=f, g=g: sweeps._evaluate(
-        sectors, rows, t, [f, g]).T, witnessed=True)
+        sectors, rows, t, [f, g]).T)
           for i, (f, g) in enumerate(zip(measures, (sweeps._WITNESSES[m] for m in cfg.measures)))]
     header = [sweeps._AXIS_LABEL[axis]] + [f"ts_{name}" for name in cfg.measures] + ["tstar"]
     return "".join(sweeps._csv(header, np.column_stack([values, *ts, tstar]))), scan

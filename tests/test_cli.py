@@ -156,6 +156,8 @@ def test_stdout_and_out_get_the_same_bytes(argv, tmp_path, capsys):
     (["threshold", "--measures", "ub"], 2),
     (["sweep", "--K=0", "--J=1", "--range-b1=0:1e231:3", "--range-b2=0:1e231:3"], 3),
     (["threshold", "--J=1", "--B1=1e229", "--B2=-1e229", "--range-k=-1e308:0:2"], 3),
+    (["sweep", "--measures", "alb,alb"], 2),
+    (["threshold", "--measures", "alb,negativity,alb"], 2),
 ])
 def test_failing_run_writes_nothing(argv, code, tmp_path, capsys):
     # every check runs before the first byte of output is formatted

@@ -11,7 +11,7 @@ from qutritchain.thermal import (
     ROUNDOFF, TS_SCAN, TS_TOL, MultipartiteDims, _bisect, _itp, boltzmann_weights, estimate_ts, gibbs,
     ground_window, purity, purity_beta_derivative, tstar, tstar_rows, vn_entropy,
 )
-from qutritchain.entanglement import negativity
+from qutritchain.entanglement import alb, negativity
 
 DIMS33 = BipartiteDims(3, 3)
 SPLIT33 = MultipartiteDims((3, 3))
@@ -218,8 +218,8 @@ def test_tstar_brackets_by_the_gap_above_the_ground(exponent, sign, g, ground, g
 
 
 def _bisect_bracket(lo, hi, atol, rtol, holds):
-    """Reference for _bisect on one bracket, in Python floats: its result, final lo and hi,
-    and number of halvings."""
+    """Reference for _bisect, and for _itp on a NaN witness, on one bracket, in Python floats:
+    its result, final lo and hi, and number of halvings."""
     halvings = 0
     while hi - lo > atol + rtol * hi:
         mid = 0.5 * (lo + hi)
@@ -228,6 +228,8 @@ def _bisect_bracket(lo, hi, atol, rtol, holds):
     return 0.5 * (lo + hi), lo, hi, halvings
 
 
+# T*'s brackets go through _bisect to a relative width, those of ts through _itp to an
+# absolute one, which on a NaN witness halves them as _bisect would
 @pytest.mark.parametrize("atol, rtol", [(1e-6, 0.0), (0.0, 1e-11)])
 def test_bisect_takes_one_halving_per_call(atol, rtol):
     rng = np.random.default_rng(7)
@@ -243,7 +245,11 @@ def test_bisect_takes_one_halving_per_call(atol, rtol):
         return np.floor(freq[i] * t + phase[i]) % 2.0 == 0.0
 
     got_lo, got_hi = lo.copy(), hi.copy()
-    got = _bisect(got_lo, got_hi, atol, rtol, holds)
+    if rtol:
+        got = _bisect(got_lo, got_hi, rtol, holds)
+    else:
+        got = _itp(got_lo, got_hi, atol, lambda i, t: (
+            np.where(holds(i, t), 1.0, -1.0), np.full(len(t), np.nan)))
     want, want_lo, want_hi, halvings = map(np.array, zip(*(
         _bisect_bracket(float(lo[r]), float(hi[r]), atol, rtol,
                         lambda t, r=r: math.floor(freq[r] * t + phase[r]) % 2 == 0)
@@ -251,6 +257,8 @@ def test_bisect_takes_one_halving_per_call(atol, rtol):
     # the same midpoints and decisions as each bracket alone: bit for bit
     for x, y in ((got, want), (got_lo, want_lo), (got_hi, want_hi)):
         assert x.tobytes() == y.tobytes()
+    if not rtol:  # _itp first reads both ends of every bracket it steps
+        assert calls.pop(0) == 2 * np.flatnonzero(halvings > 0).tolist()
     # one holds call per halving of the widest bracket, each over the brackets still wider
     assert (halvings == 0).any() and len(calls) == halvings.max() > 10
     assert calls == [np.flatnonzero(halvings > step).tolist() for step in range(len(calls))]
@@ -350,6 +358,24 @@ def test_tstar_bounds_measure_threshold():
     t_meas = estimate_ts(spec, DIMS33, negativity)
     assert t_meas is not None and t_upper is not None
     assert t_upper >= t_meas
+
+
+@pytest.mark.parametrize("measure", [negativity, alb], ids=["negativity", "alb"])
+def test_estimate_ts_takes_the_midpoints_of_bisection(measure):
+    # its witness is NaN, so every step is a bisection of the measure, in Python floats, from
+    # the grid bracket above its last excursion: the same ts, bit for bit
+    for params in ((-1.0, -1.7, 1.3, -1.3), (-1.0, -1.7, 0.35, -0.35), (1.0, 1.0, 0.0, 0.0),
+                   (-1.0, -1.0, 2.0, 0.5)):
+        spec = chain_spectrum(*params)
+
+        def above(t):
+            return measure(gibbs(spec, t, DIMS33)) > TS_TOL
+
+        last = np.flatnonzero([above(float(t)) for t in TS_SCAN])[-1]
+        assert last < len(TS_SCAN) - 1
+        want, *_ = _bisect_bracket(float(TS_SCAN[last]), float(TS_SCAN[last + 1]), 1e-6, 0.0,
+                                   above)
+        assert estimate_ts(spec, DIMS33, measure).hex() == want.hex()
 
 
 def test_estimate_ts_zero_measure():
